@@ -57,6 +57,10 @@ func (m *Mongos) Metrics() *obs.Registry { return m.router.Registry() }
 // spans and the server's transport spans.
 func (m *Mongos) Tracer() *trace.Recorder { return m.router.Tracer() }
 
+// Inline implements wire.Backend: every routed op may wait on a shard
+// round trip, so none runs on the connection's reader.
+func (m *Mongos) Inline(*wire.Request) bool { return false }
+
 // Dispatch implements wire.Backend: the routed op set.
 func (m *Mongos) Dispatch(p sim.Proc, req *wire.Request, binary bool, tctx trace.Context) *wire.Response {
 	resp := &wire.Response{}

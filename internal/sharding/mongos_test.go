@@ -277,3 +277,20 @@ func readByID(p sim.Proc, conn driver.Conn, id string) (storage.Document, error)
 	}
 	return res.(storage.Document), nil
 }
+
+// TestMongosNeverInline: every routed op may wait on a shard round
+// trip, so even over shards whose reads never sleep the router runs
+// nothing on a connection's reader.
+func TestMongosNeverInline(t *testing.T) {
+	env := sim.NewRealtimeEnv(1)
+	defer env.Shutdown()
+	cfg := shardConfig()
+	cfg.ReadCost, cfg.CostJitter = -1, -1
+	cfg.RTTSameZone, cfg.RTTCrossZoneBase, cfg.RTTCrossZoneSpread = -1, -1, -1
+	m := NewMongos(env, []driver.Conn{driver.WrapCluster(cluster.New(env, cfg))}, nil, core.DefaultParams(), RouterOptions{})
+	for _, op := range []string{wire.OpFindByID, wire.OpFindMany, wire.OpFind, wire.OpCount, wire.OpPing, wire.OpWriteBatch} {
+		if m.Inline(&wire.Request{Op: op}) {
+			t.Errorf("Mongos.Inline(%s) = true, want false", op)
+		}
+	}
+}

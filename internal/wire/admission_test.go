@@ -256,6 +256,35 @@ func TestServeCloseLeavesNoGoroutines(t *testing.T) {
 	}, "goroutines leaked after Serve/Close")
 }
 
+// TestServeAfterCloseServesNothing: a Serve that starts after Close
+// returns nil at once and closes its listener, so a client dialing
+// afterwards gets no topology reply.
+func TestServeAfterCloseServesNothing(t *testing.T) {
+	env := sim.NewRealtimeEnv(1)
+	defer env.Shutdown()
+	srv := NewServer(env, cluster.New(env, sleeplessConfig()), nil)
+	srv.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve after Close = %v, want nil", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve after Close is still accepting")
+	}
+	if cl, err := Dial(ln.Addr().String()); err == nil {
+		cl.Close()
+		t.Fatal("a client dialed after Close got a topology reply")
+	}
+}
+
 // TestPrometheusServerStatusFamilies round-trips the full metrics
 // surface over the wire — the same snapshot the /metrics endpoint
 // renders — and checks both that every exposition line parses and that

@@ -139,7 +139,7 @@ func finishFrame(b []byte, start int) error {
 // next again and continue mid-frame without desynchronizing the
 // stream.
 type frameReader struct {
-	r   io.Reader
+	r   *bufio.Reader
 	buf []byte
 
 	hdr    [4]byte
@@ -152,6 +152,17 @@ type frameReader struct {
 // a timed-out connection is stalled mid-frame rather than idle between
 // requests.
 func (fr *frameReader) midFrame() bool { return fr.hn > 0 || fr.inBody }
+
+// buffered reports whether the next frame already sits whole in the
+// read buffer, so the next call returns without touching the socket.
+func (fr *frameReader) buffered() bool {
+	n := fr.r.Buffered()
+	if fr.midFrame() || n < 4 {
+		return false
+	}
+	hdr, _ := fr.r.Peek(4) // cannot fail: four bytes are buffered
+	return n-4 >= int(binary.BigEndian.Uint32(hdr))
+}
 
 func (fr *frameReader) next() ([]byte, error) {
 	if !fr.inBody {

@@ -419,21 +419,26 @@ func (r *Response) documents() ([]storage.Document, error) {
 	return out, nil
 }
 
-// WriteFrame sends one JSON message with a 4-byte length prefix.
-func WriteFrame(w io.Writer, v any) error {
+// appendJSONFrame appends one length-prefixed JSON message to dst.
+func appendJSONFrame(dst []byte, v any) ([]byte, error) {
 	body, err := json.Marshal(v)
 	if err != nil {
-		return fmt.Errorf("wire: marshal: %w", err)
+		return dst, fmt.Errorf("wire: marshal: %w", err)
 	}
 	if len(body) > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(body))
+		return dst, fmt.Errorf("wire: frame of %d bytes exceeds limit", len(body))
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(body)))
+	return append(dst, body...), nil
+}
+
+// WriteFrame sends one JSON message with a 4-byte length prefix.
+func WriteFrame(w io.Writer, v any) error {
+	frame, err := appendJSONFrame(nil, v)
+	if err != nil {
 		return err
 	}
-	_, err = w.Write(body)
+	_, err = w.Write(frame)
 	return err
 }
 
