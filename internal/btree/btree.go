@@ -101,6 +101,8 @@ func (t *Tree[K, V]) splitChild(parent *node[K, V], i int) {
 		sep = child.keys[mid]
 		right.keys = append(right.keys, child.keys[mid:]...)
 		right.vals = append(right.vals, child.vals[mid:]...)
+		clear(child.keys[mid:])
+		clear(child.vals[mid:])
 		child.keys = child.keys[:mid:mid]
 		child.vals = child.vals[:mid:mid]
 		right.next = child.next
@@ -110,6 +112,8 @@ func (t *Tree[K, V]) splitChild(parent *node[K, V], i int) {
 		sep = child.keys[mid]
 		right.keys = append(right.keys, child.keys[mid+1:]...)
 		right.children = append(right.children, child.children[mid+1:]...)
+		clear(child.keys[mid:])
+		clear(child.children[mid+1:])
 		child.keys = child.keys[:mid:mid]
 		child.children = child.children[: mid+1 : mid+1]
 	}
@@ -172,8 +176,8 @@ func (t *Tree[K, V]) delete(n *node[K, V], k K) bool {
 		if !found {
 			return false
 		}
-		n.keys = append(n.keys[:i], n.keys[i+1:]...)
-		n.vals = append(n.vals[:i], n.vals[i+1:]...)
+		n.keys = deleteAt(n.keys, i)
+		n.vals = deleteAt(n.vals, i)
 		return true
 	}
 	i, found := t.search(n, k)
@@ -214,17 +218,17 @@ func (t *Tree[K, V]) borrowLeft(n *node[K, V], i int) {
 		last := len(left.keys) - 1
 		child.keys = append([]K{left.keys[last]}, child.keys...)
 		child.vals = append([]V{left.vals[last]}, child.vals...)
-		left.keys = left.keys[:last]
-		left.vals = left.vals[:last]
+		left.keys = truncate(left.keys, last)
+		left.vals = truncate(left.vals, last)
 		n.keys[i-1] = child.keys[0]
 	} else {
 		child.keys = append([]K{n.keys[i-1]}, child.keys...)
 		last := len(left.keys) - 1
 		n.keys[i-1] = left.keys[last]
-		left.keys = left.keys[:last]
+		left.keys = truncate(left.keys, last)
 		lc := len(left.children) - 1
 		child.children = append([]*node[K, V]{left.children[lc]}, child.children...)
-		left.children = left.children[:lc]
+		left.children = truncate(left.children, lc)
 	}
 }
 
@@ -233,15 +237,15 @@ func (t *Tree[K, V]) borrowRight(n *node[K, V], i int) {
 	if child.leaf() {
 		child.keys = append(child.keys, right.keys[0])
 		child.vals = append(child.vals, right.vals[0])
-		right.keys = right.keys[1:]
-		right.vals = right.vals[1:]
+		right.keys = deleteAt(right.keys, 0)
+		right.vals = deleteAt(right.vals, 0)
 		n.keys[i] = right.keys[0]
 	} else {
 		child.keys = append(child.keys, n.keys[i])
 		n.keys[i] = right.keys[0]
-		right.keys = right.keys[1:]
+		right.keys = deleteAt(right.keys, 0)
 		child.children = append(child.children, right.children[0])
-		right.children = right.children[1:]
+		right.children = deleteAt(right.children, 0)
 	}
 }
 
@@ -257,8 +261,23 @@ func (t *Tree[K, V]) merge(n *node[K, V], i int) {
 		child.keys = append(child.keys, right.keys...)
 		child.children = append(child.children, right.children...)
 	}
-	n.keys = append(n.keys[:i], n.keys[i+1:]...)
-	n.children = append(n.children[:i+1], n.children[i+2:]...)
+	n.keys = deleteAt(n.keys, i)
+	n.children = deleteAt(n.children, i+1)
+}
+
+// deleteAt removes s[i], shifting the tail left, and zeroes the slot
+// it vacates: the garbage collector scans a slice's whole backing
+// array, so a stale copy past len would keep its value alive.
+func deleteAt[T any](s []T, i int) []T {
+	copy(s[i:], s[i+1:])
+	return truncate(s, len(s)-1)
+}
+
+// truncate shortens s to n elements, zeroing the dropped ones for the
+// same reason as deleteAt.
+func truncate[T any](s []T, n int) []T {
+	clear(s[n:])
+	return s[:n]
 }
 
 // Ascend calls fn for each pair with k >= from, in ascending key order,

@@ -3,9 +3,12 @@ package btree
 import (
 	"cmp"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func newInt() *Tree[int, int] { return New[int, int](cmp.Compare[int]) }
@@ -286,6 +289,89 @@ func TestQuickRangeMatchesReference(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// tracked is a tree value whose collection the garbage collector
+// reports through a finalizer; the padding keeps it out of the tiny
+// allocator, whose blocks may never run finalizers.
+type tracked struct {
+	key int
+	_   [48]byte
+}
+
+// finalizedCounter hands out tracked values and counts how many the
+// collector has reclaimed.
+type finalizedCounter struct{ created, collected atomic.Int64 }
+
+func (c *finalizedCounter) value(k int) *tracked {
+	v := &tracked{key: k}
+	c.created.Add(1)
+	runtime.SetFinalizer(v, func(*tracked) { c.collected.Add(1) })
+	return v
+}
+
+// awaitCollected runs the collector until want values have been
+// finalized, or gives up after a bounded number of cycles.
+func (c *finalizedCounter) awaitCollected(t *testing.T, want int64) {
+	t.Helper()
+	for i := 0; i < 50 && c.collected.Load() < want; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := c.collected.Load(); got != want {
+		t.Fatalf("%d of %d dropped values collected; the tree pins the rest past a slice's length", got, want)
+	}
+}
+
+//go:noinline
+func fillThenReplaceAfterSplit(tr *Tree[int, *tracked], c *finalizedCounter) {
+	// maxKeys+1 sequential keys fill the root leaf and split it; the
+	// split moves the upper half into a new right sibling.
+	for k := 0; k <= maxKeys; k++ {
+		tr.Set(k, c.value(k))
+	}
+	// Replace every moved value: the originals are garbage now.
+	for k := maxKeys / 2; k <= maxKeys; k++ {
+		tr.Set(k, c.value(k))
+	}
+}
+
+func TestReplacedValueAfterSplitIsCollected(t *testing.T) {
+	var c finalizedCounter
+	tr := New[int, *tracked](cmp.Compare[int])
+	fillThenReplaceAfterSplit(tr, &c)
+	c.awaitCollected(t, c.created.Load()-int64(tr.Len()))
+	runtime.KeepAlive(tr)
+}
+
+//go:noinline
+func churn(tr *Tree[int, *tracked], c *finalizedCounter, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < 20000; i++ {
+		k := rng.Intn(2000)
+		if rng.Intn(3) == 0 {
+			tr.Delete(k)
+		} else {
+			tr.Set(k, c.value(k))
+		}
+	}
+	// Drain most of the tree so deletes borrow from and merge siblings.
+	for k := 0; k < 2000; k++ {
+		if k%7 != 0 {
+			tr.Delete(k)
+		}
+	}
+}
+
+// TestDroppedValuesAreCollected runs splits, deletes, borrows and
+// merges, then checks that every value no longer in the tree is
+// collectable: no node keeps a vacated slot's stale reference.
+func TestDroppedValuesAreCollected(t *testing.T) {
+	var c finalizedCounter
+	tr := New[int, *tracked](cmp.Compare[int])
+	churn(tr, &c, 1)
+	c.awaitCollected(t, c.created.Load()-int64(tr.Len()))
+	runtime.KeepAlive(tr)
 }
 
 func BenchmarkTreeSet(b *testing.B) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // BSON-lite: a compact, self-describing binary encoding of documents,
@@ -30,10 +31,28 @@ const (
 
 var errCorrupt = errors.New("storage: corrupt bson-lite data")
 
-// EncodeDoc serializes a document to BSON-lite bytes.
+// EncodeDoc serializes a document to BSON-lite bytes. The result is
+// one allocation whose capacity equals its length: the document is
+// encoded into pooled scratch space and copied out once, so a cached
+// encoding (EncodedDoc) carries no growth slack.
 func EncodeDoc(d Document) []byte {
-	return appendDoc(nil, d)
+	bp := encodeScratch.Get().(*[]byte)
+	buf := appendDoc((*bp)[:0], d)
+	out := make([]byte, len(buf))
+	copy(out, buf)
+	if cap(buf) <= maxPooledScratch {
+		*bp = buf
+		encodeScratch.Put(bp)
+	}
+	return out
 }
+
+// encodeScratch holds EncodeDoc's reusable encoding buffers.
+var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledScratch caps the buffers EncodeDoc returns to its pool, so
+// one outsized document does not stay resident.
+const maxPooledScratch = 64 << 10
 
 // AppendDoc appends a document's BSON-lite encoding to dst.
 func AppendDoc(dst []byte, d Document) []byte {
@@ -133,22 +152,40 @@ func AppendValue(dst []byte, v any) []byte {
 	return appendValue(dst, v)
 }
 
+// Decoding runs in two passes. The first (skipDoc/skipValue) walks the
+// raw bytes, applies every corrupt-input bound check and finds where
+// the encoding ends; the second copies exactly those bytes into one
+// string and builds the values from it, so every key and string value
+// is a substring of that one copy. A decoded document therefore costs
+// one copy of its bytes plus its maps, slices and interface boxes, and
+// never aliases the caller's buffer (which may be a reused frame).
+
 // DecodeValue decodes one BSON-lite value from b, returning the value
 // and the unconsumed remainder.
 func DecodeValue(b []byte) (any, []byte, error) {
-	return decodeValue(b)
+	n, err := skipValue(b, 0, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	r := decoder{s: string(b[:n])}
+	return r.value(), b[n:], nil
 }
 
 // DecodeDocPrefix decodes one document from the front of b, returning
 // the unconsumed remainder — for streams that concatenate documents
 // back to back (the encoding is self-delimiting).
 func DecodeDocPrefix(b []byte) (Document, []byte, error) {
-	return decodeDoc(b)
+	n, err := skipDoc(b, 0, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	r := decoder{s: string(b[:n])}
+	return r.doc(), b[n:], nil
 }
 
 // DecodeDoc parses BSON-lite bytes back into a document.
 func DecodeDoc(b []byte) (Document, error) {
-	d, rest, err := decodeDoc(b)
+	d, rest, err := DecodeDocPrefix(b)
 	if err != nil {
 		return nil, err
 	}
@@ -158,114 +195,180 @@ func DecodeDoc(b []byte) (Document, error) {
 	return d, nil
 }
 
-func decodeDoc(b []byte) (Document, []byte, error) {
-	n, b, err := readUvarint(b)
+// maxNesting bounds how deeply arrays and documents may nest, as
+// MongoDB bounds BSON. Both decode passes recurse once per level, so
+// without it a hostile frame of a few megabytes of nested headers
+// would overflow the goroutine stack and kill the process.
+const maxNesting = 100
+
+// skipDoc validates the document encoded at b[off:], nested inside
+// depth arrays and documents, and returns the offset just past it.
+func skipDoc(b []byte, off, depth int) (int, error) {
+	n, off, err := readUvarint(b, off)
 	if err != nil {
-		return nil, nil, err
+		return 0, err
 	}
 	// A field costs at least two bytes (key length + type tag), so a
-	// count beyond len(b)/2 is corrupt — reject it before sizing the
-	// map, so hostile input cannot force a huge allocation.
-	if n > uint64(len(b))/2 {
-		return nil, nil, errCorrupt
+	// count beyond the remaining bytes / 2 is corrupt — reject it
+	// before the decode pass sizes a map from it, so hostile input
+	// cannot force a huge allocation.
+	if n > uint64(len(b)-off)/2 {
+		return 0, errCorrupt
 	}
-	d := make(Document, n)
 	for i := uint64(0); i < n; i++ {
-		var klen uint64
-		klen, b, err = readUvarint(b)
-		if err != nil {
-			return nil, nil, err
+		if off, err = skipLen(b, off); err != nil {
+			return 0, err
 		}
-		if uint64(len(b)) < klen {
-			return nil, nil, errCorrupt
+		if off, err = skipValue(b, off, depth+1); err != nil {
+			return 0, err
 		}
-		key := Intern(b[:klen])
-		b = b[klen:]
-		var v any
-		v, b, err = decodeValue(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		d[key] = v
 	}
-	return d, b, nil
+	return off, nil
 }
 
-func decodeValue(b []byte) (any, []byte, error) {
-	if len(b) == 0 {
-		return nil, nil, errCorrupt
+// skipValue validates the value encoded at b[off:] (type tag plus
+// payload), nested inside depth arrays and documents, and returns the
+// offset just past it.
+func skipValue(b []byte, off, depth int) (int, error) {
+	if off >= len(b) {
+		return 0, errCorrupt
 	}
-	tag := b[0]
-	b = b[1:]
+	if depth > maxNesting {
+		return 0, fmt.Errorf("%w: nested deeper than %d", errCorrupt, maxNesting)
+	}
+	tag := b[off]
+	off++
 	switch tag {
-	case btNil:
-		return nil, b, nil
-	case btFalse:
-		return false, b, nil
-	case btTrue:
-		return true, b, nil
+	case btNil, btFalse, btTrue:
+		return off, nil
 	case btInt64:
-		v, n := binary.Varint(b)
+		_, n := binary.Varint(b[off:])
 		if n <= 0 {
-			return nil, nil, errCorrupt
+			return 0, errCorrupt
 		}
-		return InternInt64(v), b[n:], nil
+		return off + n, nil
 	case btFloat:
-		if len(b) < 8 {
-			return nil, nil, errCorrupt
+		if len(b)-off < 8 {
+			return 0, errCorrupt
 		}
-		v := math.Float64frombits(binary.LittleEndian.Uint64(b))
-		return InternFloat64(v), b[8:], nil
-	case btString:
-		n, b, err := readUvarint(b)
-		if err != nil || uint64(len(b)) < n {
-			return nil, nil, errCorrupt
-		}
-		return InternValue(b[:n]), b[n:], nil
-	case btBytes:
-		n, b, err := readUvarint(b)
-		if err != nil || uint64(len(b)) < n {
-			return nil, nil, errCorrupt
-		}
-		out := make([]byte, n)
-		copy(out, b[:n])
-		return out, b[n:], nil
+		return off + 8, nil
+	case btString, btBytes:
+		return skipLen(b, off)
 	case btArray:
-		n, b, err := readUvarint(b)
+		n, off, err := readUvarint(b, off)
 		if err != nil {
-			return nil, nil, err
+			return 0, err
 		}
 		// An element costs at least one byte (its type tag): bound the
-		// slice allocation by the bytes that could actually back it.
-		if n > uint64(len(b)) {
-			return nil, nil, errCorrupt
+		// slice the decode pass allocates by the bytes that could
+		// actually back it.
+		if n > uint64(len(b)-off) {
+			return 0, errCorrupt
 		}
-		arr := make([]any, 0, n)
 		for i := uint64(0); i < n; i++ {
-			var e any
-			e, b, err = decodeValue(b)
-			if err != nil {
-				return nil, nil, err
+			if off, err = skipValue(b, off, depth+1); err != nil {
+				return 0, err
 			}
-			arr = append(arr, e)
 		}
-		return arr, b, nil
+		return off, nil
 	case btDoc:
-		return decodeDocAsAny(b)
+		return skipDoc(b, off, depth)
 	default:
-		return nil, nil, fmt.Errorf("%w: unknown type tag 0x%02x", errCorrupt, tag)
+		return 0, fmt.Errorf("%w: unknown type tag 0x%02x", errCorrupt, tag)
 	}
 }
 
-func decodeDocAsAny(b []byte) (any, []byte, error) {
-	d, rest, err := decodeDoc(b)
-	return d, rest, err
+// skipLen validates a uvarint length prefix at b[off:] and the bytes
+// it counts, returning the offset just past them.
+func skipLen(b []byte, off int) (int, error) {
+	n, off, err := readUvarint(b, off)
+	if err != nil || n > uint64(len(b)-off) {
+		return 0, errCorrupt
+	}
+	return off + int(n), nil
 }
 
-func readUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
+func readUvarint(b []byte, off int) (uint64, int, error) {
+	v, n := binary.Uvarint(b[off:])
 	if n <= 0 {
-		return 0, nil, errCorrupt
+		return 0, 0, errCorrupt
 	}
-	return v, b[n:], nil
+	return v, off + n, nil
+}
+
+// decoder builds values from an encoding skipDoc or skipValue has
+// already validated, so it checks no bounds of its own. Keys and
+// string values are substrings of s.
+type decoder struct {
+	s   string
+	off int
+}
+
+func (r *decoder) doc() Document {
+	n := r.uvarint()
+	d := make(Document, n)
+	for i := uint64(0); i < n; i++ {
+		k := r.str()
+		d[k] = r.value()
+	}
+	return d
+}
+
+func (r *decoder) value() any {
+	tag := r.s[r.off]
+	r.off++
+	switch tag {
+	case btFalse:
+		return false
+	case btTrue:
+		return true
+	case btInt64:
+		u := r.uvarint()
+		v := int64(u >> 1)
+		if u&1 != 0 {
+			v = ^v
+		}
+		return v
+	case btFloat:
+		var bits uint64
+		for i := 7; i >= 0; i-- {
+			bits = bits<<8 | uint64(r.s[r.off+i])
+		}
+		r.off += 8
+		return math.Float64frombits(bits)
+	case btString:
+		return r.str()
+	case btBytes:
+		return []byte(r.str())
+	case btArray:
+		arr := make([]any, r.uvarint())
+		for i := range arr {
+			arr[i] = r.value()
+		}
+		return arr
+	case btDoc:
+		return r.doc()
+	}
+	return nil // btNil
+}
+
+// str reads a length-prefixed string as a substring of r.s.
+func (r *decoder) str() string {
+	n := int(r.uvarint())
+	v := r.s[r.off : r.off+n]
+	r.off += n
+	return v
+}
+
+// uvarint reads a uvarint the way binary.Uvarint does.
+func (r *decoder) uvarint() uint64 {
+	var v uint64
+	for shift := uint(0); ; shift += 7 {
+		c := r.s[r.off]
+		r.off++
+		if c < 0x80 {
+			return v | uint64(c)<<shift
+		}
+		v |= uint64(c&0x7f) << shift
+	}
 }

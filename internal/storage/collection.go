@@ -21,14 +21,15 @@ import (
 // every returned Document as strictly read-only; a caller that wants
 // to modify a result clones it first.
 //
-// Each committed document is stored behind an EncodedDoc wrapper that
-// lazily caches its canonical BSON-lite encoding — populated the first
-// time the wire layer serializes the document, and invalidated for
-// free because mutation swaps the wrapper along with the document.
+// Documents are reached only through the _id index (idIndex), whose
+// per-document slot holds an EncodedDoc wrapper that lazily caches the
+// canonical BSON-lite encoding — populated the first time the wire
+// layer serializes the document, and invalidated for free because a
+// mutation stores a new wrapper in the slot.
 type Collection struct {
 	name    string
 	mu      sync.RWMutex
-	docs    *btree.Tree[string, *EncodedDoc]
+	ids     idIndex
 	indexes map[string]*Index
 }
 
@@ -45,7 +46,7 @@ type Index struct {
 func newCollection(name string) *Collection {
 	return &Collection{
 		name:    name,
-		docs:    btree.New[string, *EncodedDoc](cmp.Compare[string]),
+		ids:     newIDIndex(),
 		indexes: make(map[string]*Index),
 	}
 }
@@ -56,7 +57,7 @@ func (c *Collection) Name() string { return c.name }
 func (c *Collection) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.docs.Len()
+	return c.ids.len()
 }
 
 // CreateIndex adds a compound index over the given field paths and
@@ -77,7 +78,7 @@ func (c *Collection) CreateIndex(name string, unique bool, fields ...string) (*I
 		tree:   btree.New[string, string](cmp.Compare[string]),
 	}
 	var backfillErr error
-	c.docs.AscendAll(func(id string, e *EncodedDoc) bool {
+	c.ids.ascend("", "", func(id string, e *EncodedDoc) bool {
 		if err := idx.insert(e.doc, id); err != nil {
 			backfillErr = err
 			return false
@@ -150,7 +151,7 @@ func (c *Collection) Insert(doc Document) error {
 	stored := norm.Clone()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, exists := c.docs.Get(id); exists {
+	if _, exists := c.ids.get(id); exists {
 		return fmt.Errorf("storage: duplicate _id %q in %s", id, c.name)
 	}
 	var added []*Index
@@ -163,7 +164,7 @@ func (c *Collection) Insert(doc Document) error {
 		}
 		added = append(added, idx)
 	}
-	c.docs.Set(id, newEncodedDoc(stored))
+	c.ids.put(id, newEncodedDoc(stored))
 	return nil
 }
 
@@ -201,7 +202,7 @@ func (c *Collection) upsertLocked(stored Document) error {
 	if !ok || id == "" {
 		return fmt.Errorf("storage: upsert into %s requires a string _id", c.name)
 	}
-	if old, exists := c.docs.Get(id); exists {
+	if old, exists := c.ids.get(id); exists {
 		for _, idx := range c.indexes {
 			idx.remove(old.doc, id)
 		}
@@ -211,7 +212,7 @@ func (c *Collection) upsertLocked(stored Document) error {
 			return err
 		}
 	}
-	c.docs.Set(id, newEncodedDoc(stored))
+	c.ids.put(id, newEncodedDoc(stored))
 	return nil
 }
 
@@ -248,7 +249,7 @@ func (c *Collection) ApplySetOwned(id string, fields Document) (Document, error)
 // clone.
 func (c *Collection) applySetLocked(id string, fields Document, owned bool) (Document, error) {
 	var old Document
-	oldEnc, exists := c.docs.Get(id)
+	oldEnc, exists := c.ids.get(id)
 	if exists {
 		old = oldEnc.doc
 	}
@@ -277,7 +278,7 @@ func (c *Collection) applySetLocked(id string, fields Document, owned bool) (Doc
 			return nil, err
 		}
 	}
-	c.docs.Set(id, newEncodedDoc(merged))
+	c.ids.put(id, newEncodedDoc(merged))
 	return merged, nil
 }
 
@@ -291,15 +292,14 @@ func (c *Collection) Delete(id string) bool {
 
 // deleteLocked removes a document. Caller holds the write lock.
 func (c *Collection) deleteLocked(id string) bool {
-	e, exists := c.docs.Get(id)
+	e, exists := c.ids.get(id)
 	if !exists {
 		return false
 	}
 	for _, idx := range c.indexes {
 		idx.remove(e.doc, id)
 	}
-	c.docs.Delete(id)
-	return true
+	return c.ids.delete(id)
 }
 
 // ApplyKind selects the operation of one ApplyOp.
@@ -358,20 +358,17 @@ func (c *Collection) ApplyBatch(ops []ApplyOp) (int, error) {
 
 // CloneShallow returns a new collection sharing this collection's
 // committed documents. Documents are immutable under copy-on-write, so
-// the pointer sharing is safe; the _id and secondary index trees are
-// copied entry by entry (new trees, same keys). This is the initial-
-// sync snapshot: O(n) pointer copies instead of a deep clone of every
-// document.
+// the pointer sharing is safe; the _id index and secondary index trees
+// are copied entry by entry (new slots and trees, same keys). This is
+// the initial-sync snapshot: O(n) pointer copies instead of a deep
+// clone of every document. Sharing a wrapper shares its encoding cache
+// too — safe, since both the document and its cached bytes are
+// immutable.
 func (c *Collection) CloneShallow() *Collection {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	out := newCollection(c.name)
-	c.docs.AscendAll(func(id string, e *EncodedDoc) bool {
-		// Sharing the wrapper shares the encoding cache too — safe,
-		// since both the document and its cached bytes are immutable.
-		out.docs.Set(id, e)
-		return true
-	})
+	out.ids = c.ids.clone()
 	for name, idx := range c.indexes {
 		ni := &Index{
 			Name:   idx.Name,
@@ -395,7 +392,7 @@ func (c *Collection) CloneShallow() *Collection {
 func (c *Collection) FindByID(id string) (Document, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	e, ok := c.docs.Get(id)
+	e, ok := c.ids.get(id)
 	if !ok {
 		return nil, false
 	}
@@ -409,7 +406,7 @@ func (c *Collection) FindByID(id string) (Document, bool) {
 func (c *Collection) FindByIDEncoded(id string) (*EncodedDoc, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.docs.Get(id)
+	return c.ids.get(id)
 }
 
 // Find returns the committed documents matching the filter, up to
@@ -433,7 +430,7 @@ func (c *Collection) Find(f Filter, limit int) []Document {
 	}
 	if idx, lo, hi := c.planIndex(f); idx != nil {
 		idx.tree.Range(lo, hi, func(k, id string) bool {
-			e, ok := c.docs.Get(id)
+			e, ok := c.ids.get(id)
 			if !ok {
 				return true
 			}
@@ -464,7 +461,7 @@ func (c *Collection) FindEncoded(f Filter, limit int) []*EncodedDoc {
 	}
 	if idx, lo, hi := c.planIndex(f); idx != nil {
 		idx.tree.Range(lo, hi, func(k, id string) bool {
-			e, ok := c.docs.Get(id)
+			e, ok := c.ids.get(id)
 			if !ok {
 				return true
 			}
@@ -483,7 +480,7 @@ func (c *Collection) Count(f Filter) int {
 	n := 0
 	if idx, lo, hi := c.planIndex(f); idx != nil {
 		idx.tree.Range(lo, hi, func(k, id string) bool {
-			if e, ok := c.docs.Get(id); ok && f.Matches(e.doc) {
+			if e, ok := c.ids.get(id); ok && f.Matches(e.doc) {
 				n++
 			}
 			return true
@@ -499,31 +496,24 @@ func (c *Collection) Count(f Filter) int {
 	return n
 }
 
-// scanIDRange walks the primary tree over the slice selected by the
-// filter's _id condition — the whole tree when the filter has no
+// scanIDRange walks the _id index over the slice selected by the
+// filter's _id condition — every document when the filter has no
 // usable _id bound. Residual matching stays with the caller; this only
 // narrows the walk. Caller holds c.mu.
 func (c *Collection) scanIDRange(f Filter, fn func(id string, e *EncodedDoc) bool) {
-	lo, hi, ok := planIDRange(f)
-	switch {
-	case !ok:
-		c.docs.AscendAll(fn)
-	case hi == "":
-		c.docs.Ascend(lo, fn)
-	default:
-		c.docs.Range(lo, hi, fn)
-	}
+	lo, hi := planIDRange(f)
+	c.ids.ascend(lo, hi, fn)
 }
 
 // planIDRange resolves a filter's _id condition into a primary-key
 // interval [lo, hi) ("" hi = unbounded). An equality becomes a
 // single-key interval; one- and two-sided string ranges map directly
 // (ids compare as raw strings, and s+"\x00" is the successor of s).
-// ok=false means the condition does not bound the scan.
-func planIDRange(f Filter) (lo, hi string, ok bool) {
+// A condition that does not bound the scan yields ("", ""): every id.
+func planIDRange(f Filter) (lo, hi string) {
 	cnd, present := f["_id"]
 	if !present {
-		return "", "", false
+		return "", ""
 	}
 	bound := func(op Op, v any) bool {
 		s, isStr := v.(string)
@@ -546,21 +536,15 @@ func planIDRange(f Filter) (lo, hi string, ok bool) {
 	}
 	switch {
 	case cnd.Op == OpEq:
-		id, isStr := cnd.Value.(string)
-		if !isStr {
-			return "", "", false
+		if id, isStr := cnd.Value.(string); isStr {
+			return id, id + "\x00"
 		}
-		return id, id + "\x00", true
 	case IsRangeOp(cnd.Op):
-		if !bound(cnd.Op, cnd.Value) {
-			return "", "", false
+		if bound(cnd.Op, cnd.Value) && (cnd.Op2 == 0 || bound(cnd.Op2, cnd.Value2)) {
+			return lo, hi
 		}
-		if cnd.Op2 != 0 && !bound(cnd.Op2, cnd.Value2) {
-			return "", "", false
-		}
-		return lo, hi, true
 	}
-	return "", "", false
+	return "", ""
 }
 
 // planIndex picks an index usable for the filter and returns the scan
@@ -637,7 +621,7 @@ func (c *Collection) planIndex(f Filter) (*Index, string, string) {
 func (c *Collection) ScanIDs(fn func(id string) bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	c.docs.AscendAll(func(id string, e *EncodedDoc) bool { return fn(id) })
+	c.ids.ascend("", "", func(id string, e *EncodedDoc) bool { return fn(id) })
 }
 
 // CollStats is the collstats command's view of one collection.
@@ -661,8 +645,8 @@ type CollStats struct {
 func (c *Collection) Stats() CollStats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	st := CollStats{Name: c.name, Docs: c.docs.Len(), Indexes: len(c.indexes)}
-	c.docs.AscendAll(func(id string, e *EncodedDoc) bool {
+	st := CollStats{Name: c.name, Docs: c.ids.len(), Indexes: len(c.indexes)}
+	c.ids.ascend("", "", func(id string, e *EncodedDoc) bool {
 		if n := e.EncodedLen(); n > 0 {
 			st.EncodedBytes += int64(n)
 			st.EncodedDocs++

@@ -145,14 +145,14 @@ func getByte(b []byte) (byte, []byte, error) {
 	return b[0], b[1:], nil
 }
 
-// getString decodes a length-prefixed string, interning short ones so
-// repeated collection names, document ids and op strings share storage.
+// getString decodes a length-prefixed string into a fresh copy, so it
+// never aliases the frame buffer.
 func getString(b []byte) (string, []byte, error) {
 	n, b, err := getUvarint(b)
 	if err != nil || n > uint64(len(b)) {
 		return "", nil, errBadFrame
 	}
-	return storage.Intern(b[:n]), b[n:], nil
+	return string(b[:n]), b[n:], nil
 }
 
 // getBytes decodes a length-prefixed byte payload without copying; the

@@ -130,8 +130,9 @@ func finishFrame(b []byte, start int) error {
 // frameReader reads length-prefixed frame bodies into a buffer reused
 // across calls — one allocation per connection, not per frame. The
 // returned slice is only valid until the next call; decoders must copy
-// what they keep (BSON-lite decoding does: strings are interned or
-// copied, byte values are copied).
+// what they keep (BSON-lite decoding does: each document is copied
+// once into a string its keys and values slice, byte values are
+// copied).
 //
 // The reader is resumable across transient read errors: partial header
 // or body progress is retained in the struct, so a caller that gets a

@@ -708,7 +708,6 @@ func (s *Server) CurrentOps() []trace.OpInfo {
 // (rawDoc/rawDocs) and the write loop splices bytes instead of
 // re-serializing; JSON connections get the map forms as before.
 func (s *Server) dispatch(p sim.Proc, req *Request, binary bool, tctx trace.Context) *Response {
-	resp := &Response{}
 	switch req.Op {
 	case OpMetrics:
 		snap := s.backend.Metrics().Snapshot()
@@ -719,7 +718,7 @@ func (s *Server) dispatch(p sim.Proc, req *Request, binary bool, tctx trace.Cont
 		}
 		s.mu.Unlock()
 		merged := snap.Merge(others...)
-		resp.Metrics = &merged
+		return &Response{Metrics: &merged}
 	case OpTrace:
 		// Export spans from the recorder: a hex trace id in DocID
 		// selects one trace (ring spans plus any pinned copies); no id
@@ -728,28 +727,26 @@ func (s *Server) dispatch(p sim.Proc, req *Request, binary bool, tctx trace.Cont
 		if req.DocID != "" {
 			id, err := trace.ParseID(req.DocID)
 			if err != nil {
-				resp.Err = fmt.Sprintf("wire: bad trace id %q", req.DocID)
-				return resp
+				return &Response{Err: fmt.Sprintf("wire: bad trace id %q", req.DocID)}
 			}
-			resp.Spans = s.tracer.TraceSpans(id)
-		} else {
-			limit := req.Limit
-			if limit <= 0 || limit > 1024 {
-				limit = 256
-			}
-			resp.Spans = s.tracer.Recent(limit)
+			return &Response{Spans: s.tracer.TraceSpans(id)}
 		}
+		limit := req.Limit
+		if limit <= 0 || limit > 1024 {
+			limit = 256
+		}
+		return &Response{Spans: s.tracer.Recent(limit)}
 	case OpCurrentOp:
-		resp.Ops = s.CurrentOps()
+		return &Response{Ops: s.CurrentOps()}
 	case OpTracePush:
 		// Clients fold their locally recorded spans (driver/session
 		// hops run client-side) into the server's recorder so a trace
 		// export shows the whole causal tree.
 		s.tracer.Import(req.Spans)
+		return &Response{}
 	case OpMetricsPush:
 		if req.Snapshot == nil {
-			resp.Err = "wire: metrics_push without a snapshot"
-			return resp
+			return &Response{Err: "wire: metrics_push without a snapshot"}
 		}
 		src := req.Source
 		if src == "" {
@@ -758,8 +755,8 @@ func (s *Server) dispatch(p sim.Proc, req *Request, binary bool, tctx trace.Cont
 		s.mu.Lock()
 		s.pushed[src] = req.Snapshot.Prefixed(src + ".")
 		s.mu.Unlock()
+		return &Response{}
 	default:
 		return s.backend.Dispatch(p, req, binary, tctx)
 	}
-	return resp
 }
