@@ -203,10 +203,8 @@ func (n *Node) execWrite(p sim.Proc, fn func(tx WriteTxn) (any, error)) (any, op
 		return nil, oplog.Zero, ErrNotPrimary
 	}
 	// Flow control: stall writers when known replication lag is high.
-	if lim := n.rs.cfg.FlowControlLagSecs; lim > 0 {
-		if n.knownMaxLagSecs() >= lim {
-			p.Sleep(n.rs.cfg.FlowControlDelay)
-		}
+	if n.throttled() {
+		p.Sleep(n.rs.cfg.FlowControlDelay)
 	}
 	qstart := p.Now()
 	n.cpu.Acquire(p)
@@ -239,6 +237,16 @@ func (n *Node) execWrite(p sim.Proc, fn func(tx WriteTxn) (any, error)) (any, op
 	}
 	commit, err := n.commitStaged(p, tx.muts)
 	return res, commit, err
+}
+
+// WriteThrottled reports whether the primary's flow control would
+// stall a write issued now: its known worst secondary lag has reached
+// FlowControlLagSecs.
+func (rs *ReplicaSet) WriteThrottled() bool { return rs.Primary().throttled() }
+
+func (n *Node) throttled() bool {
+	lim := n.rs.cfg.FlowControlLagSecs
+	return lim > 0 && n.knownMaxLagSecs() >= lim
 }
 
 // knownMaxLagSecs is the primary's view of its worst secondary's lag.

@@ -41,6 +41,7 @@ func (rs *ReplicaSet) startBackground() {
 // collapses. This is the sawtooth of §4.5.
 func (n *Node) pullerLoop(p sim.Proc) {
 	rs := n.rs
+	progressName := fmt.Sprintf("repl/progress-%d", n.ID)
 	for {
 		if rs.PrimaryID() == n.ID || n.Down() {
 			p.Sleep(rs.cfg.ReplIdlePoll)
@@ -68,7 +69,7 @@ func (n *Node) pullerLoop(p sim.Proc) {
 		// the conservative over-estimate of §2.3.
 		ts := n.LastApplied()
 		from, to := n, prim
-		rs.env.Spawn(fmt.Sprintf("repl/progress-%d", n.ID), func(q sim.Proc) {
+		rs.env.Spawn(progressName, func(q sim.Proc) {
 			rs.net.Travel(q, from.Zone, to.Zone)
 			to.setKnown(from.ID, ts)
 		})

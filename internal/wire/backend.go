@@ -17,8 +17,8 @@ import (
 type rsBackend struct {
 	rs *cluster.ReplicaSet
 	// sleepless is set when the deployment models no service time and
-	// no network delay, so nothing a read waits on — the node's CPU
-	// slot, its state lock — is ever held across a sleep.
+	// no network delay, so nothing a read or a w:1 write waits on — the
+	// node's CPU slot, its locks — is ever held across a sleep.
 	sleepless bool
 }
 
@@ -32,15 +32,31 @@ func newRSBackend(rs *cluster.ReplicaSet) *rsBackend {
 func (b *rsBackend) Metrics() *obs.Registry  { return b.rs.Metrics() }
 func (b *rsBackend) Tracer() *trace.Recorder { return b.rs.Tracer() }
 
-// Inline implements Backend: a point read runs on the connection's
-// reader when nothing in it can wait — no afterClusterTime
-// prerequisite, no linearizable confirm round, and a deployment that
-// never sleeps. Batch, filter and count reads keep their own goroutine:
-// their work is bounded only by the request, and a long scan on the
-// reader would stall every request pipelined behind it.
+// Inline implements Backend. On a deployment that never sleeps, two
+// ops run on the connection's reader. A point read qualifies when it
+// has no afterClusterTime prerequisite and no linearizable confirm
+// round. A one-mutation write batch qualifies unless the primary's
+// flow control would stall it now: on the wire it is always w:1, so it
+// waits only on bounded critical sections — a CPU slot (no slot holder
+// ever waits, since causal and linearizable waits come before the
+// slot) and, as a group-commit follower, the leader's locked commit.
+// The flow-control check and execWrite's own are two steps, so a write
+// classified just before the lag crosses FlowControlLagSecs still
+// sleeps one FlowControlDelay on the reader (DESIGN.md §8 accepts
+// this). Larger batches, and batch, filter and count reads, keep their
+// own goroutine: their work is bounded only by the request, and a long
+// one on the reader would stall every request pipelined behind it.
 func (b *rsBackend) Inline(req *Request) bool {
-	return req.Op == OpFindByID && b.sleepless && req.AfterSecs == 0 &&
-		req.AfterInc == 0 && req.ReadConcern != RCLinearizable
+	if !b.sleepless {
+		return false
+	}
+	switch req.Op {
+	case OpFindByID:
+		return req.AfterSecs == 0 && req.AfterInc == 0 && req.ReadConcern != RCLinearizable
+	case OpWriteBatch:
+		return len(req.Muts) == 1 && !b.rs.WriteThrottled()
+	}
+	return false
 }
 
 // execRead runs a read op, honoring an afterClusterTime prerequisite

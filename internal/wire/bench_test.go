@@ -134,24 +134,46 @@ func BenchmarkWireConcurrentPointReads(b *testing.B) {
 		i := int(n * 7919)
 		for pb.Next() {
 			i++
-			id := fmt.Sprintf("doc%05d", i%wireBenchDocs)
-			res, err := cl.ExecRead(nil, 0, func(v cluster.ReadView) (any, error) {
-				d, ok := v.FindByID("bench", id)
-				if !ok {
-					return nil, fmt.Errorf("wire bench: %s missing", id)
-				}
-				return d, nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res == nil {
-				b.Fatal("nil doc")
-			}
+			benchPointRead(b, cl, i)
 		}
 	})
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rt/s")
+}
+
+// BenchmarkWireSerialPointReads issues single-document reads one at a
+// time from one goroutine: the lone caller's round trip, which pays one
+// write syscall each way and never waits for a burst.
+func BenchmarkWireSerialPointReads(b *testing.B) {
+	addr, stop := startBenchServer(b)
+	defer stop()
+	cl := benchDial(b, addr)
+	defer cl.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchPointRead(b, cl, i)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rt/s")
+}
+
+// benchPointRead reads benchmark document i through cl.
+func benchPointRead(b *testing.B, cl *Client, i int) {
+	id := fmt.Sprintf("doc%05d", i%wireBenchDocs)
+	res, err := cl.ExecRead(nil, 0, func(v cluster.ReadView) (any, error) {
+		d, ok := v.FindByID("bench", id)
+		if !ok {
+			return nil, fmt.Errorf("wire bench: %s missing", id)
+		}
+		return d, nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res == nil {
+		b.Fatal("nil doc")
+	}
 }
 
 // BenchmarkWireFindQuery round-trips indexed find queries returning 16

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -50,67 +51,87 @@ type Client struct {
 	closed bool
 }
 
-// muxConn is one multiplexed connection. Senders write frames through
-// a shared buffered writer that is flushed by the last sender in a
-// burst (flush-on-idle); the demux loop reads response frames and
-// delivers each to the caller registered under its id.
+// muxConn is one multiplexed connection. Senders append their frames
+// to a shared pooled buffer, and one of them writes the burst (see
+// send); the demux loop reads response frames and delivers each to the
+// caller registered under its id.
 type muxConn struct {
 	c      net.Conn
-	binary bool // negotiated protocol ≥ V2
-	wmu    sync.Mutex
-	bw     *bufio.Writer
-	queued atomic.Int32 // senders in or waiting for send(); last one out flushes
+	binary bool         // negotiated protocol ≥ V2
+	calls  atomic.Int32 // callers inside roundTrip on this connection
+
+	wmu      sync.Mutex
+	out      *[]byte // appended frames no flusher has taken yet
+	flushing bool    // a flusher is chosen and will take out as it stands
 
 	pmu     sync.Mutex
 	pending map[uint64]chan *Response
 	err     error // set once the connection dies; sticky
 }
 
-// send writes one frame. Flushing is deferred to the last queued
-// sender, so a burst of concurrent requests coalesces into one
-// syscall instead of one per frame. Binary frames are staged in a
-// pooled buffer (header and body in one slice, so the write is a
-// single copy into the shared writer).
+// send appends one frame and makes sure it is written. The first
+// sender to find no flush pending becomes the flusher; later senders
+// leave their frames to it and return. When another caller is inside
+// roundTrip, the flusher first releases the lock and yields once, so
+// callers that are about to send (a closed-loop caller whose response
+// just arrived) append to this burst, and the whole burst leaves in
+// one write. A lone caller never yields. Writes run outside the lock
+// on a batch the flusher owns, so the next burst can fill meanwhile.
 func (mc *muxConn) send(req *Request) error {
-	if !mc.binary {
-		mc.queued.Add(1)
-		mc.wmu.Lock()
-		defer mc.wmu.Unlock()
-		err := WriteFrame(mc.bw, req)
-		if mc.queued.Add(-1) == 0 && err == nil {
-			err = mc.bw.Flush()
-		}
-		return err
+	mc.wmu.Lock()
+	if mc.out == nil {
+		mc.out = getBuf()
 	}
-	p := getBuf()
-	buf, err := encodeRequest(beginFrame((*p)[:0]), req)
-	if err == nil {
-		err = finishFrame(buf, 0)
+	buf := *mc.out
+	start := len(buf)
+	var err error
+	if mc.binary {
+		buf, err = encodeRequest(beginFrame(buf), req)
+		if err == nil {
+			err = finishFrame(buf, start)
+		}
+	} else {
+		buf, err = appendJSONFrame(buf, req)
 	}
 	if err != nil {
-		putBuf(p)
+		// *mc.out still ends at start: the failed encoder only wrote
+		// past its length, or into a copy it grew.
+		mc.wmu.Unlock()
 		return err
 	}
-	*p = buf
-	mc.queued.Add(1)
-	mc.wmu.Lock()
-	_, werr := mc.bw.Write(buf)
-	if mc.queued.Add(-1) == 0 && werr == nil {
-		werr = mc.bw.Flush()
+	*mc.out = buf
+	if mc.flushing {
+		mc.wmu.Unlock()
+		return nil
 	}
+	mc.flushing = true
+	if mc.calls.Load() > 1 {
+		mc.wmu.Unlock()
+		runtime.Gosched()
+		mc.wmu.Lock()
+	}
+	batch := mc.out
+	mc.out, mc.flushing = nil, false
 	mc.wmu.Unlock()
-	putBuf(p)
-	return werr
+	_, err = mc.c.Write(*batch)
+	putBuf(batch)
+	return err
 }
+
+// waiters recycles response channels. A channel returns to the pool
+// only after it delivered its one response, so it is empty and nothing
+// else holds it; a channel fail closed is dropped.
+var waiters = sync.Pool{New: func() any { return make(chan *Response, 1) }}
 
 // register files a response channel for a request id.
 func (mc *muxConn) register(id uint64) (chan *Response, error) {
+	ch := waiters.Get().(chan *Response)
 	mc.pmu.Lock()
 	defer mc.pmu.Unlock()
 	if mc.err != nil {
+		waiters.Put(ch)
 		return nil, mc.err
 	}
-	ch := make(chan *Response, 1)
 	mc.pending[id] = ch
 	return ch, nil
 }
@@ -290,11 +311,7 @@ func (cl *Client) dialMux() (*muxConn, error) {
 			ver = V1
 		}
 	}
-	mc := &muxConn{
-		c: c, binary: ver >= V2,
-		bw:      bufio.NewWriter(c),
-		pending: map[uint64]chan *Response{},
-	}
+	mc := &muxConn{c: c, binary: ver >= V2, pending: map[uint64]chan *Response{}}
 	go mc.demux()
 	return mc, nil
 }
@@ -314,6 +331,8 @@ func (cl *Client) roundTrip(req *Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
+	mc.calls.Add(1)
+	defer mc.calls.Add(-1)
 	ch, err := mc.register(req.ID)
 	if err != nil {
 		return nil, err
@@ -326,6 +345,7 @@ func (cl *Client) roundTrip(req *Request) (*Response, error) {
 	if !ok {
 		return nil, mc.failure()
 	}
+	waiters.Put(ch)
 	if resp.Err != "" {
 		return resp, &Error{Code: resp.Code, Msg: resp.Err}
 	}

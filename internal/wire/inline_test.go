@@ -5,6 +5,7 @@ package wire
 // point read costs in allocations once it does.
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"runtime"
@@ -35,11 +36,16 @@ func sleeplessConfig() cluster.Config {
 }
 
 // startSleeplessServer serves a sleepless replica set, so plain reads
-// run on the connection's reader.
+// and w:1 writes run on the connection's reader.
 func startSleeplessServer(t *testing.T, scfg ServerConfig) (*cluster.ReplicaSet, string, func()) {
 	t.Helper()
+	return startConfiguredServer(t, sleeplessConfig(), scfg)
+}
+
+func startConfiguredServer(t *testing.T, cfg cluster.Config, scfg ServerConfig) (*cluster.ReplicaSet, string, func()) {
+	t.Helper()
 	env := sim.NewRealtimeEnv(1)
-	rs := cluster.New(env, sleeplessConfig())
+	rs := cluster.New(env, cfg)
 	srv := NewServerWith(env, rs, nil, scfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -52,11 +58,40 @@ func startSleeplessServer(t *testing.T, scfg ServerConfig) (*cluster.ReplicaSet,
 	}
 }
 
+// throttlingConfig is a sleepless replica set whose flow control stalls
+// writes for delay once a secondary lags a second behind.
+func throttlingConfig(delay time.Duration) cluster.Config {
+	cfg := sleeplessConfig()
+	cfg.FlowControlLagSecs = 1
+	cfg.FlowControlDelay = delay
+	return cfg
+}
+
+// makeThrottling takes a secondary down and, once the environment's
+// clock has passed one second, commits a write the downed member can
+// never apply — from then on the primary's flow control throttles.
+func makeThrottling(t *testing.T, rs *cluster.ReplicaSet) {
+	t.Helper()
+	rs.SetDown(2, true)
+	env := rs.Env()
+	if wait := 1100*time.Millisecond - env.Now(); wait > 0 {
+		time.Sleep(wait)
+	}
+	if _, err := rs.ExecWrite(env.(*sim.RealtimeEnv).Adhoc("lag"), func(tx cluster.WriteTxn) (any, error) {
+		return nil, tx.Insert("c", storage.D{"_id": "k", "v": int64(1)})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !rs.WriteThrottled() {
+		t.Fatal("primary does not throttle writes with a secondary down past the lag limit")
+	}
+}
+
 func TestBackendInlineClassification(t *testing.T) {
 	// Batch, filter and count reads are bounded only by the request, so
 	// they stay off the reader even on a sleepless deployment.
 	others := []string{OpFindMany, OpFind, OpCount, OpTopology, OpPing, OpStatus,
-		OpWriteBatch, OpOplogTail, OpMetrics, OpMetricsPush, OpTrace, OpTracePush, OpCurrentOp}
+		OpOplogTail, OpMetrics, OpMetricsPush, OpTrace, OpTracePush, OpCurrentOp}
 	modeled := map[string]func(*cluster.Config){
 		"sleepless":          func(*cluster.Config) {},
 		"ReadCost":           func(c *cluster.Config) { c.ReadCost = 300 * time.Millisecond },
@@ -67,6 +102,7 @@ func TestBackendInlineClassification(t *testing.T) {
 		"RTTSameZone":        func(c *cluster.Config) { c.RTTSameZone = 100 * time.Microsecond },
 		"RTTCrossZoneBase":   func(c *cluster.Config) { c.RTTCrossZoneBase = 200 * time.Microsecond },
 		"RTTCrossZoneSpread": func(c *cluster.Config) { c.RTTCrossZoneSpread = 300 * time.Microsecond },
+		"throttling":         func(c *cluster.Config) { *c = throttlingConfig(time.Millisecond) },
 	}
 	for name, tweak := range modeled {
 		t.Run(name, func(t *testing.T) {
@@ -74,10 +110,20 @@ func TestBackendInlineClassification(t *testing.T) {
 			defer env.Shutdown()
 			cfg := sleeplessConfig()
 			tweak(&cfg)
-			b := newRSBackend(cluster.New(env, cfg))
-			free := name == "sleepless"
-			if got := b.Inline(&Request{Op: OpFindByID, Node: 1}); got != free {
-				t.Errorf("plain find_by_id: Inline = %t, want %t", got, free)
+			rs := cluster.New(env, cfg)
+			if name == "throttling" {
+				makeThrottling(t, rs)
+			}
+			b := newRSBackend(rs)
+			// Flow control stalls writes only; reads stay inline.
+			readFree := name == "sleepless" || name == "throttling"
+			if got := b.Inline(&Request{Op: OpFindByID, Node: 1}); got != readFree {
+				t.Errorf("plain find_by_id: Inline = %t, want %t", got, readFree)
+			}
+			set := Mutation{Kind: "set", Collection: "c", DocID: "k", Doc: map[string]any{"v": 1}}
+			writeFree := name == "sleepless"
+			if got := b.Inline(&Request{Op: OpWriteBatch, Muts: []Mutation{set}}); got != writeFree {
+				t.Errorf("one-mutation write_batch: Inline = %t, want %t", got, writeFree)
 			}
 			cases := map[string]Request{
 				"AfterSecs":    {Op: OpFindByID, Node: 1, AfterSecs: 7},
@@ -89,6 +135,10 @@ func TestBackendInlineClassification(t *testing.T) {
 					t.Errorf("find_by_id with %s: Inline = true, want false", why)
 				}
 			}
+			// A larger batch's work is bounded only by the request.
+			if b.Inline(&Request{Op: OpWriteBatch, Muts: []Mutation{set, set}}) {
+				t.Errorf("two-mutation write_batch: Inline = true, want false")
+			}
 			for _, op := range others {
 				if b.Inline(&Request{Op: op}) {
 					t.Errorf("%s: Inline = true, want false", op)
@@ -98,13 +148,58 @@ func TestBackendInlineClassification(t *testing.T) {
 	}
 }
 
+// TestThrottledWriteDoesNotHoldBurst: a write the primary's flow
+// control will stall runs on its own goroutine, so the reader never
+// sleeps with a response held for the burst. One raw write carries a
+// point read (inline) and a write batch; the read's answer must arrive
+// before the write's FlowControlDelay has elapsed, and the write's
+// after it.
+func TestThrottledWriteDoesNotHoldBurst(t *testing.T) {
+	const delay = time.Second
+	rs, addr, stop := startConfiguredServer(t, throttlingConfig(delay), ServerConfig{})
+	defer stop()
+	makeThrottling(t, rs)
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var burst bytes.Buffer
+	WriteFrame(&burst, &Request{ID: 1, Op: OpFindByID, Node: 0, Collection: "c", DocID: "k"})
+	WriteFrame(&burst, &Request{ID: 2, Op: OpWriteBatch, Muts: []Mutation{
+		{Kind: "set", Collection: "c", DocID: "k", Doc: map[string]any{"v": 2}},
+	}})
+	start := time.Now()
+	if _, err := conn.Write(burst.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(start.Add(5 * delay))
+	for _, want := range []uint64{1, 2} {
+		var resp Response
+		if err := ReadFrame(conn, &resp); err != nil {
+			t.Fatal(err)
+		}
+		took := time.Since(start)
+		if resp.ID != want || resp.Err != "" {
+			t.Fatalf("response id %d err %q after %v, want id %d", resp.ID, resp.Err, took, want)
+		}
+		if want == 1 && took >= delay {
+			t.Fatalf("read answered after %v, behind the throttled write (FlowControlDelay %v)", took, delay)
+		}
+		if want == 2 && took < delay {
+			t.Fatalf("write answered after %v, want it throttled for %v", took, delay)
+		}
+	}
+}
+
 // Deterministic half of the wire benchmark gate: one serial FindByID
-// round trip over loopback (client and server together) costs no more
-// allocations or bytes than the goroutine-per-request server did,
-// 16 allocs and about 2.4 KB per op.
+// round trip over loopback (client and server together) measures 12
+// allocations and 1,443 B; the ceilings leave one allocation and
+// 128 B of headroom.
 const (
-	maxRoundTripAllocs = 16
-	maxRoundTripBytes  = 2432
+	maxRoundTripAllocs = 13
+	maxRoundTripBytes  = 1571
 )
 
 func TestSerialFindByIDAllocs(t *testing.T) {
