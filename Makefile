@@ -57,9 +57,9 @@ bench-pr4:
 
 # bench-pr5 runs the PR 5 wire-codec benchmarks — binary protocol v2
 # round trips (point reads, indexed finds, id-batch lookups) and the
-# small-document encoder — and rewrites BENCH_PR5.json against the
-# recorded JSON-codec baseline in bench/baseline_pr5.txt (captured
-# with WIRE_PROTO=1, which pins the v1 codec).
+# small-document encoder — and rewrites BENCH_PR5.json against
+# bench/baseline_pr5.txt, which was recorded with the since-deleted
+# JSON (v1) codec.
 bench-pr5:
 	$(GO) test ./internal/wire -run '^$$' -bench BenchmarkWire -benchtime $(BENCHTIME) -count $(COUNT) -benchmem > bench/current_pr5.txt
 	$(GO) test ./internal/storage -run '^$$' -bench BenchmarkEncodeDoc -benchtime $(BENCHTIME) -count $(COUNT) -benchmem >> bench/current_pr5.txt
@@ -90,11 +90,11 @@ bench-pr7:
 	@cat BENCH_PR7.json
 
 # bench-pr8 runs the PR 8 sharded-tier benchmarks: zero-alloc shard-key
-# hashing (gated against bench/baseline_pr8.txt, captured with
-# SCATTER_SEQ=1 i.e. pre-parallel-scatter), plus two scale gates
-# computed within the current run — 4-shard point-read throughput
-# through mongosd must be >= 3x the 1-shard deployment, and parallel
-# scatter-gather must be >= 2.5x sequential.
+# hashing (gated against bench/baseline_pr8.txt, captured with the
+# since-deleted SCATTER_SEQ=1 switch, i.e. sequential scatter), plus
+# two scale gates computed within the current run — 4-shard point-read
+# throughput through mongosd must be >= 3x the 1-shard deployment, and
+# parallel scatter-gather must be >= 2.5x sequential.
 bench-pr8:
 	$(GO) test ./internal/sharding -run '^$$' -bench 'BenchmarkShardFor|BenchmarkScatterFind|BenchmarkMongosPointReads' -benchtime $(BENCHTIME) -count $(COUNT) -benchmem > bench/current_pr8.txt
 	$(GO) run ./cmd/benchjson -baseline bench/baseline_pr8.txt < bench/current_pr8.txt > BENCH_PR8.json

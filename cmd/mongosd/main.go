@@ -48,7 +48,6 @@ func main() {
 	shards := flag.String("shards", "", "comma-separated shard server addresses (required)")
 	splits := flag.String("split", "", "comma-separated shard-key split points enabling chunk routing (empty = hash mode)")
 	seed := flag.Int64("seed", 1, "environment seed")
-	seqScatter := flag.Bool("seq-scatter", false, "scatter to shards sequentially instead of in parallel")
 	cacheOn := flag.Bool("cache", false,
 		"enable the router-side freshness-priced read cache: bounded point reads spend the client's staleness budget locally before touching a shard")
 	cacheBytes := flag.Int("cache-bytes", 0, "cache capacity in bytes before LRU eviction (0 = the 8 MiB default)")
@@ -82,7 +81,7 @@ func main() {
 		conns[i] = c
 	}
 
-	opts := sharding.RouterOptions{SequentialScatter: *seqScatter}
+	var opts sharding.RouterOptions
 	if sp := splitList(*splits); len(sp) > 0 {
 		opts.Authority = sharding.NewChunkAuthority(env, sharding.NewChunkMap(sp, len(conns)))
 	}

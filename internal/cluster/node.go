@@ -501,9 +501,8 @@ type ReadView interface {
 // EncodedReadView is an optional extension of ReadView implemented by
 // the in-process view: read results as storage.EncodedDoc wrappers,
 // exposing each committed document's lazily cached BSON-lite encoding.
-// The wire server type-asserts for it on binary (protocol v2)
-// connections and splices the cached bytes straight into response
-// frames, skipping per-request document serialization. Remote views
+// The wire server type-asserts for it and splices the cached bytes
+// straight into response frames, skipping per-request document serialization. Remote views
 // do not implement it — callers must fall back to the Document forms.
 type EncodedReadView interface {
 	// FindByIDEncoded is FindByID returning the encoding-cache wrapper.

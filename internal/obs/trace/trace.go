@@ -6,8 +6,8 @@
 // currentOp registry of in-flight server operations.
 //
 // The design goal is that tracing costs nothing when it is off: a
-// zero-valued Context is "not sampled", carries zero wire bytes on
-// protocol v2, and every hot-path hook is a single comparison against
+// zero-valued Context is "not sampled", carries zero wire bytes, and
+// every hot-path hook is a single comparison against
 // it. Sampling is probabilistic at the originator (driver/session or
 // wire client) plus always-on-slow at the server, which retroactively
 // assigns a trace id to any op that crossed the slow-op threshold so

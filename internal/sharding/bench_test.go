@@ -130,8 +130,9 @@ func benchScatterFind(b *testing.B, sequential bool) {
 // BenchmarkScatterFindParallel vs BenchmarkScatterFindSequential is
 // the scatter-gather headline: the same 4-shard full-collection query
 // fanned out concurrently versus shard-by-shard. bench-pr8 requires
-// parallel >= 2.5x sequential. (SCATTER_SEQ=1 downgrades the parallel
-// router to sequential; the committed baseline was captured that way.)
+// parallel >= 2.5x sequential. (The committed baseline was captured
+// with the parallel router downgraded to sequential, by an environment
+// switch since deleted.)
 func BenchmarkScatterFindParallel(b *testing.B) { benchScatterFind(b, false) }
 
 func BenchmarkScatterFindSequential(b *testing.B) { benchScatterFind(b, true) }

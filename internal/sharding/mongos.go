@@ -62,7 +62,7 @@ func (m *Mongos) Tracer() *trace.Recorder { return m.router.Tracer() }
 func (m *Mongos) Inline(*wire.Request) bool { return false }
 
 // Dispatch implements wire.Backend: the routed op set.
-func (m *Mongos) Dispatch(p sim.Proc, req *wire.Request, binary bool, tctx trace.Context) *wire.Response {
+func (m *Mongos) Dispatch(p sim.Proc, req *wire.Request, tctx trace.Context) *wire.Response {
 	resp := &wire.Response{}
 	fail := func(err error) *wire.Response {
 		resp.Err = err.Error()
@@ -85,29 +85,21 @@ func (m *Mongos) Dispatch(p sim.Proc, req *wire.Request, binary bool, tctx trace
 		if err != nil {
 			return fail(err)
 		}
-		resp.SetDoc(binary, doc)
+		resp.SetDoc(doc)
 	case wire.OpFindMany:
 		docs, err := m.findMany(p, req.Collection, req.IDs, req.BoundSecs)
 		if err != nil {
 			return fail(err)
 		}
-		resp.SetDocs(binary, docs)
+		resp.SetDocs(docs)
 	case wire.OpFind:
-		filter, err := req.FilterValue()
+		docs, err := m.router.scatterFind(p, tctx, req.Collection, req.Filter, req.Limit, ScatterOptions{})
 		if err != nil {
 			return fail(err)
 		}
-		docs, err := m.router.scatterFind(p, tctx, req.Collection, filter, req.Limit, ScatterOptions{})
-		if err != nil {
-			return fail(err)
-		}
-		resp.SetDocs(binary, docs)
+		resp.SetDocs(docs)
 	case wire.OpCount:
-		filter, err := req.FilterValue()
-		if err != nil {
-			return fail(err)
-		}
-		n, err := m.router.scatterCount(p, tctx, req.Collection, filter, ScatterOptions{})
+		n, err := m.router.scatterCount(p, tctx, req.Collection, req.Filter, ScatterOptions{})
 		if err != nil {
 			return fail(err)
 		}
@@ -165,10 +157,7 @@ func (m *Mongos) writeBatch(p sim.Proc, muts []wire.Mutation) error {
 	for i := range muts {
 		mut := &muts[i]
 		key := mut.DocID
-		doc, err := mut.Document()
-		if err != nil {
-			return err
-		}
+		doc := mut.Doc
 		if key == "" && doc != nil {
 			key = doc.ID()
 		}
@@ -178,7 +167,7 @@ func (m *Mongos) writeBatch(p sim.Proc, muts []wire.Mutation) error {
 		m.router.noteCollection(mut.Collection)
 		kind := mut.Kind
 		coll := mut.Collection
-		err = m.router.route(p, key, true, func(shard int) error {
+		err := m.router.route(p, key, true, func(shard int) error {
 			_, _, err := m.router.systems[shard].Router.Write(p, func(tx cluster.WriteTxn) (any, error) {
 				switch kind {
 				case "insert":

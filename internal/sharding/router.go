@@ -2,7 +2,6 @@ package sharding
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,8 +76,8 @@ type RouterOptions struct {
 	// Tracer records mongos.scatter spans; nil allocates an unsampled
 	// recorder.
 	Tracer *trace.Recorder
-	// SequentialScatter forces the one-shard-at-a-time scatter path
-	// (the pre-parallel behavior; also forced by SCATTER_SEQ=1).
+	// SequentialScatter forces the one-shard-at-a-time scatter path,
+	// the reference the parallel path is tested and benchmarked against.
 	SequentialScatter bool
 }
 
@@ -114,7 +113,7 @@ func newRouter(env sim.Env, conns []driver.Conn, params core.Params, opts Router
 		auth:       opts.Authority,
 		reg:        opts.Registry,
 		tracer:     opts.Tracer,
-		seqScatter: opts.SequentialScatter || os.Getenv("SCATTER_SEQ") == "1",
+		seqScatter: opts.SequentialScatter,
 		colls:      make(map[string]struct{}),
 	}
 	if re, ok := env.(*sim.RealtimeEnv); ok {

@@ -67,8 +67,8 @@ type shardPart struct {
 
 // fanOut runs one task per shard — concurrently under the real-time
 // environment (each task on its own ad-hoc proc), sequentially under
-// the virtual environment or when SCATTER_SEQ=1 pins the old
-// behavior. It returns per-shard results indexed by shard.
+// the virtual environment or when RouterOptions.SequentialScatter is
+// set. It returns per-shard results indexed by shard.
 func (r *Router) fanOut(p sim.Proc, task func(p sim.Proc, shard int) shardPart) []shardPart {
 	parts := make([]shardPart, len(r.systems))
 	if r.renv == nil || r.seqScatter {

@@ -10,7 +10,6 @@ package wire
 import (
 	"fmt"
 	"net"
-	"os"
 	"sync/atomic"
 	"testing"
 
@@ -24,17 +23,10 @@ const (
 	wireBenchGroups = 64 // "orders" docs per w_id group = wireBenchDocs/wireBenchGroups
 )
 
-// benchDial opens the client the benchmarks measure. The WIRE_PROTO
-// environment variable pins the protocol version ("1" = JSON codec),
-// which is how bench/baseline_pr5.txt was recorded; the default is
-// whatever Dial negotiates.
+// benchDial opens the client the benchmarks measure.
 func benchDial(b *testing.B, addr string) *Client {
 	b.Helper()
-	dial := Dial
-	if os.Getenv("WIRE_PROTO") == "1" {
-		dial = DialJSON
-	}
-	cl, err := dial(addr)
+	cl, err := Dial(addr)
 	if err != nil {
 		b.Fatal(err)
 	}

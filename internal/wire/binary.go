@@ -11,16 +11,17 @@ import (
 	"decongestant/internal/storage"
 )
 
-// Protocol v2 body codec: hand-rolled binary encoding for Request and
+// The body codec: hand-rolled binary encoding for Request and
 // Response. A body is a sequence of fields, each a uvarint tag followed
 // by a tag-specific payload; absent fields are simply not written, and
-// unknown tags are a decode error (both sides negotiate the version,
-// so there is no skew to tolerate). Documents travel as BSON-lite,
-// which is self-delimiting — the server can splice a cached encoding
-// straight into the frame, and the decoder hands concatenated docs to
-// storage.DecodeDocPrefix one after another. Metrics snapshots are the
-// one exception: they ride as JSON inside a binary field, since they
-// are rare, large, and not on any hot path.
+// unknown tags are a decode error (both sides checked the hello's
+// version, so there is no skew to tolerate). Documents travel as
+// BSON-lite, which is self-delimiting — the server can splice a cached
+// encoding straight into the frame, and the decoder hands concatenated
+// docs to storage.DecodeDocPrefix one after another. Metrics snapshots,
+// span exports and currentOp rows are the exception: they ride as JSON
+// inside a binary field, since they are rare, large, and not on any
+// hot path.
 
 var errBadFrame = errors.New("wire: corrupt binary frame")
 
@@ -279,17 +280,10 @@ func encodeRequest(dst []byte, r *Request) ([]byte, error) {
 			dst = appendString(dst, id)
 		}
 	}
-	if r.filter != nil || r.Filter != nil {
-		f := r.filter
-		if f == nil {
-			var err error
-			if f, err = DecodeFilter(r.Filter); err != nil {
-				return nil, err
-			}
-		}
+	if r.Filter != nil {
 		dst = binary.AppendUvarint(dst, rqFilter)
 		var err error
-		if dst, err = appendFilter(dst, f); err != nil {
+		if dst, err = appendFilter(dst, r.Filter); err != nil {
 			return nil, err
 		}
 	}
@@ -356,8 +350,7 @@ func encodeRequest(dst []byte, r *Request) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeRequest parses a binary body into r. The typed filter and
-// mutation doc fields are filled directly; the JSON map forms stay nil.
+// decodeRequest parses a binary body into r.
 func decodeRequest(b []byte, r *Request) error {
 	var err error
 	for len(b) > 0 {
@@ -406,7 +399,7 @@ func decodeRequest(b []byte, r *Request) error {
 			}
 			r.IDs = ids
 		case rqFilter:
-			r.filter, b, err = decodeFilter(b)
+			r.Filter, b, err = decodeFilter(b)
 		case rqLimit:
 			var v int64
 			if v, b, err = getVarint(b); err == nil {
@@ -605,15 +598,11 @@ func appendMutation(dst []byte, m *Mutation) ([]byte, error) {
 	}
 	dst = appendString(dst, m.Collection)
 	dst = appendString(dst, m.DocID)
-	doc, err := m.document()
-	if err != nil {
-		return nil, err
-	}
-	if doc == nil {
+	if m.Doc == nil {
 		return append(dst, 0), nil
 	}
 	dst = append(dst, 1)
-	return storage.AppendDoc(dst, doc), nil
+	return storage.AppendDoc(dst, m.Doc), nil
 }
 
 func decodeMutation(b []byte, m *Mutation) ([]byte, error) {
@@ -643,7 +632,7 @@ func decodeMutation(b []byte, m *Mutation) ([]byte, error) {
 		return nil, err
 	}
 	if hasDoc == 1 {
-		if m.doc, b, err = storage.DecodeDocPrefix(b); err != nil {
+		if m.Doc, b, err = storage.DecodeDocPrefix(b); err != nil {
 			return nil, errBadFrame
 		}
 	} else if hasDoc != 0 {
@@ -654,8 +643,7 @@ func decodeMutation(b []byte, m *Mutation) ([]byte, error) {
 
 // encodeResponse appends r's binary body to dst. Document payloads
 // prefer the raw cached encodings (rawDoc/rawDocs) — spliced in with a
-// copy but no re-encoding — then the typed documents, then the JSON
-// map forms (defensive; binary dispatch never builds them).
+// copy but no re-encoding — then the typed documents.
 func encodeResponse(dst []byte, r *Response) ([]byte, error) {
 	if r.ID != 0 {
 		dst = binary.AppendUvarint(dst, rsID)
@@ -673,7 +661,6 @@ func encodeResponse(dst []byte, r *Response) ([]byte, error) {
 		dst = binary.AppendUvarint(dst, rsFound)
 		dst = append(dst, 1)
 	}
-	var err error
 	switch {
 	case r.rawDoc != nil:
 		dst = binary.AppendUvarint(dst, rsDoc)
@@ -681,13 +668,6 @@ func encodeResponse(dst []byte, r *Response) ([]byte, error) {
 	case r.doc != nil:
 		dst = binary.AppendUvarint(dst, rsDoc)
 		dst = storage.AppendDoc(dst, r.doc)
-	case r.Doc != nil:
-		var d storage.Document
-		if d, err = jsonToDoc(r.Doc); err != nil {
-			return nil, err
-		}
-		dst = binary.AppendUvarint(dst, rsDoc)
-		dst = storage.AppendDoc(dst, d)
 	}
 	switch {
 	case r.rawDocs != nil:
@@ -700,16 +680,6 @@ func encodeResponse(dst []byte, r *Response) ([]byte, error) {
 		dst = binary.AppendUvarint(dst, rsDocs)
 		dst = binary.AppendUvarint(dst, uint64(len(r.docs)))
 		for _, d := range r.docs {
-			dst = storage.AppendDoc(dst, d)
-		}
-	case r.Docs != nil:
-		dst = binary.AppendUvarint(dst, rsDocs)
-		dst = binary.AppendUvarint(dst, uint64(len(r.Docs)))
-		for _, m := range r.Docs {
-			var d storage.Document
-			if d, err = jsonToDoc(m); err != nil {
-				return nil, err
-			}
 			dst = storage.AppendDoc(dst, d)
 		}
 	}
@@ -815,15 +785,11 @@ func encodeResponse(dst []byte, r *Response) ([]byte, error) {
 			}
 			dst = appendString(dst, e.Collection)
 			dst = appendString(dst, e.DocID)
-			doc, derr := e.document()
-			if derr != nil {
-				return nil, derr
-			}
-			if doc == nil {
+			if e.Doc == nil {
 				dst = append(dst, 0)
 			} else {
 				dst = append(dst, 1)
-				dst = storage.AppendDoc(dst, doc)
+				dst = storage.AppendDoc(dst, e.Doc)
 			}
 		}
 	}
@@ -843,8 +809,7 @@ func encodeResponse(dst []byte, r *Response) ([]byte, error) {
 }
 
 // decodeResponse parses a binary body into r, filling the typed
-// document fields (doc/docs); the JSON map forms stay nil and callers
-// go through document()/documents().
+// document fields (doc/docs).
 func decodeResponse(b []byte, r *Response) error {
 	var err error
 	for len(b) > 0 {
@@ -1093,7 +1058,7 @@ func decodeResponse(b []byte, r *Response) error {
 					return err
 				}
 				if hasDoc == 1 {
-					if e.doc, b, err = storage.DecodeDocPrefix(b); err != nil {
+					if e.Doc, b, err = storage.DecodeDocPrefix(b); err != nil {
 						return errBadFrame
 					}
 				} else if hasDoc != 0 {

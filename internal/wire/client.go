@@ -28,13 +28,8 @@ import (
 // pipelined onto the socket and a demux goroutine matches responses
 // back to callers by request id, so concurrent operations keep many
 // requests in flight without a connection per caller.
-//
-// Dial negotiates protocol v2 (binary bodies, BSON-lite documents) and
-// falls back to v1 JSON when the server predates the handshake;
-// DialJSON forces v1 for debugging and comparative benchmarks.
 type Client struct {
 	addr    string
-	maxVer  byte
 	nextID  atomic.Uint64
 	topoTTL time.Duration
 
@@ -56,9 +51,8 @@ type Client struct {
 // send); the demux loop reads response frames and delivers each to the
 // caller registered under its id.
 type muxConn struct {
-	c      net.Conn
-	binary bool         // negotiated protocol ≥ V2
-	calls  atomic.Int32 // callers inside roundTrip on this connection
+	c     net.Conn
+	calls atomic.Int32 // callers inside roundTrip on this connection
 
 	wmu      sync.Mutex
 	out      *[]byte // appended frames no flusher has taken yet
@@ -84,14 +78,9 @@ func (mc *muxConn) send(req *Request) error {
 	}
 	buf := *mc.out
 	start := len(buf)
-	var err error
-	if mc.binary {
-		buf, err = encodeRequest(beginFrame(buf), req)
-		if err == nil {
-			err = finishFrame(buf, start)
-		}
-	} else {
-		buf, err = appendJSONFrame(buf, req)
+	buf, err := encodeRequest(beginFrame(buf), req)
+	if err == nil {
+		err = finishFrame(buf, start)
 	}
 	if err != nil {
 		// *mc.out still ends at start: the failed encoder only wrote
@@ -149,12 +138,7 @@ func (mc *muxConn) demux() {
 			return
 		}
 		resp := &Response{}
-		if mc.binary {
-			err = decodeResponse(body, resp)
-		} else {
-			err = decodeJSONBody(body, resp)
-		}
-		if err != nil {
+		if err := decodeResponse(body, resp); err != nil {
 			mc.fail(err)
 			return
 		}
@@ -213,22 +197,9 @@ var (
 )
 
 // Dial connects to a wire server and fetches the initial topology.
-// The connection negotiates the binary protocol (v2) and falls back
-// to v1 JSON against servers that predate the handshake.
 func Dial(addr string) (*Client, error) {
-	return dial(addr, V2)
-}
-
-// DialJSON connects speaking only protocol v1 (JSON bodies). Intended
-// for debug tooling and comparative benchmarks; the JSON codec is
-// otherwise a compatibility fallback.
-func DialJSON(addr string) (*Client, error) {
-	return dial(addr, V1)
-}
-
-func dial(addr string, maxVer byte) (*Client, error) {
 	cl := &Client{
-		addr: addr, maxVer: maxVer, topoTTL: 5 * time.Second,
+		addr: addr, topoTTL: 5 * time.Second,
 		tracer: trace.NewRecorder(rand.New(rand.NewSource(time.Now().UnixNano())), trace.Config{}),
 	}
 	if err := cl.refreshTopology(); err != nil {
@@ -245,19 +216,6 @@ func (cl *Client) Tracer() *trace.Recorder { return cl.tracer }
 // operations originated through this client. 0 (the default) turns
 // tracing off; its cost is then one atomic load per operation.
 func (cl *Client) SetTraceSampling(rate float64) { cl.tracer.SetSampling(rate) }
-
-// Version reports the negotiated protocol version of the live shared
-// connection, dialing one if needed.
-func (cl *Client) Version() (int, error) {
-	mc, err := cl.getMux()
-	if err != nil {
-		return 0, err
-	}
-	if mc.binary {
-		return V2, nil
-	}
-	return V1, nil
-}
 
 // Close shuts the shared connection; outstanding callers fail.
 func (cl *Client) Close() {
@@ -290,37 +248,28 @@ func (cl *Client) getMux() (*muxConn, error) {
 	return mc, nil
 }
 
-// dialMux dials and, when the client speaks v2, runs the version
-// handshake. A server that predates the handshake reads the hello
-// magic as an oversized frame length and drops the connection — the
-// client takes any handshake failure as that signal and redials in
-// plain JSON mode, so new clients interoperate with old servers.
+// dialMux dials and exchanges hellos. A server that refuses the
+// connection (at its MaxConns cap, say) closes it without answering,
+// and the dial fails.
 func (cl *Client) dialMux() (*muxConn, error) {
 	c, err := net.Dial("tcp", cl.addr)
 	if err != nil {
 		return nil, err
 	}
-	ver := byte(V1)
-	if cl.maxVer >= V2 {
-		ver, err = clientHandshake(c, cl.maxVer)
-		if err != nil {
-			c.Close()
-			if c, err = net.Dial("tcp", cl.addr); err != nil {
-				return nil, err
-			}
-			ver = V1
-		}
+	if err := clientHandshake(c); err != nil {
+		c.Close()
+		return nil, err
 	}
-	mc := &muxConn{c: c, binary: ver >= V2, pending: map[uint64]chan *Response{}}
+	mc := &muxConn{c: c, pending: map[uint64]chan *Response{}}
 	go mc.demux()
 	return mc, nil
 }
 
-func clientHandshake(c net.Conn, maxVer byte) (byte, error) {
-	if err := writeHello(c, maxVer); err != nil {
-		return 0, err
+func clientHandshake(c net.Conn) error {
+	if err := writeHello(c); err != nil {
+		return err
 	}
-	return readHelloReply(c)
+	return readHello(c)
 }
 
 // roundTrip pipelines one request onto the shared connection and
@@ -521,10 +470,6 @@ func (cl *Client) OplogTail(p sim.Proc, after oplog.OpTime, max int) ([]oplog.De
 	entries := make([]oplog.DecodedEntry, 0, len(resp.Entries))
 	for i := range resp.Entries {
 		eb := &resp.Entries[i]
-		doc, derr := eb.document()
-		if derr != nil {
-			return nil, oplog.Zero, oplog.Zero, derr
-		}
 		var kind oplog.Kind
 		switch eb.Kind {
 		case "insert":
@@ -545,7 +490,7 @@ func (cl *Client) OplogTail(p sim.Proc, after oplog.OpTime, max int) ([]oplog.De
 				Collection: eb.Collection,
 				DocID:      eb.DocID,
 			},
-			Doc: doc,
+			Doc: eb.Doc,
 		})
 	}
 	return entries, optimeFrom(resp.OpSecs, resp.OpInc), optimeFrom(resp.TruncSecs, resp.TruncInc), nil
@@ -805,7 +750,7 @@ type remoteReadView struct {
 	trace *trace.Context
 	bound int64
 	// rc is the read concern every op of the body carries (0 = local;
-	// zero wire bytes on both codecs).
+	// zero wire bytes).
 	rc int
 	// wantFresh asks each op for the node's observed staleness; stale
 	// accumulates the worst value seen — the cache fill's price.
@@ -827,7 +772,7 @@ func (v *remoteReadView) observe(resp *Response) {
 
 // request builds the base request with the causal prerequisite, the
 // trace context (only when live — an absent context is zero bytes on
-// the v2 wire) and the audited staleness bound.
+// the wire) and the audited staleness bound.
 func (v *remoteReadView) request(op string) *Request {
 	return &Request{
 		Op: op, Node: v.node, AfterSecs: v.after.Secs, AfterInc: v.after.Inc,
@@ -853,12 +798,7 @@ func (v *remoteReadView) FindByID(collection, id string) (storage.Document, bool
 	if !resp.Found {
 		return nil, false
 	}
-	doc, err := resp.document()
-	if err != nil {
-		v.fail(err)
-		return nil, false
-	}
-	return doc, true
+	return resp.doc, true
 }
 
 func (v *remoteReadView) FindManyByID(collection string, ids []string) []storage.Document {
@@ -870,24 +810,24 @@ func (v *remoteReadView) FindManyByID(collection string, ids []string) []storage
 		return nil
 	}
 	v.observe(resp)
-	return v.respDocs(resp)
+	return resp.docs
 }
 
 func (v *remoteReadView) Find(collection string, f storage.Filter, limit int) []storage.Document {
 	req := v.request(OpFind)
-	req.Collection, req.filter, req.Limit = collection, f, limit
+	req.Collection, req.Filter, req.Limit = collection, f, limit
 	resp, err := v.cl.roundTrip(req)
 	if err != nil {
 		v.fail(err)
 		return nil
 	}
 	v.observe(resp)
-	return v.respDocs(resp)
+	return resp.docs
 }
 
 func (v *remoteReadView) Count(collection string, f storage.Filter) int {
 	req := v.request(OpCount)
-	req.Collection, req.filter = collection, f
+	req.Collection, req.Filter = collection, f
 	resp, err := v.cl.roundTrip(req)
 	if err != nil {
 		v.fail(err)
@@ -899,21 +839,9 @@ func (v *remoteReadView) Count(collection string, f storage.Filter) int {
 
 func (v *remoteReadView) AddUnits(int) {} // costs are charged server-side
 
-// respDocs extracts a response's documents, whichever codec delivered
-// them, folding conversion errors into the view's sticky error.
-func (v *remoteReadView) respDocs(resp *Response) []storage.Document {
-	docs, err := resp.documents()
-	if err != nil {
-		v.fail(err)
-		return nil
-	}
-	return docs
-}
-
 // remoteWriteTxn buffers mutations client-side; ExecWrite ships them
-// as one batch. Documents stay in canonical storage form — the binary
-// codec encodes them directly, and the v1 codec converts to JSON maps
-// at marshal time.
+// as one batch. Documents stay in canonical storage form, which the
+// codec encodes directly.
 type remoteWriteTxn struct {
 	remoteReadView
 	muts []Mutation
@@ -924,7 +852,7 @@ func (t *remoteWriteTxn) Insert(collection string, doc storage.Document) error {
 	if err != nil {
 		return err
 	}
-	t.muts = append(t.muts, Mutation{Kind: "insert", Collection: collection, doc: norm})
+	t.muts = append(t.muts, Mutation{Kind: "insert", Collection: collection, Doc: norm})
 	return nil
 }
 
@@ -933,7 +861,7 @@ func (t *remoteWriteTxn) Set(collection, id string, fields storage.Document) err
 	if err != nil {
 		return err
 	}
-	t.muts = append(t.muts, Mutation{Kind: "set", Collection: collection, DocID: id, doc: norm})
+	t.muts = append(t.muts, Mutation{Kind: "set", Collection: collection, DocID: id, Doc: norm})
 	return nil
 }
 

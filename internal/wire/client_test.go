@@ -143,160 +143,149 @@ func TestConcurrentCallersShareWrites(t *testing.T) {
 // frame sat in a burst behind a yielding flusher — and the same Client
 // must then redial a new server on the same address and serve again.
 func TestCallersReturnWhenServerDiesMidBurst(t *testing.T) {
-	for _, codec := range []struct {
-		name string
-		dial func(string) (*Client, error)
-	}{{"v2", Dial}, {"v1", DialJSON}} {
-		t.Run(codec.name, func(t *testing.T) {
-			env := sim.NewRealtimeEnv(1)
-			defer env.Shutdown()
-			rs := cluster.New(env, sleeplessConfig())
-			loadMuxDocs(t, rs)
-			serve := func(addr string) (*Server, string) {
-				t.Helper()
-				ln, err := net.Listen("tcp", addr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				srv := NewServer(env, rs, nil)
-				go srv.Serve(ln)
-				return srv, ln.Addr().String()
-			}
-			srv, addr := serve("127.0.0.1:0")
-			cl, err := codec.dial(addr)
+	t.Run("v2", func(t *testing.T) {
+		env := sim.NewRealtimeEnv(1)
+		defer env.Shutdown()
+		rs := cluster.New(env, sleeplessConfig())
+		loadMuxDocs(t, rs)
+		serve := func(addr string) (*Server, string) {
+			t.Helper()
+			ln, err := net.Listen("tcp", addr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer cl.Close()
+			srv := NewServer(env, rs, nil)
+			go srv.Serve(ln)
+			return srv, ln.Addr().String()
+		}
+		srv, addr := serve("127.0.0.1:0")
+		cl, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
 
-			const callers = 16
-			var ops atomic.Int64
-			exited := make(chan struct{}, callers)
-			for g := 0; g < callers; g++ {
-				go func(g int) {
-					defer func() { exited <- struct{}{} }()
-					for i := 0; ; i++ {
-						var err error
-						switch i % 4 {
-						case 3:
-							if cl.Ping(nil, g%3) < 0 {
-								err = fmt.Errorf("ping failed")
-							}
-						case 2:
-							_, err = cl.ExecWrite(nil, func(tx cluster.WriteTxn) (any, error) {
-								return nil, tx.Set("mux", muxKey(g), storage.D{"val": int64(g)})
-							})
-						default:
-							err = readMux(cl, g+i)
+		const callers = 16
+		var ops atomic.Int64
+		exited := make(chan struct{}, callers)
+		for g := 0; g < callers; g++ {
+			go func(g int) {
+				defer func() { exited <- struct{}{} }()
+				for i := 0; ; i++ {
+					var err error
+					switch i % 4 {
+					case 3:
+						if cl.Ping(nil, g%3) < 0 {
+							err = fmt.Errorf("ping failed")
 						}
-						if err != nil {
-							return // the server is gone
-						}
-						ops.Add(1)
+					case 2:
+						_, err = cl.ExecWrite(nil, func(tx cluster.WriteTxn) (any, error) {
+							return nil, tx.Set("mux", muxKey(g), storage.D{"val": int64(g)})
+						})
+					default:
+						err = readMux(cl, g+i)
 					}
-				}(g)
-			}
-			deadline := time.After(10 * time.Second)
-			for ops.Load() < 2000 {
-				select {
-				case <-deadline:
-					t.Fatalf("%d operations in 10 s with the server up", ops.Load())
-				case <-time.After(time.Millisecond):
+					if err != nil {
+						return // the server is gone
+					}
+					ops.Add(1)
 				}
+			}(g)
+		}
+		deadline := time.After(10 * time.Second)
+		for ops.Load() < 2000 {
+			select {
+			case <-deadline:
+				t.Fatalf("%d operations in 10 s with the server up", ops.Load())
+			case <-time.After(time.Millisecond):
 			}
-			srv.Close()
-			deadline = time.After(10 * time.Second)
-			for g := 0; g < callers; g++ {
-				select {
-				case <-exited:
-				case <-deadline:
-					t.Fatalf("%d of %d callers still waiting 10 s after the server closed", callers-g, callers)
-				}
+		}
+		srv.Close()
+		deadline = time.After(10 * time.Second)
+		for g := 0; g < callers; g++ {
+			select {
+			case <-exited:
+			case <-deadline:
+				t.Fatalf("%d of %d callers still waiting 10 s after the server closed", callers-g, callers)
 			}
+		}
 
-			srv, _ = serve(addr)
-			defer srv.Close()
-			for i := 0; i < 10; i++ {
-				if err := readMux(cl, i); err != nil {
-					t.Fatalf("read after redial: %v", err)
-				}
+		srv, _ = serve(addr)
+		defer srv.Close()
+		for i := 0; i < 10; i++ {
+			if err := readMux(cl, i); err != nil {
+				t.Fatalf("read after redial: %v", err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestUnencodableRequestMidBurst: a request that fails to encode while
 // other callers' frames wait for a yielding flusher returns its error
-// and leaves the waiting frames whole, on both codecs; the flusher then
-// writes them and their callers get their responses.
+// and leaves the waiting frames whole; the flusher then writes them and
+// their callers get their responses.
 func TestUnencodableRequestMidBurst(t *testing.T) {
-	for _, codec := range []struct {
-		name string
-		dial func(string) (*Client, error)
-	}{{"v2", Dial}, {"v1", DialJSON}} {
-		t.Run(codec.name, func(t *testing.T) {
-			rs, addr, stop := startSleeplessServer(t, ServerConfig{})
-			defer stop()
-			loadMuxDocs(t, rs)
-			cl, err := codec.dial(addr)
+	t.Run("v2", func(t *testing.T) {
+		rs, addr, stop := startSleeplessServer(t, ServerConfig{})
+		defer stop()
+		loadMuxDocs(t, rs)
+		cl, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		mc, err := cl.getMux()
+		if err != nil {
+			t.Fatal(err)
+		}
+		send := func(id uint64) chan *Response {
+			t.Helper()
+			ch, err := mc.register(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer cl.Close()
-			mc, err := cl.getMux()
-			if err != nil {
+			req := &Request{ID: id, Op: OpFindByID, Collection: "mux", DocID: muxKey(int(id))}
+			if err := mc.send(req); err != nil {
 				t.Fatal(err)
 			}
-			send := func(id uint64) chan *Response {
-				t.Helper()
-				ch, err := mc.register(id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				req := &Request{ID: id, Op: OpFindByID, Collection: "mux", DocID: muxKey(int(id))}
-				if err := mc.send(req); err != nil {
-					t.Fatal(err)
-				}
-				return ch
-			}
+			return ch
+		}
 
-			// Stand in for a flusher that has taken the lead and is
-			// yielding: a frame sent now waits in mc.out.
-			mc.wmu.Lock()
-			mc.flushing = true
-			mc.wmu.Unlock()
-			waiting := send(1 << 40)
-			mc.wmu.Lock()
-			queued := len(*mc.out)
-			mc.wmu.Unlock()
+		// Stand in for a flusher that has taken the lead and is
+		// yielding: a frame sent now waits in mc.out.
+		mc.wmu.Lock()
+		mc.flushing = true
+		mc.wmu.Unlock()
+		waiting := send(1 << 40)
+		mc.wmu.Lock()
+		queued := len(*mc.out)
+		mc.wmu.Unlock()
 
-			bad := &Request{ID: 1<<40 + 1, Op: OpWriteBatch, Muts: []Mutation{{
-				Kind: "set", Collection: "mux", DocID: muxKey(0), Doc: map[string]any{"val": make(chan int)},
-			}}}
-			if err := mc.send(bad); err == nil {
-				t.Fatal("unencodable mutation sent")
-			}
-			mc.wmu.Lock()
-			if got := len(*mc.out); got != queued {
-				t.Errorf("waiting frames are %d bytes after the failed encode, want %d", got, queued)
-			}
-			mc.flushing = false // the flusher is done; the next sender writes the burst
-			mc.wmu.Unlock()
+		bad := &Request{ID: 1<<40 + 1, Op: OpFind, Collection: "mux",
+			Filter: storage.Filter{"val": {Op: storage.OpEq, Value: make(chan int)}}}
+		if err := mc.send(bad); err == nil {
+			t.Fatal("unencodable filter sent")
+		}
+		mc.wmu.Lock()
+		if got := len(*mc.out); got != queued {
+			t.Errorf("waiting frames are %d bytes after the failed encode, want %d", got, queued)
+		}
+		mc.flushing = false // the flusher is done; the next sender writes the burst
+		mc.wmu.Unlock()
 
-			next := send(1<<40 + 2)
-			for _, ch := range []chan *Response{waiting, next} {
-				select {
-				case resp, ok := <-ch:
-					if !ok || resp.Err != "" {
-						t.Fatalf("response: ok %t, %+v", ok, resp)
-					}
-				case <-time.After(5 * time.Second):
-					t.Fatal("no response to a frame sent alongside the failed encode")
+		next := send(1<<40 + 2)
+		for _, ch := range []chan *Response{waiting, next} {
+			select {
+			case resp, ok := <-ch:
+				if !ok || resp.Err != "" {
+					t.Fatalf("response: ok %t, %+v", ok, resp)
 				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("no response to a frame sent alongside the failed encode")
 			}
-			if err := readMux(cl, 3); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+		}
+		if err := readMux(cl, 3); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

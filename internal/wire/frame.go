@@ -3,91 +3,43 @@ package wire
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
 )
 
-// Protocol versions. Both share the frame format — a 4-byte big-endian
-// length prefix followed by the body — and differ only in the body
-// codec: v1 bodies are JSON, v2 bodies are the hand-rolled binary
-// encoding in binary.go with BSON-lite document payloads.
-const (
-	V1 = 1 // JSON bodies; the format old clients and debug tooling speak
-	V2 = 2 // binary bodies with BSON-lite documents
-)
+// V2 is the protocol version the hello carries: a frame is a 4-byte
+// big-endian length prefix followed by the binary body of binary.go.
+// (Version 1 had JSON bodies; no server serves it.)
+const V2 = 2
 
-// helloMagic opens a client hello: 4 magic bytes followed by one byte
-// carrying the highest version the client speaks. The server replies
-// with the magic and the version the connection will use,
-// min(client max, V2). The magic is chosen so that a v1-only server
-// reading it as a frame length sees ~3.5 GiB — far beyond MaxFrame —
-// and drops the connection with a clean error, which the client takes
-// as its cue to redial in JSON mode. A client that never sends a hello
-// gets a v1 connection; the first four bytes of a real v1 frame are a
-// length ≤ MaxFrame and can never collide with the magic.
-var helloMagic = [4]byte{0xDC, 0xF2, 0x57, 0x50}
+// hello opens a connection in both directions: four magic bytes and
+// the protocol version. The client sends it first; the server answers
+// with the same five bytes, or closes the connection without a byte
+// when the peer opens with anything else. As a frame length the magic
+// reads ~3.5 GiB, far beyond MaxFrame, so a hello is never mistaken
+// for a frame and a frame never for a hello.
+var hello = [5]byte{0xDC, 0xF2, 0x57, 0x50, V2}
 
-// helloLen is the size of both the client hello and the server reply.
-const helloLen = 5
+var errBadHello = errors.New("wire: bad hello")
 
-// writeHello sends a client hello advertising maxVersion.
-func writeHello(w io.Writer, maxVersion byte) error {
-	var buf [helloLen]byte
-	copy(buf[:4], helloMagic[:])
-	buf[4] = maxVersion
-	_, err := w.Write(buf[:])
+func writeHello(w io.Writer) error {
+	_, err := w.Write(hello[:])
 	return err
 }
 
-// readHelloReply reads and validates the server's handshake reply,
-// returning the negotiated version.
-func readHelloReply(r io.Reader) (byte, error) {
-	var buf [helloLen]byte
+// readHello reads the peer's five opening bytes and checks that they
+// are the hello.
+func readHello(r io.Reader) error {
+	var buf [len(hello)]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
+		return err
 	}
-	if [4]byte(buf[:4]) != helloMagic {
-		return 0, fmt.Errorf("wire: bad handshake reply %x", buf[:4])
+	if buf != hello {
+		return fmt.Errorf("%w %x", errBadHello, buf)
 	}
-	v := buf[4]
-	if v < V1 || v > V2 {
-		return 0, fmt.Errorf("wire: server negotiated unsupported version %d", v)
-	}
-	return v, nil
-}
-
-// negotiate performs the server side of the handshake on a buffered
-// reader. It peeks at the first four bytes: a hello magic means a
-// versioned client (consume the hello, reply, speak the negotiated
-// version); anything else is the length prefix of a v1 frame from a
-// client that predates negotiation — leave it unread and speak JSON.
-func negotiate(br *bufio.Reader, w io.Writer) (byte, error) {
-	head, err := br.Peek(4)
-	if err != nil {
-		return 0, err
-	}
-	if [4]byte(head) != helloMagic {
-		return V1, nil
-	}
-	var hello [helloLen]byte
-	if _, err := io.ReadFull(br, hello[:]); err != nil {
-		return 0, err
-	}
-	ver := hello[4]
-	if ver > V2 {
-		ver = V2
-	}
-	if ver < V1 {
-		return 0, fmt.Errorf("wire: client advertised version %d", hello[4])
-	}
-	var reply [helloLen]byte
-	copy(reply[:4], helloMagic[:])
-	reply[4] = ver
-	if _, err := w.Write(reply[:]); err != nil {
-		return 0, err
-	}
-	return ver, nil
+	return nil
 }
 
 // framePool recycles frame-encoding buffers across requests. Buffers

@@ -7,7 +7,7 @@ import (
 	"decongestant/internal/storage"
 )
 
-// FuzzDecodeFrame throws arbitrary bytes at the v2 body decoders. The
+// FuzzDecodeFrame throws arbitrary bytes at the body decoders. The
 // contract under corruption is: return an error, never panic, and
 // never let an attacker-controlled count force a huge allocation (all
 // counts are sanity-checked against the bytes that could back them
@@ -18,7 +18,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		ID: 9, Op: OpFind, Node: 1, Collection: "orders", DocID: "d",
 		IDs: []string{"a", "b"}, Limit: 3, AfterSecs: 7, AfterInc: 1,
 	}
-	req.filter = storage.Filter{"w": storage.Eq(int64(2)), "s": storage.In("x", "y")}
+	req.Filter = storage.Filter{"w": storage.Eq(int64(2)), "s": storage.In("x", "y")}
 	if body, err := encodeRequest(nil, &req); err == nil {
 		f.Add(body)
 	}
@@ -32,7 +32,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	if body, err := encodeResponse(nil, &resp); err == nil {
 		f.Add(body)
 	}
-	// A request carrying the v2 trace-context extension (tag 15), the
+	// A request carrying the trace-context extension (tag 15), the
 	// audited bound (16) and a span payload (17), so mutation explores
 	// the tracing fields too.
 	traced := Request{ID: 10, Op: OpFindByID, Node: 1, Collection: "kv", DocID: "a", BoundSecs: 3}
@@ -54,7 +54,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		}},
 	}
 	shardResp.Entries = []EntryBody{
-		{Secs: 9, Inc: 1, Kind: "set", Collection: "kv", DocID: "a", doc: doc},
+		{Secs: 9, Inc: 1, Kind: "set", Collection: "kv", DocID: "a", Doc: doc},
 		{Secs: 9, Inc: 2, Kind: "delete", Collection: "kv", DocID: "b"},
 	}
 	if body, err := encodeResponse(nil, &shardResp); err == nil {
@@ -110,7 +110,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(body)
 	}
 	rangeReq := Request{ID: 18, Op: OpFind, Node: 0, Collection: "kv", Limit: 8}
-	rangeReq.filter = storage.Filter{"_id": storage.Range("doc10", "doc20")}
+	rangeReq.Filter = storage.Filter{"_id": storage.Range("doc10", "doc20")}
 	if body, err := encodeRequest(nil, &rangeReq); err == nil {
 		f.Add(body)
 	}

@@ -5,7 +5,6 @@ package wire
 // point read costs in allocations once it does.
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 	"runtime"
@@ -160,24 +159,20 @@ func TestThrottledWriteDoesNotHoldBurst(t *testing.T) {
 	defer stop()
 	makeThrottling(t, rs)
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := dialRaw(t, addr)
 	defer conn.Close()
-	var burst bytes.Buffer
-	WriteFrame(&burst, &Request{ID: 1, Op: OpFindByID, Node: 0, Collection: "c", DocID: "k"})
-	WriteFrame(&burst, &Request{ID: 2, Op: OpWriteBatch, Muts: []Mutation{
-		{Kind: "set", Collection: "c", DocID: "k", Doc: map[string]any{"v": 2}},
+	burst := appendRequestFrame(t, nil, &Request{ID: 1, Op: OpFindByID, Node: 0, Collection: "c", DocID: "k"})
+	burst = appendRequestFrame(t, burst, &Request{ID: 2, Op: OpWriteBatch, Muts: []Mutation{
+		{Kind: "set", Collection: "c", DocID: "k", Doc: storage.D{"v": int64(2)}},
 	}})
 	start := time.Now()
-	if _, err := conn.Write(burst.Bytes()); err != nil {
+	if _, err := conn.Write(burst); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(start.Add(5 * delay))
 	for _, want := range []uint64{1, 2} {
 		var resp Response
-		if err := ReadFrame(conn, &resp); err != nil {
+		if err := readResponseFrame(conn, &resp); err != nil {
 			t.Fatal(err)
 		}
 		took := time.Since(start)

@@ -5,9 +5,7 @@ package wire
 // order rather than arrival order.
 
 import (
-	"bytes"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -48,10 +46,7 @@ func TestPipelinedResponsesOutOfOrder(t *testing.T) {
 		t.Fatal("zero commit optime")
 	}
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := dialRaw(t, addr)
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
 
@@ -62,16 +57,16 @@ func TestPipelinedResponsesOutOfOrder(t *testing.T) {
 		ID: 101, Op: OpFindByID, Node: 1, Collection: "c", DocID: "k",
 		AfterSecs: after.Secs, AfterInc: after.Inc,
 	}
-	if err := WriteFrame(conn, blocked); err != nil {
+	if _, err := conn.Write(appendRequestFrame(t, nil, blocked)); err != nil {
 		t.Fatal(err)
 	}
 	// Request 102: a ping pipelined behind the blocked read.
-	if err := WriteFrame(conn, &Request{ID: 102, Op: OpPing, Node: 1}); err != nil {
+	if _, err := conn.Write(appendRequestFrame(t, nil, &Request{ID: 102, Op: OpPing, Node: 1})); err != nil {
 		t.Fatal(err)
 	}
 
 	var first Response
-	if err := ReadFrame(conn, &first); err != nil {
+	if err := readResponseFrame(conn, &first); err != nil {
 		t.Fatal(err)
 	}
 	if first.ID != 102 {
@@ -89,7 +84,7 @@ func TestPipelinedResponsesOutOfOrder(t *testing.T) {
 	}
 
 	var second Response
-	if err := ReadFrame(conn, &second); err != nil {
+	if err := readResponseFrame(conn, &second); err != nil {
 		t.Fatal(err)
 	}
 	if second.ID != 101 {
@@ -101,12 +96,8 @@ func TestPipelinedResponsesOutOfOrder(t *testing.T) {
 	if !second.Found {
 		t.Fatal("blocked read found no document")
 	}
-	doc, err := jsonToDoc(second.Doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.Int("v") != 2 {
-		t.Fatalf("blocked read saw v=%d, want the post-write value 2", doc.Int("v"))
+	if v := second.doc.Int("v"); v != 2 {
+		t.Fatalf("blocked read saw v=%d, want the post-write value 2", v)
 	}
 }
 
@@ -231,30 +222,26 @@ func TestHeldResponseFlushedBeforeBlock(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Fatal(err)
-			}
+			conn := dialRaw(t, addr)
 			defer conn.Close()
-			var burst bytes.Buffer
 			plain := func(id uint64) *Request {
 				return &Request{ID: id, Op: OpFindByID, Node: 0, Collection: "c", DocID: "k"}
 			}
-			WriteFrame(&burst, plain(1))
-			WriteFrame(&burst, &Request{
+			burst := appendRequestFrame(t, nil, plain(1))
+			burst = appendRequestFrame(t, burst, &Request{
 				ID: 2, Op: OpFindByID, Node: 1, Collection: "c", DocID: "k",
 				AfterSecs: commit.Secs, AfterInc: commit.Inc + 1,
 			})
 			if capped {
-				WriteFrame(&burst, plain(3))
+				burst = appendRequestFrame(t, burst, plain(3))
 			}
-			if _, err := conn.Write(burst.Bytes()); err != nil {
+			if _, err := conn.Write(burst); err != nil {
 				t.Fatal(err)
 			}
 
 			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 			var first Response
-			if err := ReadFrame(conn, &first); err != nil {
+			if err := readResponseFrame(conn, &first); err != nil {
 				t.Fatalf("no response while request 2 blocks (a held response waited across a blocking point): %v", err)
 			}
 			if first.ID != 1 || first.Err != "" || !first.Found {
@@ -275,7 +262,7 @@ func TestHeldResponseFlushedBeforeBlock(t *testing.T) {
 			}
 			for len(want) > 0 {
 				var resp Response
-				if err := ReadFrame(conn, &resp); err != nil {
+				if err := readResponseFrame(conn, &resp); err != nil {
 					t.Fatal(err)
 				}
 				if !want[resp.ID] || resp.Err != "" || !resp.Found {

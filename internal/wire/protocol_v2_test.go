@@ -1,12 +1,13 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
 	"strings"
-	"sync"
 	"testing"
+	"time"
 
 	"decongestant/internal/cluster"
 	"decongestant/internal/obs"
@@ -60,158 +61,76 @@ func readDoc(t *testing.T, cl *Client, id string) storage.Document {
 }
 
 // TestValueTypesRoundTripBothCodecs writes and reads a document
-// holding every supported value type over each protocol version and
-// over the version cross (written by one, read by the other) —
-// detecting any codec that is lossy in either direction. The JSON
-// fallback's weak spots are []byte (tagged as {"$bytes": base64}) and
-// large int64s (json.Number, not float64); v2 carries both natively.
+// holding every supported value type, detecting a codec that is lossy
+// in either direction. []byte and int64 values above 2^53 travel as
+// native BSON-lite types.
 func TestValueTypesRoundTripBothCodecs(t *testing.T) {
 	_, _, addr, stop := startTestServer(t)
 	defer stop()
-
-	v2, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2.Close()
-	v1, err := DialJSON(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1.Close()
-
-	if ver, _ := v2.Version(); ver != V2 {
-		t.Fatalf("Dial negotiated v%d, want v%d", ver, V2)
-	}
-	if ver, _ := v1.Version(); ver != V1 {
-		t.Fatalf("DialJSON negotiated v%d, want v%d", ver, V1)
-	}
-
-	writers := map[string]*Client{"w2": v2, "w1": v1}
-	readers := map[string]*Client{"r2": v2, "r1": v1}
-	for wname, w := range writers {
-		id := "all-" + wname
-		want, err := allTypesDoc(id).Normalized()
-		if err != nil {
-			t.Fatal(err)
-		}
-		insertDoc(t, w, allTypesDoc(id))
-		for rname, r := range readers {
-			got := readDoc(t, r, id)
-			if !storage.Equal(want, got) {
-				t.Fatalf("%s->%s round trip mismatch:\n want %v\n got  %v", wname, rname, want, got)
-			}
-			if _, ok := got["bytes"].([]byte); !ok {
-				t.Fatalf("%s->%s: bytes value decoded as %T", wname, rname, got["bytes"])
-			}
-		}
-	}
-}
-
-// TestInt64PrecisionOverJSON pins the regression where the v1 codec
-// decoded all numbers through float64, so 2^53+1 came back as 2^53.
-func TestInt64PrecisionOverJSON(t *testing.T) {
-	_, _, addr, stop := startTestServer(t)
-	defer stop()
-	cl, err := DialJSON(addr)
+	cl, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 
-	const big = int64(1)<<53 + 1
-	insertDoc(t, cl, storage.D{"_id": "big", "v": big})
-	got := readDoc(t, cl, "big")
-	v, ok := got["v"].(int64)
-	if !ok {
-		t.Fatalf("value decoded as %T", got["v"])
-	}
-	if v != big {
-		t.Fatalf("int64 precision lost over JSON: got %d, want %d", v, big)
-	}
-}
-
-// TestMixedVersionClients runs v1 and v2 clients concurrently against
-// one server, each pipelining point reads, finds and writes over its
-// shared connection — the compatibility matrix under -race.
-func TestMixedVersionClients(t *testing.T) {
-	_, rs, addr, stop := startTestServer(t)
-	defer stop()
-	err := rs.Bootstrap(func(s *storage.Store) error {
-		c := s.C("mixed")
-		for i := 0; i < 64; i++ {
-			if err := c.Insert(storage.D{
-				"_id": fmt.Sprintf("m%03d", i), "g": int64(i % 8), "v": int64(i),
-			}); err != nil {
-				return err
-			}
-		}
-		_, err := c.CreateIndex("g", false, "g")
-		return err
-	})
+	want, err := allTypesDoc("all").Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	clients := make([]*Client, 0, 4)
-	for i := 0; i < 2; i++ {
-		v2, err := Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v1, err := DialJSON(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clients = append(clients, v2, v1)
+	insertDoc(t, cl, allTypesDoc("all"))
+	got := readDoc(t, cl, "all")
+	if !storage.Equal(want, got) {
+		t.Fatalf("round trip mismatch:\n want %v\n got  %v", want, got)
 	}
-	defer func() {
-		for _, cl := range clients {
-			cl.Close()
-		}
-	}()
-
-	const workers, iters = 4, 40
-	var wg sync.WaitGroup
-	errs := make(chan error, len(clients)*workers)
-	for ci, cl := range clients {
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(cl *Client, seed int) {
-				defer wg.Done()
-				for i := 0; i < iters; i++ {
-					id := fmt.Sprintf("m%03d", (seed*31+i)%64)
-					_, err := cl.ExecRead(nil, 0, func(v cluster.ReadView) (any, error) {
-						if _, ok := v.FindByID("mixed", id); !ok {
-							return nil, fmt.Errorf("missing %s", id)
-						}
-						docs := v.Find("mixed", storage.Filter{"g": storage.Eq(int64(seed % 8))}, 0)
-						if len(docs) == 0 {
-							return nil, fmt.Errorf("empty group %d", seed%8)
-						}
-						return nil, nil
-					})
-					if err != nil {
-						errs <- err
-						return
-					}
-					if i%8 == 0 {
-						_, err := cl.ExecWrite(nil, func(tx cluster.WriteTxn) (any, error) {
-							return nil, tx.Set("mixed", id, storage.D{"touched": int64(seed)})
-						})
-						if err != nil {
-							errs <- err
-							return
-						}
-					}
-				}
-			}(cl, ci*workers+w)
-		}
+	if _, ok := got["bytes"].([]byte); !ok {
+		t.Fatalf("bytes value decoded as %T", got["bytes"])
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+}
+
+// TestPeerWithoutHelloIsRefused: a peer that opens with a
+// length-prefixed JSON frame instead of the hello is closed without a
+// single response byte and counted in wire.decode_errors, while a
+// client that sent the hello keeps being served by the same server.
+func TestPeerWithoutHelloIsRefused(t *testing.T) {
+	_, _, addr, stop := startTestServer(t)
+	defer stop()
+	cl, err := Dial(addr)
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer cl.Close()
+	insertDoc(t, cl, storage.D{"_id": "h", "v": int64(1)})
+
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	body := []byte(`{"id":1,"op":"find_by_id","collection":"types","doc_id":"h"}`)
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+	if _, err := raw.Write(append(frame, body...)); err != nil {
+		t.Fatal(err)
+	}
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	// The peer sees EOF, or a reset when its frame was still unread.
+	got, err := io.ReadAll(raw)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("server kept a peer that sent no hello")
+	}
+	if len(got) != 0 {
+		t.Fatalf("peer without a hello got %d response bytes: %x", len(got), got)
+	}
+
+	if d := readDoc(t, cl, "h"); d["v"] != int64(1) {
+		t.Fatalf("client with a hello read %v after the refusal", d)
+	}
+	snap, err := cl.FetchMetrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The server counts the refusal before it closes the socket.
+	if derr, _ := snapshotReading(snap, "wire.decode_errors"); derr.Count != 1 {
+		t.Fatalf("wire.decode_errors = %d after one refused peer, want 1", derr.Count)
 	}
 }
 
@@ -225,27 +144,21 @@ func snapshotReading(snap obs.Snapshot, name string) (obs.Instrument, bool) {
 	return obs.Instrument{}, false
 }
 
-// TestWireTransportInstruments drives traffic over both protocol
-// versions and asserts the transport telemetry — per-version
-// connection gauges, frame/byte volume and decode errors — through
+// TestWireTransportInstruments drives traffic and asserts the
+// transport telemetry — frame/byte volume and decode errors — through
 // the ordinary metrics op.
 func TestWireTransportInstruments(t *testing.T) {
 	_, _, addr, stop := startTestServer(t)
 	defer stop()
-	v2, err := Dial(addr)
+	cl, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v2.Close()
-	v1, err := DialJSON(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1.Close()
-	insertDoc(t, v2, storage.D{"_id": "x", "v": int64(1)})
-	readDoc(t, v1, "x")
+	defer cl.Close()
+	insertDoc(t, cl, storage.D{"_id": "x", "v": int64(1)})
+	readDoc(t, cl, "x")
 
-	snap, err := v2.FetchMetrics()
+	snap, err := cl.FetchMetrics()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,8 +166,6 @@ func TestWireTransportInstruments(t *testing.T) {
 		name string
 		kind string
 	}{
-		{obs.Name("wire.conns", "ver", "1"), obs.KindGauge},
-		{obs.Name("wire.conns", "ver", "2"), obs.KindGauge},
 		{"wire.frames_in", obs.KindCounter},
 		{"wire.frames_out", obs.KindCounter},
 		{"wire.bytes_in", obs.KindCounter},
@@ -269,12 +180,6 @@ func TestWireTransportInstruments(t *testing.T) {
 			t.Fatalf("instrument %q is a %s, want %s", want.name, ins.Kind, want.kind)
 		}
 	}
-	if g, _ := snapshotReading(snap, obs.Name("wire.conns", "ver", "1")); g.Value != 1 {
-		t.Fatalf("v1 conn gauge = %d, want 1", g.Value)
-	}
-	if g, _ := snapshotReading(snap, obs.Name("wire.conns", "ver", "2")); g.Value != 1 {
-		t.Fatalf("v2 conn gauge = %d, want 1", g.Value)
-	}
 	fin, _ := snapshotReading(snap, "wire.frames_in")
 	fout, _ := snapshotReading(snap, "wire.frames_out")
 	bin, _ := snapshotReading(snap, "wire.bytes_in")
@@ -282,15 +187,9 @@ func TestWireTransportInstruments(t *testing.T) {
 		t.Fatalf("zero frame/byte volume: in=%d out=%d bytes_in=%d", fin.Count, fout.Count, bin.Count)
 	}
 
-	// A corrupt binary frame must bump the decode-error counter and
-	// drop only the offending connection.
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := clientHandshake(raw, V2); err != nil {
-		t.Fatal(err)
-	}
+	// A corrupt frame must bump the decode-error counter and drop only
+	// the offending connection.
+	raw := dialRaw(t, addr)
 	// Length-prefixed garbage: tag 99 is not a request field.
 	if _, err := raw.Write([]byte{0, 0, 0, 2, 99, 99}); err != nil {
 		t.Fatal(err)
@@ -301,7 +200,7 @@ func TestWireTransportInstruments(t *testing.T) {
 	}
 	raw.Close()
 
-	snap, err = v2.FetchMetrics()
+	snap, err = cl.FetchMetrics()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,70 +210,8 @@ func TestWireTransportInstruments(t *testing.T) {
 	}
 }
 
-// TestHandshakeFallbackAgainstV1OnlyServer simulates an old server
-// that predates negotiation: it treats the hello magic as an oversized
-// frame length and hangs up, and the client must transparently redial
-// in JSON mode.
-func TestHandshakeFallbackAgainstV1OnlyServer(t *testing.T) {
-	_, _, addr, stop := startTestServer(t)
-	defer stop()
-
-	// Proxy that emulates the pre-handshake server loop: read a 4-byte
-	// length, reject oversized frames by closing — exactly what the old
-	// ReadFrame did with the magic — and otherwise forward bytes to the
-	// real server over a JSON connection.
-	pln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pln.Close()
-	go func() {
-		for {
-			c, err := pln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				head := make([]byte, 4)
-				if _, err := io.ReadFull(c, head); err != nil {
-					return
-				}
-				n := uint32(head[0])<<24 | uint32(head[1])<<16 | uint32(head[2])<<8 | uint32(head[3])
-				if n > MaxFrame {
-					return // old server: oversized frame, hang up
-				}
-				up, err := net.Dial("tcp", addr)
-				if err != nil {
-					return
-				}
-				defer up.Close()
-				if _, err := up.Write(head); err != nil {
-					return
-				}
-				go io.Copy(up, c)
-				io.Copy(c, up)
-			}(c)
-		}
-	}()
-
-	cl, err := Dial(pln.Addr().String())
-	if err != nil {
-		t.Fatalf("client did not fall back to JSON against v1-only server: %v", err)
-	}
-	defer cl.Close()
-	if ver, _ := cl.Version(); ver != V1 {
-		t.Fatalf("negotiated v%d through v1-only server, want v%d", ver, V1)
-	}
-	insertDoc(t, cl, storage.D{"_id": "fb", "v": int64(9)})
-	got := readDoc(t, cl, "fb")
-	if got["v"] != int64(9) {
-		t.Fatalf("fallback read returned %v", got)
-	}
-}
-
-// TestBinaryFilterOps checks every filter operator survives the v2
-// codec (conditions travel as BSON-lite values, not JSON).
+// TestBinaryFilterOps checks every filter operator survives the codec
+// (conditions travel as BSON-lite values).
 func TestBinaryFilterOps(t *testing.T) {
 	f := storage.Filter{
 		"a": storage.Eq(int64(5)),
@@ -416,14 +253,14 @@ func TestBinaryFilterOps(t *testing.T) {
 }
 
 // TestBinaryRequestResponseRoundTrip covers the non-document request
-// and response fields end to end through the v2 body codec.
+// and response fields end to end through the body codec.
 func TestBinaryRequestResponseRoundTrip(t *testing.T) {
 	in := Request{
 		ID: 12345, Op: OpFind, Node: 2, Collection: "orders", DocID: "d1",
 		IDs: []string{"a", "b", "c"}, Limit: 7,
 		AfterSecs: 99, AfterInc: 3, Source: "bal",
 	}
-	in.filter = storage.Filter{"w": storage.Eq(int64(4))}
+	in.Filter = storage.Filter{"w": storage.Eq(int64(4))}
 	body, err := encodeRequest(nil, &in)
 	if err != nil {
 		t.Fatal(err)
@@ -436,7 +273,7 @@ func TestBinaryRequestResponseRoundTrip(t *testing.T) {
 		out.Collection != in.Collection || out.DocID != in.DocID ||
 		out.Limit != in.Limit || out.AfterSecs != in.AfterSecs ||
 		out.AfterInc != in.AfterInc || out.Source != in.Source ||
-		len(out.IDs) != 3 || out.IDs[2] != "c" || out.filter == nil {
+		len(out.IDs) != 3 || out.IDs[2] != "c" || out.Filter == nil {
 		t.Fatalf("request mismatch: %+v", out)
 	}
 
@@ -485,18 +322,10 @@ func TestBinaryRequestResponseRoundTrip(t *testing.T) {
 	if rout.Status == nil || len(rout.Status.Members) != 1 || !rout.Status.Members[0].Primary {
 		t.Fatalf("status mismatch: %+v", rout.Status)
 	}
-	gotDoc, err := rout.document()
-	if err != nil {
-		t.Fatal(err)
+	if !storage.Equal(doc, rout.doc) {
+		t.Fatalf("doc mismatch: %v", rout.doc)
 	}
-	if !storage.Equal(doc, gotDoc) {
-		t.Fatalf("doc mismatch: %v", gotDoc)
-	}
-	gotDocs, err := rout.documents()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotDocs) != 2 || !storage.Equal(doc, gotDocs[1]) {
-		t.Fatalf("docs mismatch: %v", gotDocs)
+	if len(rout.docs) != 2 || !storage.Equal(doc, rout.docs[1]) {
+		t.Fatalf("docs mismatch: %v", rout.docs)
 	}
 }

@@ -1,13 +1,12 @@
 package wire
 
 // Framing tests for the PR 9 read-concern surface: the linearizable
-// read-concern tag on v2 request frames (zero bytes when unset, JSON
-// omitempty on v1), lease state in replstatus answers, and corrupt
+// read-concern tag on request frames (zero bytes when unset), lease
+// state in replstatus answers, and corrupt
 // member-flag rejection.
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"net"
 	"strings"
@@ -22,7 +21,7 @@ import (
 )
 
 // TestReadConcernRoundTripBothCodecs: the read-concern tag and the
-// lease fields of a status answer survive both codecs.
+// lease fields of a status answer survive the codec.
 func TestReadConcernRoundTripBothCodecs(t *testing.T) {
 	req := Request{ID: 7, Op: OpFindByID, Node: 2, Collection: "kv", DocID: "a",
 		ReadConcern: RCLinearizable}
@@ -37,18 +36,6 @@ func TestReadConcernRoundTripBothCodecs(t *testing.T) {
 	}
 	if out.ReadConcern != RCLinearizable {
 		t.Fatalf("v2 read concern = %d, want %d", out.ReadConcern, RCLinearizable)
-	}
-
-	js, err := json.Marshal(&req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jout Request
-	if err := json.Unmarshal(js, &jout); err != nil {
-		t.Fatal(err)
-	}
-	if jout.ReadConcern != RCLinearizable {
-		t.Fatalf("v1 read concern = %d, want %d", jout.ReadConcern, RCLinearizable)
 	}
 
 	resp := Response{ID: 8, Status: &StatusBody{
@@ -76,24 +63,11 @@ func TestReadConcernRoundTripBothCodecs(t *testing.T) {
 		st.Members[2].Primary || st.Members[2].Leased {
 		t.Fatalf("v2 member lease flags: %+v", st.Members)
 	}
-
-	rjs, err := json.Marshal(&resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jrout Response
-	if err := json.Unmarshal(rjs, &jrout); err != nil {
-		t.Fatal(err)
-	}
-	if jrout.Status.LeaseEpoch != 5 || !jrout.Status.Members[1].Leased || jrout.Status.Members[2].Leased {
-		t.Fatalf("v1 status lease fields: %+v", jrout.Status)
-	}
 }
 
 // TestReadConcernUnsetCostsZeroBytes: a local-read-concern request
 // must encode identically to one predating the field — the tag rides
-// the frame only when set (two trailing bytes), and the v1 JSON form
-// omits the key entirely.
+// the frame only when set (two trailing bytes).
 func TestReadConcernUnsetCostsZeroBytes(t *testing.T) {
 	base := Request{ID: 3, Op: OpFind, Node: 1, Collection: "kv", Limit: 10}
 	plain, err := encodeRequest(nil, &base)
@@ -114,14 +88,6 @@ func TestReadConcernUnsetCostsZeroBytes(t *testing.T) {
 	}
 	if tagged[len(plain)] != rqReadConcern {
 		t.Fatalf("trailing tag = %d, want %d", tagged[len(plain)], rqReadConcern)
-	}
-
-	js, err := json.Marshal(&base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(js), "read_concern") {
-		t.Fatalf("v1 frame carries read_concern when unset: %s", js)
 	}
 }
 

@@ -92,10 +92,8 @@ type Backend interface {
 	// goroutine for it. It is the only place that rule lives.
 	Inline(req *Request) bool
 	// Dispatch executes one non-transport request. The trace context is
-	// the server's dispatch span (zero when unsampled); binary reports
-	// whether the connection speaks v2, so encoded-document fast paths
-	// apply.
-	Dispatch(p sim.Proc, req *Request, binary bool, tctx trace.Context) *Response
+	// the server's dispatch span (zero when unsampled).
+	Dispatch(p sim.Proc, req *Request, tctx trace.Context) *Response
 }
 
 // Server exposes a Backend (a replica set, a mongos router — anything
@@ -103,12 +101,10 @@ type Backend interface {
 // pipelined: a reader goroutine decodes frames, runs requests that
 // cannot wait itself and dispatches every other one on its own proc,
 // and id-tagged responses stream back in completion order — so one
-// socket carries many requests in flight. Each connection speaks the
-// protocol version negotiated by its opening handshake (v2 binary
-// bodies whose document payloads come from the storage layer's
-// encoding cache, or the original v1 JSON); either way responses are
-// encoded into pooled buffers and flushed in bursts through one
-// writev.
+// socket carries many requests in flight. A connection is served only
+// after it opens with the protocol's hello. Response documents come
+// from the storage layer's encoding cache; responses are encoded into
+// pooled buffers and flushed in bursts through one writev.
 type Server struct {
 	env     *sim.RealtimeEnv
 	backend Backend
@@ -127,9 +123,8 @@ type Server struct {
 	opCounts map[string]*obs.Counter
 	opLat    map[string]*obs.Histogram
 
-	// Transport instruments: live connections by negotiated version,
-	// frame and byte volume each way, and bodies that failed to decode.
-	connsByVer [V2 + 1]*obs.Gauge
+	// Transport instruments: frame and byte volume each way, and peers
+	// refused for a bad hello or a body that failed to decode.
 	framesIn   *obs.Counter
 	framesOut  *obs.Counter
 	flushes    *obs.Counter // writevs; frames_out / flushes is frames per write
@@ -208,8 +203,6 @@ func NewBackendServer(env *sim.RealtimeEnv, backend Backend, logger *log.Logger,
 		s.opCounts[op] = reg.Counter(obs.Name("wire.requests", "op", op))
 		s.opLat[op] = reg.Histogram(obs.Name("wire.request_latency", "op", op))
 	}
-	s.connsByVer[V1] = reg.Gauge(obs.Name("wire.conns", "ver", "1"))
-	s.connsByVer[V2] = reg.Gauge(obs.Name("wire.conns", "ver", "2"))
 	s.framesIn = reg.Counter("wire.frames_in")
 	s.framesOut = reg.Counter("wire.frames_out")
 	s.flushes = reg.Counter("wire.flushes")
@@ -335,22 +328,27 @@ func (s *Server) handle(conn net.Conn) {
 		conn.SetReadDeadline(time.Now().Add(idle))
 	}
 	br := bufio.NewReader(conn)
-	ver, err := negotiate(br, conn)
+	err := readHello(br)
+	if err == nil {
+		err = writeHello(conn)
+	}
 	if err != nil {
 		var ne net.Error
 		switch {
 		case errors.As(err, &ne) && ne.Timeout():
 			s.idleClosed.Inc(1)
+		case errors.Is(err, errBadHello):
+			// A peer that opens with anything but the hello speaks
+			// some other protocol; it gets no byte back.
+			s.decodeErrs.Inc(1)
+			fallthrough
 		case !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed):
 			s.log.Printf("wire: handshake with %s: %v", conn.RemoteAddr(), err)
 		}
 		return
 	}
-	s.connsByVer[ver].Add(1)
-	defer s.connsByVer[ver].Add(-1)
-	binary := ver >= V2
 
-	w := &connWriter{s: s, conn: conn, binary: binary}
+	w := &connWriter{s: s, conn: conn}
 	var inflight sync.WaitGroup
 	var inService atomic.Int64 // this connection's requests in dispatch
 	var sem chan struct{}      // queue-stage budget; nil when uncapped
@@ -410,12 +408,7 @@ func (s *Server) handle(conn net.Conn) {
 		s.framesIn.Inc(1)
 		s.bytesIn.Inc(uint64(4 + len(body)))
 		req = Request{}
-		if binary {
-			err = decodeRequest(body, &req)
-		} else {
-			err = decodeJSONBody(body, &req)
-		}
-		if err != nil {
+		if err := decodeRequest(body, &req); err != nil {
 			// A frame that doesn't decode means a broken or hostile
 			// peer; the stream has no trustworthy continuation.
 			s.decodeErrs.Inc(1)
@@ -459,7 +452,7 @@ func (s *Server) handle(conn net.Conn) {
 		s.inflightG.Add(1)
 		if s.backend.Inline(&req) {
 			s.dispatchInline.Inc(1)
-			resp := s.execute(proc, &req, binary, arrive, release)
+			resp := s.execute(proc, &req, arrive, release)
 			if resp == nil {
 				break // the environment shut down
 			}
@@ -471,7 +464,7 @@ func (s *Server) handle(conn net.Conn) {
 		r := req
 		go func() {
 			defer inflight.Done()
-			if resp := s.execute(s.env.Adhoc(procName), &r, binary, arrive, release); resp != nil {
+			if resp := s.execute(s.env.Adhoc(procName), &r, arrive, release); resp != nil {
 				w.send(resp, false)
 			}
 		}()
@@ -485,7 +478,7 @@ func (s *Server) handle(conn net.Conn) {
 // instruments, slow-op log — then hands its admission slots back
 // through release. It returns nil when the environment shut down while
 // the request was in service.
-func (s *Server) execute(proc sim.Proc, r *Request, binary bool, arrive time.Duration, release func()) (resp *Response) {
+func (s *Server) execute(proc sim.Proc, r *Request, arrive time.Duration, release func()) (resp *Response) {
 	defer func() {
 		release()
 		// The environment may shut down while a request is in flight;
@@ -521,7 +514,7 @@ func (s *Server) execute(proc sim.Proc, r *Request, binary bool, arrive time.Dur
 	// the tree reads admission → dispatch → exec.
 	child := tctx
 	child.SpanID = dispatchID
-	resp = s.dispatch(proc, r, binary, child)
+	resp = s.dispatch(proc, r, child)
 	if s.curOps != nil {
 		s.curOps.Done(opID)
 	}
@@ -565,13 +558,12 @@ func (s *Server) execute(proc sim.Proc, r *Request, binary bool, arrive time.Dur
 // here; the first sender to find no write in progress becomes the
 // flusher and hands every queued frame to the kernel as one writev
 // (net.Buffers), looping while senders that arrived mid-write left
-// more behind. Neither codec pays a syscall per frame in a burst. On a
+// more behind. No frame in a burst pays a syscall of its own. On a
 // write error it closes the connection, which unblocks the reader, and
 // drops every later frame.
 type connWriter struct {
-	s      *Server
-	conn   net.Conn
-	binary bool
+	s    *Server
+	conn net.Conn
 
 	mu       sync.Mutex
 	frames   net.Buffers // queued frames, in completion order
@@ -614,9 +606,6 @@ func (w *connWriter) send(resp *Response, hold bool) {
 }
 
 func (w *connWriter) appendFrame(dst []byte, resp *Response) ([]byte, error) {
-	if !w.binary {
-		return appendJSONFrame(dst, resp)
-	}
 	buf, err := encodeResponse(beginFrame(dst), resp)
 	if err == nil {
 		err = finishFrame(buf, 0)
@@ -702,12 +691,11 @@ func (s *Server) CurrentOps() []trace.OpInfo {
 // dispatch executes one request: the transport-owned export ops
 // (metrics, trace, current_op and their push counterparts) are served
 // here against the server's own state, everything else goes to the
-// backend. On binary connections backends route read results through
-// cluster.EncodedReadView when the serving view offers it, so
-// responses carry each document's cached BSON-lite encoding
-// (rawDoc/rawDocs) and the write loop splices bytes instead of
-// re-serializing; JSON connections get the map forms as before.
-func (s *Server) dispatch(p sim.Proc, req *Request, binary bool, tctx trace.Context) *Response {
+// backend. Backends route read results through cluster.EncodedReadView
+// when the serving view offers it, so responses carry each document's
+// cached BSON-lite encoding (rawDoc/rawDocs) and the write loop splices
+// bytes instead of re-serializing.
+func (s *Server) dispatch(p sim.Proc, req *Request, tctx trace.Context) *Response {
 	switch req.Op {
 	case OpMetrics:
 		snap := s.backend.Metrics().Snapshot()
@@ -757,6 +745,6 @@ func (s *Server) dispatch(p sim.Proc, req *Request, binary bool, tctx trace.Cont
 		s.mu.Unlock()
 		return &Response{}
 	default:
-		return s.backend.Dispatch(p, req, binary, tctx)
+		return s.backend.Dispatch(p, req, tctx)
 	}
 }

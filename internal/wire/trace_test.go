@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"log"
 	"net"
@@ -106,7 +105,7 @@ func sameContext(a, b *trace.Context) bool {
 
 // TestTraceContextRoundTripBothCodecs drives the same request —
 // context shapes from absent to full-route, plus the audited bound and
-// a span payload — through the v2 binary codec and the v1 JSON codec.
+// a span payload — through the codec.
 func TestTraceContextRoundTripBothCodecs(t *testing.T) {
 	for i, tc := range traceContexts() {
 		in := Request{ID: uint64(i + 1), Op: OpFind, Node: 1, Collection: "c", Trace: tc}
@@ -129,49 +128,39 @@ func TestTraceContextRoundTripBothCodecs(t *testing.T) {
 		if err := decodeRequest(body, &v2); err != nil {
 			t.Fatalf("case %d: decode v2: %v", i, err)
 		}
-		checkTraceRequest(t, i, "v2", &in, &v2)
-
-		jbody, err := json.Marshal(&in)
-		if err != nil {
-			t.Fatalf("case %d: encode v1: %v", i, err)
-		}
-		var v1 Request
-		if err := decodeJSONBody(jbody, &v1); err != nil {
-			t.Fatalf("case %d: decode v1: %v", i, err)
-		}
-		checkTraceRequest(t, i, "v1", &in, &v1)
+		checkTraceRequest(t, i, &in, &v2)
 	}
 }
 
-func checkTraceRequest(t *testing.T, i int, codec string, in, out *Request) {
+func checkTraceRequest(t *testing.T, i int, in, out *Request) {
 	t.Helper()
-	// A context with TraceID 0 is dead weight; the binary codec drops it
+	// A context with TraceID 0 is dead weight; the codec drops it
 	// outright, so compare it as absent.
 	want := in.Trace
 	if want != nil && want.TraceID == 0 {
 		want = nil
 	}
 	if !sameContext(want, out.Trace) {
-		t.Fatalf("case %d (%s): trace context mismatch: %+v vs %+v", i, codec, want, out.Trace)
+		t.Fatalf("case %d: trace context mismatch: %+v vs %+v", i, want, out.Trace)
 	}
 	if out.BoundSecs != in.BoundSecs {
-		t.Fatalf("case %d (%s): bound %d vs %d", i, codec, out.BoundSecs, in.BoundSecs)
+		t.Fatalf("case %d: bound %d vs %d", i, out.BoundSecs, in.BoundSecs)
 	}
 	if len(out.Spans) != len(in.Spans) {
-		t.Fatalf("case %d (%s): %d spans vs %d", i, codec, len(out.Spans), len(in.Spans))
+		t.Fatalf("case %d: %d spans vs %d", i, len(out.Spans), len(in.Spans))
 	}
 	for j := range in.Spans {
 		a, b := in.Spans[j], out.Spans[j]
 		if a.Trace != b.Trace || a.ID != b.ID || a.Parent != b.Parent ||
 			a.Name != b.Name || a.Node != b.Node || a.Start != b.Start || a.Dur != b.Dur ||
 			len(a.Attrs) != len(b.Attrs) {
-			t.Fatalf("case %d (%s): span mismatch: %+v vs %+v", i, codec, a, b)
+			t.Fatalf("case %d: span mismatch: %+v vs %+v", i, a, b)
 		}
 	}
 }
 
-// TestResponseSpansOpsRoundTrip covers the trace export side of both
-// codecs: spans and currentOp infos in a response body.
+// TestResponseSpansOpsRoundTrip covers the trace export side of the
+// codec: spans and currentOp infos in a response body.
 func TestResponseSpansOpsRoundTrip(t *testing.T) {
 	in := Response{
 		ID: 3,
@@ -187,25 +176,15 @@ func TestResponseSpansOpsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v2 Response
-	if err := decodeResponse(body, &v2); err != nil {
+	var out Response
+	if err := decodeResponse(body, &out); err != nil {
 		t.Fatal(err)
 	}
-	jbody, err := json.Marshal(&in)
-	if err != nil {
-		t.Fatal(err)
+	if len(out.Spans) != 2 || out.Spans[0].Name != "server.dispatch" || out.Spans[1].Parent != 1 {
+		t.Fatalf("spans mismatch: %+v", out.Spans)
 	}
-	var v1 Response
-	if err := decodeJSONBody(jbody, &v1); err != nil {
-		t.Fatal(err)
-	}
-	for _, out := range []*Response{&v2, &v1} {
-		if len(out.Spans) != 2 || out.Spans[0].Name != "server.dispatch" || out.Spans[1].Parent != 1 {
-			t.Fatalf("spans mismatch: %+v", out.Spans)
-		}
-		if len(out.Ops) != 1 || out.Ops[0].ID != 11 || out.Ops[0].Trace != 8 || out.Ops[0].RunningNS != 500 {
-			t.Fatalf("ops mismatch: %+v", out.Ops)
-		}
+	if len(out.Ops) != 1 || out.Ops[0].ID != 11 || out.Ops[0].Trace != 8 || out.Ops[0].RunningNS != 500 {
+		t.Fatalf("ops mismatch: %+v", out.Ops)
 	}
 }
 
@@ -245,13 +224,13 @@ func TestDecodeTraceContextRejectsCorruption(t *testing.T) {
 }
 
 // TestEncodeRequestSamplingOffZeroAllocs is the CI alloc gate for the
-// v2 hot path: encoding a find request with no trace context into a
+// hot path: encoding a find request with no trace context into a
 // preallocated buffer must not allocate — the tracing fields cost
 // nothing when sampling is off.
 func TestEncodeRequestSamplingOffZeroAllocs(t *testing.T) {
 	req := Request{ID: 1, Op: OpFind, Node: 1, Collection: "orders", Limit: 10,
 		AfterSecs: 5, AfterInc: 2}
-	req.filter = storage.Filter{"w": storage.Eq(int64(2))}
+	req.Filter = storage.Filter{"w": storage.Eq(int64(2))}
 	buf := make([]byte, 0, 512)
 	allocs := testing.AllocsPerRun(200, func() {
 		var err error

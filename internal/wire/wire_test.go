@@ -1,7 +1,10 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -14,14 +17,57 @@ import (
 	"decongestant/internal/storage"
 )
 
+// dialRaw opens a bare connection that has exchanged hellos, for
+// tests that write frames by hand.
+func dialRaw(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := clientHandshake(conn); err != nil {
+		conn.Close()
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// appendRequestFrame appends req to dst as one length-prefixed frame.
+func appendRequestFrame(t *testing.T, dst []byte, req *Request) []byte {
+	t.Helper()
+	start := len(dst)
+	dst, err := encodeRequest(beginFrame(dst), req)
+	if err == nil {
+		err = finishFrame(dst, start)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// readResponseFrame reads one length-prefixed response frame from r.
+func readResponseFrame(r io.Reader, resp *Response) error {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return err
+	}
+	body := make([]byte, binary.BigEndian.Uint32(hdr[:]))
+	if _, err := io.ReadFull(r, body); err != nil {
+		return err
+	}
+	return decodeResponse(body, resp)
+}
+
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	in := Request{ID: 7, Op: OpFindByID, Node: 1, Collection: "c", DocID: "k"}
-	if err := WriteFrame(&buf, &in); err != nil {
+	frame := appendRequestFrame(t, nil, &in)
+	body, err := (&frameReader{r: bufio.NewReader(bytes.NewReader(frame))}).next()
+	if err != nil {
 		t.Fatal(err)
 	}
 	var out Request
-	if err := ReadFrame(&buf, &out); err != nil {
+	if err := decodeRequest(body, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.ID != in.ID || out.Op != in.Op || out.Node != in.Node ||
@@ -31,14 +77,15 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameRejectsOversize(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	var out Request
-	if err := ReadFrame(&buf, &out); err == nil {
+	fr := &frameReader{r: bufio.NewReader(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF}))}
+	if _, err := fr.next(); err == nil {
 		t.Fatal("oversize frame accepted")
 	}
 }
 
+// TestFilterEncodingRoundTrip: a hand-built filter whose values are
+// plain Go ints, not normalized int64s, still encodes, and decodes to
+// the same matching semantics.
 func TestFilterEncodingRoundTrip(t *testing.T) {
 	f := storage.Filter{
 		"a": storage.Eq(5),
@@ -47,7 +94,11 @@ func TestFilterEncodingRoundTrip(t *testing.T) {
 		"d": storage.Exists(),
 		"e": storage.Lte(2.5),
 	}
-	dec, err := DecodeFilter(EncodeFilter(f))
+	enc, err := appendFilter(nil, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, _, err := decodeFilter(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,22 +111,6 @@ func TestFilterEncodingRoundTrip(t *testing.T) {
 	nb, _ := bad.Normalized()
 	if dec.Matches(nb) {
 		t.Fatal("decoded filter matched non-matching doc")
-	}
-}
-
-func TestJSONDocRoundTripNormalizesIntegers(t *testing.T) {
-	d := storage.D{"i": int64(42), "f": 2.5, "s": "x", "nested": storage.D{"n": int64(1)},
-		"arr": []any{int64(1), "two"}}
-	nd, _ := d.Normalized()
-	back, err := jsonToDoc(docToJSON(nd))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := back["i"].(int64); !ok {
-		t.Fatalf("integral number decoded as %T", back["i"])
-	}
-	if !storage.Equal(nd, back) {
-		t.Fatalf("mismatch: %v vs %v", nd, back)
 	}
 }
 
