@@ -16,8 +16,8 @@
 //   - wire: a TCP protocol exposing a replica set to remote clients.
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for the paper-vs-measured record. The benches in
-// bench_test.go regenerate shortened versions of each figure:
+// EXPERIMENTS.md for the paper-vs-measured record. cmd/decongestant-bench
+// regenerates each table and figure; -stretch below 1 shortens them:
 //
-//	go test -bench=. -benchtime=1x
+//	go run ./cmd/decongestant-bench -figure all -stretch 0.1
 package decongestant

@@ -89,8 +89,7 @@ func (cfg Config) withDefaults() Config {
 type entry struct {
 	key  Key
 	doc  storage.Document
-	enc  *storage.EncodedDoc // optional pre-encoded form (router cache)
-	wall time.Duration       // sim clock at fill
+	wall time.Duration // sim clock at fill
 	// fillStalenessSecs is the staleness the serving node observed at
 	// fill time; fillOpTime is its lastApplied, the floor for causal
 	// token checks.
@@ -217,27 +216,6 @@ func (c *Cache) Get(now time.Duration, key Key, boundSecs int64, after oplog.OpT
 	return doc, hit, true
 }
 
-// GetEncoded is Get for callers that serve wire frames: it returns the
-// entry's pre-encoded form (entries stored without one miss).
-func (c *Cache) GetEncoded(now time.Duration, key Key, boundSecs int64, after oplog.OpTime, version uint64) (*storage.EncodedDoc, Hit, bool) {
-	s := c.stripe(key)
-	s.mu.Lock()
-	e, hit, ok := c.lookupLocked(s, now, key, boundSecs, after, version)
-	if !ok {
-		return nil, Hit{}, false
-	}
-	if e.enc == nil {
-		s.mu.Unlock()
-		c.misses.Inc(1)
-		return nil, Hit{}, false
-	}
-	s.moveFrontLocked(e)
-	enc := e.enc
-	s.mu.Unlock()
-	c.hits.Inc(1)
-	return enc, hit, true
-}
-
 // lookupLocked finds and validates an entry under s.mu. On a miss it
 // unlocks s and bumps the relevant counters; on a hit it returns with
 // s.mu still held.
@@ -287,16 +265,6 @@ func (c *Cache) lookupLocked(s *stripe, now time.Duration, key Key, boundSecs in
 // fillStalenessSecs and fillOpTime come from the serving node's
 // response; version is the router's chunk version (0 when unsharded).
 func (c *Cache) Put(now time.Duration, key Key, doc storage.Document, fillStalenessSecs int64, fillOpTime oplog.OpTime, version uint64) {
-	c.put(now, key, doc, nil, fillStalenessSecs, fillOpTime, version)
-}
-
-// PutEncoded is Put that also retains the document's encoded form so
-// wire-serving callers can hit without re-encoding.
-func (c *Cache) PutEncoded(now time.Duration, key Key, enc *storage.EncodedDoc, fillStalenessSecs int64, fillOpTime oplog.OpTime, version uint64) {
-	c.put(now, key, enc.Doc(), enc, fillStalenessSecs, fillOpTime, version)
-}
-
-func (c *Cache) put(now time.Duration, key Key, doc storage.Document, enc *storage.EncodedDoc, fillStalenessSecs int64, fillOpTime oplog.OpTime, version uint64) {
 	if doc == nil {
 		return
 	}
@@ -311,13 +279,13 @@ func (c *Cache) put(now time.Duration, key Key, doc storage.Document, enc *stora
 			return
 		}
 		s.bytes += size - e.bytes
-		e.doc, e.enc, e.wall = doc, enc, now
+		e.doc, e.wall = doc, now
 		e.fillStalenessSecs, e.fillOpTime, e.chunkVersion = fillStalenessSecs, fillOpTime, version
 		e.bytes = size
 		s.moveFrontLocked(e)
 	} else {
 		e := &entry{
-			key: key, doc: doc, enc: enc, wall: now,
+			key: key, doc: doc, wall: now,
 			fillStalenessSecs: fillStalenessSecs,
 			fillOpTime:        fillOpTime,
 			chunkVersion:      version,

@@ -206,18 +206,25 @@ func TestSingleflightCollapse(t *testing.T) {
 	}
 }
 
-// BenchmarkCacheHitPath is the zero-alloc gate for the hit path: Get
-// on a resident, valid entry must not allocate.
-func BenchmarkCacheHitPath(b *testing.B) {
-	env := sim.NewRealtimeEnv(1)
-	defer env.Shutdown()
+// hitPathCache returns a cache holding n resident, valid entries and
+// their keys.
+func hitPathCache(env sim.Env, n int) (*Cache, []Key) {
 	c := New(env, Config{}, nil)
-	const n = 1024
 	keys := make([]Key, n)
 	for i := range keys {
 		keys[i] = Key{Collection: "bench", ID: fmt.Sprintf("k%d", i)}
 		c.Put(0, keys[i], testDoc(keys[i].ID), 1, oplog.OpTime{Secs: 1}, 0)
 	}
+	return c, keys
+}
+
+// BenchmarkCacheHitPath measures Get on a resident, valid entry;
+// TestCacheHitPathZeroAllocs holds it at zero allocations.
+func BenchmarkCacheHitPath(b *testing.B) {
+	env := sim.NewRealtimeEnv(1)
+	defer env.Shutdown()
+	const n = 1024
+	c, keys := hitPathCache(env, n)
 	now := time.Second
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -226,5 +233,28 @@ func BenchmarkCacheHitPath(b *testing.B) {
 		if !ok || doc == nil {
 			b.Fatal("unexpected miss")
 		}
+	}
+}
+
+// TestCacheHitPathZeroAllocs: Get on a resident, valid entry must not
+// allocate.
+func TestCacheHitPathZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	env := sim.NewRealtimeEnv(1)
+	defer env.Shutdown()
+	const n = 1024
+	c, keys := hitPathCache(env, n)
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		doc, _, ok := c.Get(time.Second, keys[i%n], 30, oplog.Zero, 0)
+		if !ok || doc == nil {
+			t.Fatal("unexpected miss")
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("%.1f allocs per cache hit, want 0", allocs)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"decongestant/internal/core"
-	"decongestant/internal/sim"
 	"decongestant/internal/workload/ycsb"
 )
 
@@ -187,14 +186,4 @@ func scaledParams(stretch float64) core.Params {
 		p.Period = period
 	}
 	return p
-}
-
-// sampleStaleness spawns a 1 Hz sampler recording the Decongestant
-// staleness estimate, returning a closure to retrieve the series.
-func sampleStaleness(env *sim.VirtualEnv, sys *core.System) func() []XY {
-	var series []XY
-	sim.Every(env, "exp/staleness-sampler", time.Second, func(p sim.Proc) {
-		series = append(series, XY{X: p.Now().Seconds(), Y: float64(sys.Balancer.MaxStaleness())})
-	})
-	return func() []XY { return series }
 }

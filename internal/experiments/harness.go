@@ -7,7 +7,6 @@
 package experiments
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -275,8 +274,3 @@ type Sweep struct {
 	XLabel string
 	Points []SweepPoint
 }
-
-// fmtDur prints a duration in milliseconds for table output.
-func fmtDur(d time.Duration) string { return metrics.FormatDuration(d) }
-
-var _ = fmt.Sprintf

@@ -222,9 +222,6 @@ func (s *Series) Observe(at time.Duration, v time.Duration) {
 	s.buckets[idx].Record(v)
 }
 
-// Width returns the bucket width.
-func (s *Series) Width() time.Duration { return s.width }
-
 // Snapshot returns one WindowStat per bucket from the start through
 // the last observed bucket; empty buckets have zero counts.
 func (s *Series) Snapshot() []WindowStat {

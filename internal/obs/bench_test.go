@@ -1,13 +1,13 @@
 package obs
 
-// Snapshot benchmarks for the PR 6 observability surface. The lookup
+// Snapshot benchmarks for the observability surface. The lookup
 // benchmark's contrast is the lazily built name index versus the O(n)
-// scan the accessors used before: bench/baseline_pr6.txt was recorded
-// with OBS_NOINDEX=1, which strips the index by round-tripping the
-// snapshot through JSON (exactly the shape wire-decoded snapshots had,
-// and the pre-index cost for every snapshot).
+// scan the accessors used before: OBS_NOINDEX=1 strips the index by
+// round-tripping the snapshot through JSON (exactly the shape
+// wire-decoded snapshots had, and the pre-index cost for every
+// snapshot). Run with and without it and compare:
 //
-//	go test ./internal/obs -bench BenchmarkSnapshot -benchtime 1x -count 3
+//	go test ./internal/obs -run '^$' -bench BenchmarkSnapshot -count 5
 
 import (
 	"encoding/json"

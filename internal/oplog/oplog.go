@@ -60,12 +60,6 @@ func (t OpTime) LagSeconds(earlier OpTime) int64 {
 
 func (t OpTime) String() string { return fmt.Sprintf("%d.%d", t.Secs, t.Inc) }
 
-// FromDuration builds the OpTime for an event at virtual time d with
-// the given within-second increment.
-func FromDuration(d time.Duration, inc uint32) OpTime {
-	return OpTime{Secs: int64(d / time.Second), Inc: inc}
-}
-
 // Kind is the type of a logged operation.
 type Kind int
 

@@ -20,8 +20,8 @@ import (
 // slot and a 200µs point read caps each node around 5k reads/s, far
 // below what the wire layer itself sustains (>100k rt/s with zero
 // costs, per the internal/wire benchmarks). Scaling from 1 shard to 4
-// must therefore show up as throughput, which is exactly what the
-// bench-pr8 gate asserts. Jitter and RTT are disabled for stable
+// must therefore show up as throughput, which is exactly what
+// TestShardScaling asserts. Jitter and RTT are disabled for stable
 // ratios.
 func benchShardConfig() cluster.Config {
 	return cluster.Config{
@@ -46,9 +46,9 @@ func benchShardConfig() cluster.Config {
 	}
 }
 
-// BenchmarkShardFor measures the inlined FNV-1a shard-key hash. The
-// bench-pr8 gate holds it at 0 allocs/op: routing a read must not
-// touch the heap.
+// BenchmarkShardFor measures the inlined FNV-1a shard-key hash.
+// TestShardForZeroAllocs holds it at 0 allocs/op: routing a read must
+// not touch the heap.
 func BenchmarkShardFor(b *testing.B) {
 	env := sim.NewEnv(1)
 	defer env.Shutdown()
@@ -75,12 +75,11 @@ const (
 	scatterBenchColl = "items"
 )
 
-// benchScatterRouter is a 4-shard in-process cluster with realistic
-// read costs, loaded with scatterBenchDocs documents hash-placed
-// across the shards.
-func benchScatterRouter(b *testing.B, sequential bool) (*Router, func()) {
-	b.Helper()
-	env := sim.NewRealtimeEnv(1)
+// scatterRouter is a 4-shard cluster with realistic read costs,
+// loaded with scatterBenchDocs documents hash-placed across the
+// shards.
+func scatterRouter(tb testing.TB, env sim.Env, sequential bool) *Router {
+	tb.Helper()
 	c := New(env, 4, benchShardConfig())
 	err := c.Bootstrap(func(shard int, s *storage.Store) error {
 		for i := 0; i < scatterBenchDocs; i++ {
@@ -95,32 +94,38 @@ func benchScatterRouter(b *testing.B, sequential bool) (*Router, func()) {
 		return nil
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	conns := make([]driver.Conn, c.NumShards())
 	for i := range conns {
 		conns[i] = driver.WrapCluster(c.Shard(i))
 	}
-	r := NewConnRouter(env, conns, core.DefaultParams(), RouterOptions{SequentialScatter: sequential})
-	return r, env.Shutdown
+	return NewConnRouter(env, conns, core.DefaultParams(), RouterOptions{SequentialScatter: sequential})
+}
+
+// scatterOnce runs one full-collection scatter and checks it saw every
+// document.
+func scatterOnce(p sim.Proc, r *Router) error {
+	docs, err := r.ScatterFind(p, scatterBenchColl, nil, 0)
+	if err == nil && len(docs) != scatterBenchDocs {
+		err = fmt.Errorf("scatter found %d docs, want %d", len(docs), scatterBenchDocs)
+	}
+	return err
 }
 
 func benchScatterFind(b *testing.B, sequential bool) {
-	r, stop := benchScatterRouter(b, sequential)
-	defer stop()
-	p := r.renv.Adhoc("bench")
+	env := sim.NewRealtimeEnv(1)
+	defer env.Shutdown()
+	r := scatterRouter(b, env, sequential)
+	p := env.Adhoc("bench")
 	// Warm the balancer/status machinery before timing.
-	if _, err := r.ScatterFind(p, scatterBenchColl, nil, 0); err != nil {
+	if err := scatterOnce(p, r); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		docs, err := r.ScatterFind(p, scatterBenchColl, nil, 0)
-		if err != nil {
+		if err := scatterOnce(p, r); err != nil {
 			b.Fatal(err)
-		}
-		if len(docs) != scatterBenchDocs {
-			b.Fatalf("scatter found %d docs, want %d", len(docs), scatterBenchDocs)
 		}
 	}
 	b.StopTimer()
@@ -128,14 +133,101 @@ func benchScatterFind(b *testing.B, sequential bool) {
 }
 
 // BenchmarkScatterFindParallel vs BenchmarkScatterFindSequential is
-// the scatter-gather headline: the same 4-shard full-collection query
-// fanned out concurrently versus shard-by-shard. bench-pr8 requires
-// parallel >= 2.5x sequential. (The committed baseline was captured
-// with the parallel router downgraded to sequential, by an environment
-// switch since deleted.)
+// the scatter-gather headline on the wall clock: the same 4-shard
+// full-collection query fanned out concurrently versus shard-by-shard.
+// TestParallelScatterScales holds the ratio at >= 2.5x in virtual time.
 func BenchmarkScatterFindParallel(b *testing.B) { benchScatterFind(b, false) }
 
 func BenchmarkScatterFindSequential(b *testing.B) { benchScatterFind(b, true) }
+
+// scaleWindow is the virtual time each arm of a scaling test runs.
+// Shard capacity is the only cost in virtual time, so each ratio is
+// exact up to key placement and the window's edges.
+const scaleWindow = time.Second
+
+// TestParallelScatterScales: one client's full-collection scatter over
+// 4 shards completes at least 2.5x as many queries per virtual second
+// fanned out as shard by shard.
+func TestParallelScatterScales(t *testing.T) {
+	queries := func(sequential bool) int {
+		env := sim.NewEnv(8)
+		defer env.Shutdown()
+		r := scatterRouter(t, env, sequential)
+		n := 0
+		env.Spawn("client", func(p sim.Proc) {
+			for p.Now() < scaleWindow {
+				if err := scatterOnce(p, r); err != nil {
+					t.Error(err)
+					return
+				}
+				n++
+			}
+		})
+		env.Run(scaleWindow)
+		return n
+	}
+	par, seq := queries(false), queries(true)
+	ratio := float64(par) / float64(seq)
+	t.Logf("scatter queries in %v: parallel %d, sequential %d (%.2fx)", scaleWindow, par, seq, ratio)
+	if ratio < 2.5 {
+		t.Errorf("parallel scatter %.2fx sequential, want >= 2.5x", ratio)
+	}
+}
+
+// TestShardScaling: the same closed-loop point-read load through a
+// NewRouter completes at least 3x as many reads per virtual second
+// over 4 shards as over 1, because each shard's one CPU slot and
+// modeled read cost bound its capacity (see benchShardConfig).
+func TestShardScaling(t *testing.T) {
+	const docs, clients = 2000, 48
+	reads := func(numShards int) int {
+		env := sim.NewEnv(8)
+		defer env.Shutdown()
+		c := New(env, numShards, benchShardConfig())
+		err := c.Bootstrap(func(shard int, s *storage.Store) error {
+			for d := 0; d < docs; d++ {
+				id := fmt.Sprintf("doc%05d", d)
+				if c.ShardFor(id) != shard {
+					continue
+				}
+				if err := s.C("kv").Insert(storage.D{"_id": id, "val": int64(d)}); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewRouter(env, c, core.DefaultParams())
+		n := 0
+		for i := 0; i < clients; i++ {
+			rng := env.NewRand(fmt.Sprintf("client%d", i))
+			env.Spawn("client", func(p sim.Proc) {
+				for p.Now() < scaleWindow {
+					id := fmt.Sprintf("doc%05d", rng.Intn(docs))
+					d, _, _, err := r.ReadByID(p, "kv", id)
+					if err == nil && d == nil {
+						err = fmt.Errorf("%s missing", id)
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					n++
+				}
+			})
+		}
+		env.Run(scaleWindow)
+		return n
+	}
+	one, four := reads(1), reads(4)
+	ratio := float64(four) / float64(one)
+	t.Logf("point reads in %v: 4 shards %d, 1 shard %d (%.2fx)", scaleWindow, four, one, ratio)
+	if ratio < 3.0 {
+		t.Errorf("4 shards %.2fx 1 shard, want >= 3.0x", ratio)
+	}
+}
 
 const mongosBenchDocs = 2000
 
@@ -273,9 +365,9 @@ func benchMongosPointReads(b *testing.B, numShards int) {
 
 // BenchmarkMongosPointReads1 vs BenchmarkMongosPointReads4 is the
 // sharded-tier scaling headline: identical closed-loop point-read load
-// through mongosd against 1 shard and against 4 chunk-routed shards.
-// With shard capacity the bottleneck (see benchShardConfig), bench-pr8
-// requires the 4-shard deployment to deliver >= 3x the throughput.
+// through mongosd against 1 shard and against 4 chunk-routed shards,
+// over real sockets on the wall clock. TestShardScaling holds the
+// in-process router's ratio at >= 3x in virtual time.
 func BenchmarkMongosPointReads1(b *testing.B) { benchMongosPointReads(b, 1) }
 
 func BenchmarkMongosPointReads4(b *testing.B) { benchMongosPointReads(b, 4) }

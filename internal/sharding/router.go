@@ -33,8 +33,7 @@ const maxStaleRetries = 4
 // sharding.stale_chunk_retries).
 type Router struct {
 	env     sim.Env
-	renv    *sim.RealtimeEnv // non-nil when parallel scatter is possible
-	cluster *Cluster         // nil for conn-backed routers
+	cluster *Cluster // nil for conn-backed routers
 	systems []*core.System
 	conns   []driver.Conn
 	params  core.Params
@@ -115,9 +114,6 @@ func newRouter(env sim.Env, conns []driver.Conn, params core.Params, opts Router
 		tracer:     opts.Tracer,
 		seqScatter: opts.SequentialScatter,
 		colls:      make(map[string]struct{}),
-	}
-	if re, ok := env.(*sim.RealtimeEnv); ok {
-		r.renv = re
 	}
 	if r.reg == nil {
 		r.reg = obs.NewRegistry()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"decongestant/internal/cluster"
 	"decongestant/internal/obs/trace"
@@ -65,36 +64,29 @@ type shardPart struct {
 	err   error
 }
 
-// fanOut runs one task per shard — concurrently under the real-time
-// environment (each task on its own ad-hoc proc), sequentially under
-// the virtual environment or when RouterOptions.SequentialScatter is
-// set. It returns per-shard results indexed by shard.
+// fanOut runs one task per shard, each on its own spawned proc, and
+// collects the results through a mailbox, so the shards are queried
+// concurrently on either clock; RouterOptions.SequentialScatter runs
+// the tasks one after another on p instead. It returns per-shard
+// results indexed by shard.
 func (r *Router) fanOut(p sim.Proc, task func(p sim.Proc, shard int) shardPart) []shardPart {
 	parts := make([]shardPart, len(r.systems))
-	if r.renv == nil || r.seqScatter {
+	if r.seqScatter {
 		for i := range r.systems {
 			parts[i] = task(p, i)
 		}
 		return parts
 	}
-	var wg sync.WaitGroup
+	done := r.env.NewMailbox()
 	for i := range r.systems {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					if sim.ErrStopped(v) {
-						parts[shard] = shardPart{err: fmt.Errorf("sharding: environment stopped")}
-						return
-					}
-					panic(v)
-				}
-			}()
-			parts[shard] = task(r.renv.Adhoc("sharding/scatter"), shard)
-		}(i)
+		r.env.Spawn("sharding/scatter", func(sp sim.Proc) {
+			parts[i] = task(sp, i)
+			done.Send(nil)
+		})
 	}
-	wg.Wait()
+	for range r.systems {
+		done.Recv(p)
+	}
 	return parts
 }
 
@@ -168,9 +160,9 @@ func (r *Router) gather(parts []shardPart, opts ScatterOptions) *PartialError {
 
 // ScatterFind fans a filtered query out to every shard (each through
 // its own Decongestant routing decision) and merges the results in
-// _id order, honoring the limit across the union. Under the real-time
-// environment the shards are queried concurrently; the limit is
-// pushed down so no shard returns more than the union needs.
+// _id order, honoring the limit across the union. The shards are
+// queried concurrently (see fanOut); the limit is pushed down so no
+// shard returns more than the union needs.
 func (r *Router) ScatterFind(p sim.Proc, collection string, f storage.Filter, limit int) ([]storage.Document, error) {
 	return r.ScatterFindOpts(p, collection, f, limit, ScatterOptions{})
 }

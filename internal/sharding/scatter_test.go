@@ -104,8 +104,8 @@ func TestMergeByIDPrefersOwner(t *testing.T) {
 
 // scatterCluster loads a 3-shard realtime cluster with docs and
 // returns routers in parallel and sequential scatter modes over the
-// same shards.
-func scatterCluster(t testing.TB, docs int) (*Cluster, *Router, *Router, func()) {
+// same shards, plus a proc to drive them from.
+func scatterCluster(t testing.TB, docs int) (*Cluster, *Router, *Router, sim.Proc, func()) {
 	t.Helper()
 	env := sim.NewRealtimeEnv(11)
 	cfg := shardConfig()
@@ -132,13 +132,12 @@ func scatterCluster(t testing.TB, docs int) (*Cluster, *Router, *Router, func())
 	}
 	par := NewConnRouter(env, conns, core.DefaultParams(), RouterOptions{})
 	seq := NewConnRouter(env, conns, core.DefaultParams(), RouterOptions{SequentialScatter: true})
-	return c, par, seq, env.Shutdown
+	return c, par, seq, env.Adhoc("test"), env.Shutdown
 }
 
 func TestScatterFindParallelMatchesSequential(t *testing.T) {
-	_, par, seq, stop := scatterCluster(t, 120)
+	_, par, seq, p, stop := scatterCluster(t, 120)
 	defer stop()
-	p := par.renv.Adhoc("test")
 	for _, limit := range []int{0, 7, 30, 500} {
 		f := storage.Filter{"grp": storage.Eq(int64(1))}
 		a, err := par.ScatterFind(p, "items", f, limit)
@@ -177,9 +176,8 @@ func TestScatterFindParallelMatchesSequential(t *testing.T) {
 }
 
 func TestScatterPartialFailureSemantics(t *testing.T) {
-	c, par, _, stop := scatterCluster(t, 60)
+	c, par, _, p, stop := scatterCluster(t, 60)
 	defer stop()
-	p := par.renv.Adhoc("test")
 
 	full, err := par.ScatterFind(p, "items", nil, 0)
 	if err != nil {

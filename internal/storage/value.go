@@ -15,7 +15,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Document is a JSON-like document. Supported value types: nil, bool,
@@ -79,6 +78,33 @@ func (d Document) Normalized() (Document, error) {
 		out[k] = n
 	}
 	return out, nil
+}
+
+// Canonical reports whether v already has only canonical types, so
+// that it encodes as it stands and Normalize would only copy it. It
+// allocates nothing.
+func Canonical(v any) bool {
+	switch x := v.(type) {
+	case nil, bool, int64, float64, string, []byte:
+		return true
+	case []any:
+		for _, e := range x {
+			if !Canonical(e) {
+				return false
+			}
+		}
+		return true
+	case Document:
+		for _, e := range x {
+			if !Canonical(e) {
+				return false
+			}
+		}
+		return true
+	case map[string]any:
+		return Canonical(Document(x))
+	}
+	return false
 }
 
 // Clone performs a deep copy of the document.
@@ -200,16 +226,6 @@ func (d Document) ID() string {
 		return s
 	}
 	return fmt.Sprint(v)
-}
-
-// Keys returns the document's field names in sorted order.
-func (d Document) Keys() []string {
-	keys := make([]string, 0, len(d))
-	for k := range d {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Equal reports deep equality of two values in the document model.

@@ -134,6 +134,30 @@ func TestBSONLiteRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCanonicalMatchesNormalize: Canonical is true exactly for values
+// Normalize would return unchanged, and checking allocates nothing.
+func TestCanonicalMatchesNormalize(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		want bool
+	}{
+		{Document{"a": int64(1), "b": "x", "c": []any{1.5, nil, []byte("y")}, "d": Document{"e": true}}, true},
+		{map[string]any{"a": int64(1)}, true},
+		{Document{"a": 2}, false},
+		{Document{"a": []any{int64(1), int32(2)}}, false},
+		{Document{"a": map[string]any{"b": float32(1)}}, false},
+		{Document{"a": make(chan int)}, false},
+	} {
+		if got := Canonical(c.v); got != c.want {
+			t.Errorf("Canonical(%v) = %t, want %t", c.v, got, c.want)
+		}
+	}
+	d := Document{"a": int64(1), "b": []any{"x", Document{"c": 2.5}}}
+	if n := testing.AllocsPerRun(100, func() { Canonical(d) }); n != 0 {
+		t.Errorf("Canonical allocates %.1f times, want 0", n)
+	}
+}
+
 func TestBSONLiteCanonical(t *testing.T) {
 	a := EncodeDoc(Document{"x": int64(1), "y": "z"})
 	b := EncodeDoc(Document{"y": "z", "x": int64(1)})

@@ -1,15 +1,16 @@
 package wire
 
-// Admission-control overhead benchmark: the PR 6 contrast is the seed
+// Admission-control overhead benchmark: the contrast is the plain
 // server (no read deadlines, no inflight accounting, no shed checks)
 // versus the admission-enabled server with every gate armed but none
 // tripping — the steady-state cost of observability and control on the
 // hot read path.
 //
-// bench/baseline_pr6.txt was recorded with WIRE_ADMISSION=off, which
-// pins the seed construction path; the default run arms admission.
+// WIRE_ADMISSION=off pins the plain construction path; the default run
+// arms admission. Run both and compare:
 //
-//	go test ./internal/wire -bench BenchmarkWireAdmission -benchtime 1x -count 3 -benchmem
+//	WIRE_ADMISSION=off go test ./internal/wire -run '^$' -bench BenchmarkWireAdmission -count 5 -benchmem
+//	go test ./internal/wire -run '^$' -bench BenchmarkWireAdmission -count 5 -benchmem
 
 import (
 	"fmt"

@@ -1,15 +1,17 @@
 package wire
 
-// Wire round-trip benchmarks over a real TCP loopback socket. The
-// PR 3 contrast: the serial read→dispatch→write connection loop (and
-// the client's one-connection-per-caller pool) versus per-connection
-// request pipelining with id-matched responses.
+// Wire round-trip benchmarks over a real TCP loopback socket: many
+// callers pipelining id-matched requests on one connection, and a lone
+// serial caller.
 //
-//	go test ./internal/wire -bench BenchmarkWire -benchtime 1x -count 3 -benchmem
+//	go test ./internal/wire -bench BenchmarkWire -benchtime 2s -count 3 -benchmem
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -24,17 +26,17 @@ const (
 )
 
 // benchDial opens the client the benchmarks measure.
-func benchDial(b *testing.B, addr string) *Client {
-	b.Helper()
+func benchDial(tb testing.TB, addr string) *Client {
+	tb.Helper()
 	cl, err := Dial(addr)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return cl
 }
 
-func startBenchServer(b *testing.B) (string, func()) {
-	b.Helper()
+func startBenchServer(tb testing.TB) (string, func()) {
+	tb.Helper()
 	env := sim.NewRealtimeEnv(1)
 	cfg := cluster.Config{
 		Nodes:    3,
@@ -95,12 +97,12 @@ func startBenchServer(b *testing.B) (string, func()) {
 		return nil
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	srv := NewServer(env, rs, nil)
 	ln, lerr := net.Listen("tcp", "127.0.0.1:0")
 	if lerr != nil {
-		b.Fatal(lerr)
+		tb.Fatal(lerr)
 	}
 	go srv.Serve(ln)
 	return ln.Addr().String(), func() {
@@ -111,7 +113,8 @@ func startBenchServer(b *testing.B) (string, func()) {
 
 // BenchmarkWireConcurrentPointReads issues concurrent single-document
 // reads from many goroutines through one Client. Round-trips/sec is
-// the PR 3 wire-layer headline.
+// the wire layer's headline; TestConcurrentWireReadAllocs holds its
+// allocs/op.
 func BenchmarkWireConcurrentPointReads(b *testing.B) {
 	addr, stop := startBenchServer(b)
 	defer stop()
@@ -126,7 +129,9 @@ func BenchmarkWireConcurrentPointReads(b *testing.B) {
 		i := int(n * 7919)
 		for pb.Next() {
 			i++
-			benchPointRead(b, cl, i)
+			if err := pointRead(cl, i); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.StopTimer()
@@ -144,14 +149,16 @@ func BenchmarkWireSerialPointReads(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchPointRead(b, cl, i)
+		if err := pointRead(cl, i); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rt/s")
 }
 
-// benchPointRead reads benchmark document i through cl.
-func benchPointRead(b *testing.B, cl *Client, i int) {
+// pointRead reads benchmark document i through cl.
+func pointRead(cl *Client, i int) error {
 	id := fmt.Sprintf("doc%05d", i%wireBenchDocs)
 	res, err := cl.ExecRead(nil, 0, func(v cluster.ReadView) (any, error) {
 		d, ok := v.FindByID("bench", id)
@@ -160,17 +167,32 @@ func benchPointRead(b *testing.B, cl *Client, i int) {
 		}
 		return d, nil
 	})
-	if err != nil {
-		b.Fatal(err)
+	if err == nil && res == nil {
+		err = errors.New("nil doc")
 	}
-	if res == nil {
-		b.Fatal("nil doc")
+	return err
+}
+
+// findQuery round-trips the indexed find of order group i through cl.
+func findQuery(cl *Client, i int) error {
+	w := int64(i % wireBenchGroups)
+	res, err := cl.ExecRead(nil, 0, func(v cluster.ReadView) (any, error) {
+		docs := v.Find("orders", storage.Filter{"w_id": storage.Eq(w)}, 0)
+		if len(docs) != wireBenchDocs/wireBenchGroups {
+			return nil, fmt.Errorf("wire bench: w_id %d returned %d docs", w, len(docs))
+		}
+		return docs, nil
+	})
+	if err == nil && res == nil {
+		err = errors.New("nil docs")
 	}
+	return err
 }
 
 // BenchmarkWireFindQuery round-trips indexed find queries returning 16
 // nested documents each — the serialization-bound path where the
 // codec's encode/decode cost dominates the loopback round trip.
+// TestConcurrentWireReadAllocs holds its allocs/op.
 func BenchmarkWireFindQuery(b *testing.B) {
 	addr, stop := startBenchServer(b)
 	defer stop()
@@ -185,19 +207,8 @@ func BenchmarkWireFindQuery(b *testing.B) {
 		i := int(n * 7919)
 		for pb.Next() {
 			i++
-			w := int64(i % wireBenchGroups)
-			res, err := cl.ExecRead(nil, 0, func(v cluster.ReadView) (any, error) {
-				docs := v.Find("orders", storage.Filter{"w_id": storage.Eq(w)}, 0)
-				if len(docs) != wireBenchDocs/wireBenchGroups {
-					return nil, fmt.Errorf("wire bench: w_id %d returned %d docs", w, len(docs))
-				}
-				return docs, nil
-			})
-			if err != nil {
+			if err := findQuery(cl, i); err != nil {
 				b.Fatal(err)
-			}
-			if res == nil {
-				b.Fatal("nil docs")
 			}
 		}
 	})
@@ -243,4 +254,76 @@ func BenchmarkWireFindMany(b *testing.B) {
 	})
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rt/s")
+}
+
+// Allocation ceilings for the concurrent wire benchmarks, as allocs/op
+// counted the way the benchmarks count them (the process-wide malloc
+// delta over the operations, truncated). Both were measured at 2 Ps
+// with 16 callers: 13 per point read (1,149 B), 186 per 16-document
+// find query.
+const (
+	maxConcurrentPointReadAllocs = 13
+	maxFindQueryAllocs           = 186
+)
+
+// concurrentAllocs runs op from callers goroutines, perCaller times
+// each, through one client, and returns the process-wide allocations
+// per op after one warm-up round.
+func concurrentAllocs(t *testing.T, callers, perCaller int, op func(i int) error) float64 {
+	t.Helper()
+	round := func() {
+		var wg sync.WaitGroup
+		errs := make(chan error, callers)
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := 0; i < perCaller; i++ {
+					if err := op(c*7919 + i); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+	}
+	round()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	round()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(callers*perCaller)
+}
+
+// TestConcurrentWireReadAllocs holds BenchmarkWireConcurrentPointReads
+// and BenchmarkWireFindQuery at their measured allocs/op.
+func TestConcurrentWireReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled buffers at random")
+	}
+	addr, stop := startBenchServer(t)
+	defer stop()
+	cl := benchDial(t, addr)
+	defer cl.Close()
+	const callers = 16
+	for _, c := range []struct {
+		name      string
+		op        func(cl *Client, i int) error
+		perCaller int
+		max       uint64
+	}{
+		{"point read", pointRead, 500, maxConcurrentPointReadAllocs},
+		{"find query", findQuery, 100, maxFindQueryAllocs},
+	} {
+		allocs := concurrentAllocs(t, callers, c.perCaller, func(i int) error { return c.op(cl, i) })
+		t.Logf("%s: %.2f allocs/op", c.name, allocs)
+		if uint64(allocs) > c.max { // truncated, as the benchmarks report it
+			t.Errorf("%s: %.2f allocs/op, want < %d", c.name, allocs, c.max+1)
+		}
+	}
 }

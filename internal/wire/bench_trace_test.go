@@ -1,17 +1,17 @@
 package wire
 
-// Tracing-overhead benchmarks for the PR 7 observability work. The
-// contract they guard: with sampling off (the default) the tracing
-// plumbing costs nothing on the v2 hot path — the sampling decision is
-// one atomic load and the codec emits zero extra bytes — and at the
-// production-realistic 1% rate the overhead stays in the noise.
+// Tracing-overhead benchmarks. The contract they measure: with
+// sampling off (the default) the tracing plumbing costs nothing on the
+// hot path — the sampling decision is one atomic load and the codec
+// emits zero extra bytes — and at the production-realistic 1% rate the
+// overhead stays in the noise.
 //
-// Sampling-off overhead is measured by comparing the untraced PR 5
-// benchmarks (BenchmarkWireConcurrentPointReads, BenchmarkWireFindQuery)
-// against bench/baseline_pr7.txt, which was recorded immediately before
-// the tracing code landed; cmd/benchgate enforces the ratio. The Traced
-// variants here measure the sampled rate directly: TRACE_SAMPLE sets
-// the rate (default 0.01).
+// The sampling-off half is held by tests:
+// TestEncodeRequestSamplingOffZeroAllocs and
+// TestConcurrentWireReadAllocs pin the untraced benchmarks'
+// allocations. The Traced variants here measure the sampled rate
+// against the untraced BenchmarkWireConcurrentPointReads and
+// BenchmarkWireFindQuery: TRACE_SAMPLE sets the rate (default 0.01).
 
 import (
 	"fmt"
@@ -80,7 +80,7 @@ func BenchmarkWireTracedPointReads(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rt/s")
 }
 
-// BenchmarkWireTracedFindQuery is BenchmarkWireFindQuery (the PR 5
+// BenchmarkWireTracedFindQuery is BenchmarkWireFindQuery (the
 // serialization-bound find path) with trace sampling enabled.
 func BenchmarkWireTracedFindQuery(b *testing.B) {
 	addr, stop := startBenchServer(b)

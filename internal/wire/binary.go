@@ -588,7 +588,10 @@ func decodeFilter(b []byte) (storage.Filter, []byte, error) {
 
 // appendMutation encodes one buffered write: a kind byte (or 0 + name
 // for unknown kinds, which the server rejects itself), collection,
-// doc id, and an optional BSON-lite document.
+// doc id, and an optional BSON-lite document. Like appendFilter it
+// normalizes a hand-built document with plain ints, and returns an
+// error for one it cannot encode; a canonical document is encoded as
+// it stands.
 func appendMutation(dst []byte, m *Mutation) ([]byte, error) {
 	if code, ok := kindCodes[m.Kind]; ok {
 		dst = append(dst, code)
@@ -601,8 +604,15 @@ func appendMutation(dst []byte, m *Mutation) ([]byte, error) {
 	if m.Doc == nil {
 		return append(dst, 0), nil
 	}
+	doc := m.Doc
+	if !storage.Canonical(doc) {
+		var err error
+		if doc, err = doc.Normalized(); err != nil {
+			return nil, err
+		}
+	}
 	dst = append(dst, 1)
-	return storage.AppendDoc(dst, m.Doc), nil
+	return storage.AppendDoc(dst, doc), nil
 }
 
 func decodeMutation(b []byte, m *Mutation) ([]byte, error) {

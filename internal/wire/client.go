@@ -29,9 +29,10 @@ import (
 // back to callers by request id, so concurrent operations keep many
 // requests in flight without a connection per caller.
 type Client struct {
-	addr    string
-	nextID  atomic.Uint64
-	topoTTL time.Duration
+	addr        string
+	nextID      atomic.Uint64
+	topoTTL     time.Duration
+	dialTimeout time.Duration // bounds each (re)dial's connect and hello
 
 	// tracer records client-side spans (the driver and exec hops run in
 	// this process; the server only sees the wire ops). Sampling starts
@@ -196,10 +197,19 @@ var (
 	_ driver.FreshConn        = (*Client)(nil)
 )
 
+// dialTimeout bounds the TCP connect and the hello exchange of every
+// dial. getMux dials under cl.mu, so without it one peer that accepts
+// and never answers would block every caller of the client.
+const dialTimeout = 5 * time.Second
+
 // Dial connects to a wire server and fetches the initial topology.
 func Dial(addr string) (*Client, error) {
+	return dial(addr, dialTimeout)
+}
+
+func dial(addr string, timeout time.Duration) (*Client, error) {
 	cl := &Client{
-		addr: addr, topoTTL: 5 * time.Second,
+		addr: addr, topoTTL: 5 * time.Second, dialTimeout: timeout,
 		tracer: trace.NewRecorder(rand.New(rand.NewSource(time.Now().UnixNano())), trace.Config{}),
 	}
 	if err := cl.refreshTopology(); err != nil {
@@ -248,18 +258,20 @@ func (cl *Client) getMux() (*muxConn, error) {
 	return mc, nil
 }
 
-// dialMux dials and exchanges hellos. A server that refuses the
-// connection (at its MaxConns cap, say) closes it without answering,
-// and the dial fails.
+// dialMux dials and exchanges hellos within cl.dialTimeout. A server
+// that refuses the connection (at its MaxConns cap, say) closes it
+// without answering, and the dial fails.
 func (cl *Client) dialMux() (*muxConn, error) {
-	c, err := net.Dial("tcp", cl.addr)
+	c, err := net.DialTimeout("tcp", cl.addr, cl.dialTimeout)
 	if err != nil {
 		return nil, err
 	}
+	c.SetDeadline(time.Now().Add(cl.dialTimeout))
 	if err := clientHandshake(c); err != nil {
 		c.Close()
 		return nil, err
 	}
+	c.SetDeadline(time.Time{})
 	mc := &muxConn{c: c, pending: map[uint64]chan *Response{}}
 	go mc.demux()
 	return mc, nil
@@ -520,11 +532,11 @@ func (cl *Client) ServerStatus(p sim.Proc, nodeID int) cluster.Status {
 // remote view whose every method is one network round trip to the
 // chosen node. This path is deliberately untraced — the body is small
 // enough to inline, which keeps the view off the heap, and the
-// sampling-off hot path must cost zero extra allocations (the
-// bench-pr7 gate). Sampled reads arrive through ExecReadMeta: the
-// driver flips the coin per read, and direct callers who want traces
-// originate one with Tracer().StartTrace() or ForceTrace() and call
-// ExecReadMeta themselves.
+// sampling-off hot path must cost zero extra allocations
+// (TestConcurrentWireReadAllocs). Sampled reads arrive through
+// ExecReadMeta: the driver flips the coin per read, and direct callers
+// who want traces originate one with Tracer().StartTrace() or
+// ForceTrace() and call ExecReadMeta themselves.
 func (cl *Client) ExecRead(p sim.Proc, nodeID int, fn func(v cluster.ReadView) (any, error)) (any, error) {
 	view := &remoteReadView{cl: cl, node: nodeID}
 	res, err := fn(view)

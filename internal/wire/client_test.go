@@ -223,7 +223,8 @@ func TestCallersReturnWhenServerDiesMidBurst(t *testing.T) {
 // TestUnencodableRequestMidBurst: a request that fails to encode while
 // other callers' frames wait for a yielding flusher returns its error
 // and leaves the waiting frames whole; the flusher then writes them and
-// their callers get their responses.
+// their callers get their responses. A mutation document with plain
+// ints is normalized on the way out rather than failing.
 func TestUnencodableRequestMidBurst(t *testing.T) {
 	t.Run("v2", func(t *testing.T) {
 		rs, addr, stop := startSleeplessServer(t, ServerConfig{})
@@ -238,17 +239,19 @@ func TestUnencodableRequestMidBurst(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		send := func(id uint64) chan *Response {
+		send := func(req *Request) chan *Response {
 			t.Helper()
-			ch, err := mc.register(id)
+			ch, err := mc.register(req.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
-			req := &Request{ID: id, Op: OpFindByID, Collection: "mux", DocID: muxKey(int(id))}
 			if err := mc.send(req); err != nil {
 				t.Fatal(err)
 			}
 			return ch
+		}
+		read := func(id uint64) *Request {
+			return &Request{ID: id, Op: OpFindByID, Collection: "mux", DocID: muxKey(int(id))}
 		}
 
 		// Stand in for a flusher that has taken the lead and is
@@ -256,25 +259,34 @@ func TestUnencodableRequestMidBurst(t *testing.T) {
 		mc.wmu.Lock()
 		mc.flushing = true
 		mc.wmu.Unlock()
-		waiting := send(1 << 40)
+		waiting := send(read(1 << 40))
 		mc.wmu.Lock()
 		queued := len(*mc.out)
 		mc.wmu.Unlock()
 
-		bad := &Request{ID: 1<<40 + 1, Op: OpFind, Collection: "mux",
-			Filter: storage.Filter{"val": {Op: storage.OpEq, Value: make(chan int)}}}
-		if err := mc.send(bad); err == nil {
-			t.Fatal("unencodable filter sent")
+		for _, bad := range []*Request{
+			{ID: 1<<40 + 1, Op: OpFind, Collection: "mux",
+				Filter: storage.Filter{"val": {Op: storage.OpEq, Value: make(chan int)}}},
+			{ID: 1<<40 + 2, Op: OpWriteBatch, Muts: []Mutation{
+				{Kind: "insert", Collection: "mux", Doc: storage.D{"_id": "bad", "v": make(chan int)}}}},
+		} {
+			if err := mc.send(bad); err == nil {
+				t.Fatalf("unencodable %s request sent", bad.Op)
+			}
+			mc.wmu.Lock()
+			if got := len(*mc.out); got != queued {
+				t.Errorf("waiting frames are %d bytes after the failed %s encode, want %d", got, bad.Op, queued)
+			}
+			mc.wmu.Unlock()
 		}
+		plain := send(&Request{ID: 1<<40 + 3, Op: OpWriteBatch, Muts: []Mutation{
+			{Kind: "insert", Collection: "mux", Doc: storage.D{"_id": "plain", "v": 2}}}})
 		mc.wmu.Lock()
-		if got := len(*mc.out); got != queued {
-			t.Errorf("waiting frames are %d bytes after the failed encode, want %d", got, queued)
-		}
 		mc.flushing = false // the flusher is done; the next sender writes the burst
 		mc.wmu.Unlock()
 
-		next := send(1<<40 + 2)
-		for _, ch := range []chan *Response{waiting, next} {
+		next := send(read(1<<40 + 4))
+		for _, ch := range []chan *Response{waiting, plain, next} {
 			select {
 			case resp, ok := <-ch:
 				if !ok || resp.Err != "" {
@@ -287,5 +299,68 @@ func TestUnencodableRequestMidBurst(t *testing.T) {
 		if err := readMux(cl, 3); err != nil {
 			t.Fatal(err)
 		}
+		res, err := cl.ExecRead(nil, 0, func(v cluster.ReadView) (any, error) {
+			d, _ := v.FindByID("mux", "plain")
+			return d, nil
+		})
+		if d, _ := res.(storage.Document); err != nil || d == nil || d["v"] != int64(2) {
+			t.Fatalf("plain-int insert read back as %v, %v; want v=int64(2)", res, err)
+		}
 	})
+}
+
+// TestEncodeCanonicalMutationZeroAllocs: a write batch whose document
+// is already canonical encodes into a preallocated buffer without
+// allocating; only a document that needs normalizing pays for a copy.
+func TestEncodeCanonicalMutationZeroAllocs(t *testing.T) {
+	req := Request{ID: 1, Op: OpWriteBatch, Muts: []Mutation{
+		{Kind: "set", Collection: "mux", DocID: "k", Doc: storage.D{"v": int64(2), "s": "x", "a": []any{1.5}}}}}
+	buf := make([]byte, 0, 512)
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := encodeRequest(buf[:0], &req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("encoding a canonical mutation allocates %.1f times per op, want 0", allocs)
+	}
+}
+
+// TestDialSilentPeer: a peer that accepts the connection and never
+// answers the hello fails the dial within the dial timeout instead of
+// holding it, and with it every caller of the client, forever.
+func TestDialSilentPeer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		var held []net.Conn
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				for _, c := range held {
+					c.Close()
+				}
+				return
+			}
+			held = append(held, c) // read nothing, answer nothing
+		}
+	}()
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		_, err := dial(ln.Addr().String(), 100*time.Millisecond)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("dial to a silent peer succeeded")
+		}
+		t.Logf("dial failed after %v: %v", time.Since(start).Round(time.Millisecond), err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("dial to a silent peer still blocked after 5 s")
+	}
 }

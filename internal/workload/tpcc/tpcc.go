@@ -75,13 +75,6 @@ func NewPool(env sim.Env, exec workload.Executor, obs workload.Observer, scale S
 	return &Pool{env: env, exec: exec, obs: obs, scale: scale, mix: mix}
 }
 
-// SetMix changes the transaction mix at run time.
-func (pl *Pool) SetMix(m Mix) {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	pl.mix = m
-}
-
 // SetClients adjusts the number of active closed-loop terminals.
 func (pl *Pool) SetClients(n int) {
 	pl.mu.Lock()
