@@ -17,9 +17,9 @@
 // token (read-your-writes), and a chunk version, so a router-side
 // cache drops entries owned by a migrated chunk.
 //
-// Committed documents are copy-on-write immutable, so hits hand back
-// the cached storage.Document without cloning: the hit path performs
-// zero allocations.
+// Read results are read-only by contract, so hits hand back the cached
+// storage.Document without cloning: the hit path performs zero
+// allocations.
 //
 // The cache is clocked externally: every operation takes `now`, the
 // caller's sim clock reading, so virtual-time runs stay deterministic
@@ -260,8 +260,8 @@ func (c *Cache) lookupLocked(s *stripe, now time.Duration, key Key, boundSecs in
 	return e, Hit{EffSecs: eff, FillOpTime: e.fillOpTime}, true
 }
 
-// Put fills (or refreshes) an entry. doc must be a committed
-// copy-on-write snapshot — the cache shares it, never clones it.
+// Put fills (or refreshes) an entry. doc must be a read result that
+// nobody modifies — the cache shares it, never clones it.
 // fillStalenessSecs and fillOpTime come from the serving node's
 // response; version is the router's chunk version (0 when unsharded).
 func (c *Cache) Put(now time.Duration, key Key, doc storage.Document, fillStalenessSecs int64, fillOpTime oplog.OpTime, version uint64) {

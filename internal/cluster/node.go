@@ -271,10 +271,10 @@ func (n *Node) Stats() NodeStats {
 func (n *Node) QueueDepth() int { return n.cpu.Waiting() }
 
 // commitMutationsLocked commits one transaction's staged mutations:
-// mints timestamps, applies the post-images to the store through the
-// owned entry points (payloads were encoded at staging time, documents
-// were normalized there too — nothing is serialized or cloned inside
-// the critical section), and appends the oplog entries in one batch
+// mints timestamps, applies the oplog payloads encoded at staging time
+// to the store (an insert's payload is stored as it is, a set's is
+// spliced into the stored document — nothing is serialized inside the
+// critical section), and appends the oplog entries in one batch
 // (one tail notification per transaction). Caller holds applyMu and
 // the n.mu write lock; gate broadcasts and waiter wakeups are the
 // caller's job so a group-commit leader pays them once per batch.
@@ -288,12 +288,12 @@ func (n *Node) commitMutationsLocked(now time.Duration, muts []mutation) (oplog.
 		switch m.kind {
 		case mutInsert:
 			e = oplog.Entry{TS: ts, Kind: oplog.KindInsert, Collection: m.collection, DocID: m.docID, Payload: m.payload}
-			if err := n.store.C(m.collection).UpsertOwned(m.doc); err != nil {
+			if err := n.store.C(m.collection).UpsertEncoded(m.payload); err != nil {
 				firstErr = err
 			}
 		case mutSet:
 			e = oplog.Entry{TS: ts, Kind: oplog.KindSet, Collection: m.collection, DocID: m.docID, Payload: m.payload}
-			if _, err := n.store.C(m.collection).ApplySetOwned(m.docID, m.doc); err != nil {
+			if _, err := n.store.C(m.collection).ApplySetEncoded(m.docID, m.payload); err != nil {
 				firstErr = err
 			}
 		case mutDelete:
@@ -480,13 +480,12 @@ func (n *Node) wakeAckWaitersLocked() {
 // units that translate to CPU service time; the wire client implements
 // the same interface with one network round trip per call.
 //
-// Every document an in-process view returns is a shared immutable
-// snapshot of committed state (the store is copy-on-write): results
-// are strictly read-only, and a caller that wants to modify one clones
-// it first.
+// Every document an in-process view returns is decoded from committed
+// state for this call. Results are read-only by contract all the same:
+// layers above (the driver's read cache) share them between callers.
 type ReadView interface {
-	// FindByID looks up one document by _id. The result is a shared
-	// immutable snapshot — read-only for the caller.
+	// FindByID looks up one document by _id. The result is read-only
+	// for the caller.
 	FindByID(collection, id string) (storage.Document, bool)
 	// FindManyByID batch-fetches documents by _id.
 	FindManyByID(collection string, ids []string) []storage.Document
@@ -499,17 +498,17 @@ type ReadView interface {
 }
 
 // EncodedReadView is an optional extension of ReadView implemented by
-// the in-process view: read results as storage.EncodedDoc wrappers,
-// exposing each committed document's lazily cached BSON-lite encoding.
-// The wire server type-asserts for it and splices the cached bytes
-// straight into response frames, skipping per-request document serialization. Remote views
+// the in-process view: read results as storage.EncodedDoc, each
+// committed document's stored BSON-lite encoding. The wire server
+// type-asserts for it and splices the stored bytes straight into
+// response frames, with no decode or encode per request. Remote views
 // do not implement it — callers must fall back to the Document forms.
 type EncodedReadView interface {
-	// FindByIDEncoded is FindByID returning the encoding-cache wrapper.
+	// FindByIDEncoded is FindByID returning the stored form.
 	FindByIDEncoded(collection, id string) (*storage.EncodedDoc, bool)
-	// FindManyByIDEncoded is FindManyByID over the encoding cache.
+	// FindManyByIDEncoded is FindManyByID returning the stored forms.
 	FindManyByIDEncoded(collection string, ids []string) []*storage.EncodedDoc
-	// FindEncoded is Find over the encoding cache.
+	// FindEncoded is Find returning the stored forms.
 	FindEncoded(collection string, f storage.Filter, limit int) []*storage.EncodedDoc
 }
 
@@ -532,10 +531,8 @@ type localReadView struct {
 	readUnits int
 }
 
-// FindByID looks up one document (1 read unit). The result is a
-// shared immutable snapshot — the copy-on-write store makes the
-// defensive deep copy unnecessary, keeping point reads off the
-// allocator.
+// FindByID looks up one document (1 read unit), decoding it from its
+// stored form.
 func (v *localReadView) FindByID(collection, id string) (storage.Document, bool) {
 	v.readUnits++
 	return v.node.store.C(collection).FindByID(id)
@@ -577,7 +574,7 @@ func (v *localReadView) AddUnits(u int) { v.readUnits += u }
 
 // FindByIDEncoded implements EncodedReadView (1 read unit, like
 // FindByID): the wire server's binary path reads through it to reach
-// the document's cached BSON-lite encoding.
+// the document's stored BSON-lite encoding.
 func (v *localReadView) FindByIDEncoded(collection, id string) (*storage.EncodedDoc, bool) {
 	v.readUnits++
 	return v.node.store.C(collection).FindByIDEncoded(id)
@@ -629,20 +626,19 @@ const (
 // mutation is one staged operation. Normalization and oplog payload
 // encoding happen at staging time — on the writer's own service time,
 // outside any lock — so the commit critical section is reduced to
-// timestamp minting, pointer-swap applies and the ring append.
+// timestamp minting, byte splices and the ring append.
 type mutation struct {
 	kind       mutKind
 	collection string
 	docID      string
-	doc        storage.Document // normalized; transferred to the store on commit
-	payload    []byte           // pre-encoded oplog payload
+	payload    []byte // oplog payload; an insert's becomes the stored document
 }
 
 // Insert adds a new document at commit time. Duplicate-_id detection
 // happens against the pre-transaction state plus this transaction's
 // own buffered inserts.
 func (t *localWriteTxn) Insert(collection string, doc storage.Document) error {
-	norm, err := doc.Normalized()
+	norm, err := doc.Canonicalized()
 	if err != nil {
 		return err
 	}
@@ -650,7 +646,7 @@ func (t *localWriteTxn) Insert(collection string, doc storage.Document) error {
 	if !ok || id == "" {
 		return fmt.Errorf("cluster: insert requires a string _id")
 	}
-	if _, exists := t.node.store.C(collection).FindByID(id); exists {
+	if _, exists := t.node.store.C(collection).FindByIDEncoded(id); exists {
 		return fmt.Errorf("cluster: duplicate _id %q in %s", id, collection)
 	}
 	for _, m := range t.muts {
@@ -658,18 +654,18 @@ func (t *localWriteTxn) Insert(collection string, doc storage.Document) error {
 			return fmt.Errorf("cluster: duplicate _id %q in %s (within transaction)", id, collection)
 		}
 	}
-	t.muts = append(t.muts, mutation{kind: mutInsert, collection: collection, docID: id, doc: norm, payload: storage.EncodeDoc(norm)})
+	t.muts = append(t.muts, mutation{kind: mutInsert, collection: collection, docID: id, payload: storage.EncodeDoc(norm)})
 	return nil
 }
 
 // Set merges fields into the identified document (upserting at commit),
 // logging post-image values so replication is idempotent.
 func (t *localWriteTxn) Set(collection, id string, fields storage.Document) error {
-	norm, err := fields.Normalized()
+	norm, err := fields.Canonicalized()
 	if err != nil {
 		return err
 	}
-	t.muts = append(t.muts, mutation{kind: mutSet, collection: collection, docID: id, doc: norm, payload: storage.EncodeDoc(norm)})
+	t.muts = append(t.muts, mutation{kind: mutSet, collection: collection, docID: id, payload: storage.EncodeDoc(norm)})
 	return nil
 }
 

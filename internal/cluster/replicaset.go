@@ -411,19 +411,19 @@ func (rs *ReplicaSet) Failover(p sim.Proc) int {
 	// Catch-up: copy and apply the entries the winner is missing. The
 	// scan only reads the old primary's oplog, so the read lock is
 	// enough; reads there keep flowing during the election. The batch
-	// is decoded once outside any lock, and the apply runs under the
+	// is checked once outside any lock, and the apply runs under the
 	// winner's applyMu so it serializes with any in-flight chunk apply
 	// from the winner's own puller.
 	old.mu.RLock()
 	missing := old.log.ScanAfter(bestTS, 0)
 	old.mu.RUnlock()
-	decoded, dropped, derr := oplog.DecodeBatch(missing)
+	missing, dropped, cerr := oplog.CheckBatch(missing)
 	if dropped > 0 {
-		winner.noteApplyErrors(dropped, derr)
+		winner.noteApplyErrors(dropped, cerr)
 	}
 	winner.applyMu.Lock()
 	winner.mu.Lock()
-	for _, e := range decoded {
+	for _, e := range missing {
 		if !winner.lastApplied.Before(e.TS) {
 			// The winner's own puller applied this entry between the
 			// bestTS snapshot and here; re-applying is redundant, not
@@ -434,7 +434,7 @@ func (rs *ReplicaSet) Failover(p sim.Proc) int {
 			winner.noteApplyErrors(1, err)
 			continue
 		}
-		if err := winner.log.Append(e.Entry); err != nil {
+		if err := winner.log.Append(e); err != nil {
 			winner.noteApplyErrors(1, err)
 			continue
 		}

@@ -96,21 +96,21 @@ func (n *Node) waitForTail(p sim.Proc, prim *Node, after oplog.OpTime) {
 	prim.tailGate.WaitTimeout(p, rs.cfg.ReplIdlePoll)
 }
 
-// applyBatch applies one fetched oplog batch: decode every entry ONCE,
-// outside any lock, then apply chunk by chunk — paying the CPU queue
-// per chunk, mutating the store under applyMu only (reads keep
+// applyBatch applies one fetched oplog batch: check every payload
+// once, outside any lock, then apply chunk by chunk — paying the CPU
+// queue per chunk, mutating the store under applyMu only (reads keep
 // flowing), and taking the node write lock just for the bookkeeping
-// flip. MongoDB secondaries do the same: batch decode, parallel
+// flip. MongoDB secondaries do the same: batch preparation, parallel
 // appliers, then a single lastApplied advance.
 func (n *Node) applyBatch(p sim.Proc, batch []oplog.Entry) {
 	rs := n.rs
-	decoded, dropped, derr := oplog.DecodeBatch(batch)
+	batch, dropped, cerr := oplog.CheckBatch(batch)
 	if dropped > 0 {
-		n.noteApplyErrors(dropped, derr)
+		n.noteApplyErrors(dropped, cerr)
 	}
 	const chunkSize = 256
-	for start := 0; start < len(decoded); start += chunkSize {
-		chunk := decoded[start:min(start+chunkSize, len(decoded))]
+	for start := 0; start < len(batch); start += chunkSize {
+		chunk := batch[start:min(start+chunkSize, len(batch))]
 		work := 0
 		for _, e := range chunk {
 			if e.Kind != oplog.KindNoop {
@@ -129,19 +129,15 @@ func (n *Node) applyBatch(p sim.Proc, batch []oplog.Entry) {
 	}
 }
 
-// applyChunk applies one decoded chunk. Store mutation happens under
+// applyChunk applies one checked chunk. Store mutation happens under
 // applyMu (serialized against commits, catch-up and resync, but NOT
 // against readers); the node write lock is held only to append the
 // oplog entries and flip lastApplied.
-func (n *Node) applyChunk(chunk []oplog.DecodedEntry) {
+func (n *Node) applyChunk(entries []oplog.Entry) {
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
-	if failed, err := n.applyChunkToStore(chunk); failed > 0 {
+	if failed, err := n.applyChunkToStore(entries); failed > 0 {
 		n.noteApplyErrors(failed, err)
-	}
-	entries := make([]oplog.Entry, len(chunk))
-	for i, e := range chunk {
-		entries[i] = e.Entry
 	}
 	n.mu.Lock()
 	// Skip any prefix already in the log: a concurrent failover
@@ -188,20 +184,20 @@ const parallelApplyMin = 64
 // replWriterThreadCount bounds its batch appliers.
 var parallelAppliers = min(4, runtime.GOMAXPROCS(0))
 
-// applyChunkToStore lands a decoded chunk's documents in the store.
+// applyChunkToStore lands a checked chunk's documents in the store.
 // Caller holds applyMu. On the real-time env, large chunks fan out
 // across appliers partitioned by (collection, docID) hash: every entry
 // for a given document lands in the same partition, preserving per-
 // document ordering, while distinct documents apply in parallel. The
 // virtual-time env always applies sequentially — parallelism there
 // would change the event schedule and break run-for-run determinism.
-func (n *Node) applyChunkToStore(chunk []oplog.DecodedEntry) (int, error) {
+func (n *Node) applyChunkToStore(chunk []oplog.Entry) (int, error) {
 	workers := parallelAppliers
 	if !n.rs.realtime || workers < 2 || len(chunk) < parallelApplyMin {
-		_, failed, err := oplog.ApplyDecodedBatch(n.store, chunk)
+		_, failed, err := oplog.ApplyBatch(n.store, chunk)
 		return failed, err
 	}
-	parts := make([][]oplog.DecodedEntry, workers)
+	parts := make([][]oplog.Entry, workers)
 	for _, e := range chunk {
 		w := applierHash(e.Collection, e.DocID) % uint32(workers)
 		parts[w] = append(parts[w], e)
@@ -214,9 +210,9 @@ func (n *Node) applyChunkToStore(chunk []oplog.DecodedEntry) (int, error) {
 			continue
 		}
 		wg.Add(1)
-		go func(i int, part []oplog.DecodedEntry) {
+		go func(i int, part []oplog.Entry) {
 			defer wg.Done()
-			_, f, err := oplog.ApplyDecodedBatch(n.store, part)
+			_, f, err := oplog.ApplyBatch(n.store, part)
 			failed.Add(int64(f))
 			errs[i] = err
 		}(i, part)
@@ -247,11 +243,10 @@ func applierHash(collection, id string) uint32 {
 }
 
 // resyncFrom rebuilds this node from a snapshot of the primary: a
-// shallow store clone (committed documents are immutable under
-// copy-on-write, so sharing pointers is safe) plus the primary's
-// lastApplied as the new oplog sync point. This is initial sync,
-// reached when the node's fetch position fell off the primary's
-// hard-capped oplog.
+// shallow store clone (stored encodings are immutable, so sharing
+// pointers is safe) plus the primary's lastApplied as the new oplog
+// sync point. This is initial sync, reached when the node's fetch
+// position fell off the primary's hard-capped oplog.
 func (n *Node) resyncFrom(p sim.Proc, prim *Node) {
 	prim.mu.RLock()
 	snap := prim.store.CloneShallow()

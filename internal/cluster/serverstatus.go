@@ -93,8 +93,7 @@ func (rs *ReplicaSet) registerStatusCollector() {
 		goroutines.Set(int64(runtime.NumGoroutine()))
 
 		// collstats/dbstats read the primary's store: the authoritative
-		// copy, and under copy-on-write the walk shares snapshots with
-		// concurrent readers.
+		// copy, walked under its read locks alongside concurrent readers.
 		p := rs.nodes[primaryID]
 		p.mu.RLock()
 		store := p.store
@@ -108,7 +107,6 @@ func (rs *ReplicaSet) registerStatusCollector() {
 			reg.Gauge(obs.Name("collstats.docs", "coll", cs.Name)).Set(int64(cs.Docs))
 			reg.Gauge(obs.Name("collstats.indexes", "coll", cs.Name)).Set(int64(cs.Indexes))
 			reg.Gauge(obs.Name("collstats.encoded_bytes", "coll", cs.Name)).Set(cs.EncodedBytes)
-			reg.Gauge(obs.Name("collstats.encoded_docs", "coll", cs.Name)).Set(int64(cs.EncodedDocs))
 		}
 	})
 }

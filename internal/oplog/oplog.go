@@ -103,7 +103,7 @@ type Entry struct {
 // NewInsert builds an insert entry for doc. The document is normalized
 // (convenience numeric widths become int64/float64) before encoding.
 func NewInsert(ts OpTime, collection string, doc storage.Document) Entry {
-	norm, err := doc.Normalized()
+	norm, err := doc.Canonicalized()
 	if err != nil {
 		panic(err) // unencodable value: programming error at the write site
 	}
@@ -114,7 +114,7 @@ func NewInsert(ts OpTime, collection string, doc storage.Document) Entry {
 // NewSet builds a field-merge entry with post-image field values,
 // normalized before encoding.
 func NewSet(ts OpTime, collection, docID string, fields storage.Document) Entry {
-	norm, err := fields.Normalized()
+	norm, err := fields.Canonicalized()
 	if err != nil {
 		panic(err)
 	}
@@ -131,36 +131,63 @@ func NewDelete(ts OpTime, collection, docID string) Entry {
 func NewNoop(ts OpTime) Entry { return Entry{TS: ts, Kind: KindNoop} }
 
 // Apply executes the entry against a store, idempotently: applying an
-// entry twice leaves the same state as applying it once.
+// entry twice leaves the same state as applying it once. Payloads are
+// not decoded: an insert's payload becomes the stored document as it
+// is, and a set's encoded fields are spliced into the stored one. The
+// store validates both, so a corrupt payload fails without effect.
 func (e Entry) Apply(s *storage.Store) error {
+	var err error
 	switch e.Kind {
 	case KindInsert:
-		doc, err := storage.DecodeDoc(e.Payload)
-		if err != nil {
-			return fmt.Errorf("oplog: decode insert %s: %w", e.TS, err)
-		}
-		return s.C(e.Collection).Upsert(doc)
+		err = s.C(e.Collection).UpsertEncoded(e.Payload)
 	case KindSet:
-		fields, err := storage.DecodeDoc(e.Payload)
-		if err != nil {
-			return fmt.Errorf("oplog: decode set %s: %w", e.TS, err)
-		}
-		_, err = s.C(e.Collection).ApplySet(e.DocID, fields)
-		return err
+		_, err = s.C(e.Collection).ApplySetEncoded(e.DocID, e.Payload)
 	case KindDelete:
 		s.C(e.Collection).Delete(e.DocID)
-		return nil
 	case KindNoop:
-		return nil
 	default:
 		return fmt.Errorf("oplog: unknown entry kind %d", e.Kind)
 	}
+	if err != nil {
+		return fmt.Errorf("oplog: apply %s %s: %w", e.Kind, e.TS, err)
+	}
+	return nil
 }
 
-// DecodedEntry is an Entry whose payload has been decoded once, so a
-// fetched batch can be parsed outside any lock and then applied — to
-// one store or to several chunks in parallel — without re-decoding
-// bytes per application.
+// Check validates e's payload without decoding it: an insert or set
+// must carry exactly one canonical BSON-lite document.
+func (e Entry) Check() error {
+	switch e.Kind {
+	case KindInsert, KindSet:
+		if err := storage.CheckDoc(e.Payload); err != nil {
+			return fmt.Errorf("oplog: check %s %s: %w", e.Kind, e.TS, err)
+		}
+	}
+	return nil
+}
+
+// CheckBatch drops the entries of a fetched batch whose payload fails
+// Check, filtering in place, so a secondary validates a batch outside
+// any lock and never logs a corrupt entry. It returns the kept
+// entries, how many were dropped, and the first error (nil if none).
+func CheckBatch(entries []Entry) ([]Entry, int, error) {
+	out := entries[:0]
+	var first error
+	for _, e := range entries {
+		if err := e.Check(); err != nil {
+			if first == nil {
+				first = err
+			}
+			continue
+		}
+		out = append(out, e)
+	}
+	return out, len(entries) - len(out), first
+}
+
+// DecodedEntry is an Entry with its payload decoded, for consumers
+// outside a store: chunk migration replays it as writes, and the wire
+// ships it in oplog_tail responses.
 type DecodedEntry struct {
 	Entry
 	// Doc is the decoded payload: the full document for an insert, the
@@ -203,35 +230,13 @@ func DecodeBatch(entries []Entry) ([]DecodedEntry, int, error) {
 	return out, dropped, first
 }
 
-// Apply executes the decoded entry against a store, idempotently. The
-// decoded document is handed over as an owned value: committed
-// documents are immutable under the copy-on-write storage layer, so
-// sharing the pointer (even across several stores during catch-up or
-// resync) is safe and skips the normalize-and-clone work the byte
-// decode path pays on every application.
-func (e DecodedEntry) Apply(s *storage.Store) error {
-	switch e.Kind {
-	case KindInsert:
-		return s.C(e.Collection).UpsertOwned(e.Doc)
-	case KindSet:
-		_, err := s.C(e.Collection).ApplySetOwned(e.DocID, e.Doc)
-		return err
-	case KindDelete:
-		s.C(e.Collection).Delete(e.DocID)
-		return nil
-	case KindNoop:
-		return nil
-	default:
-		return fmt.Errorf("oplog: unknown entry kind %d", e.Kind)
-	}
-}
-
-// ApplyDecodedBatch applies an ordered run of decoded entries to a
-// store, grouping consecutive same-collection mutations so each group
-// takes its collection's write lock once (the batch apply entry
-// point). Individual failures are skipped, not fatal: it returns how
-// many entries applied, how many failed, and the first error.
-func ApplyDecodedBatch(s *storage.Store, batch []DecodedEntry) (applied, failed int, firstErr error) {
+// ApplyBatch applies an ordered run of entries to a store, grouping
+// consecutive same-collection mutations so each group takes its
+// collection's write lock once (the batch apply entry point). Like
+// Apply it hands payloads to the store undecoded. Individual failures
+// are skipped, not fatal: it returns how many entries applied, how
+// many failed, and the first error.
+func ApplyBatch(s *storage.Store, batch []Entry) (applied, failed int, firstErr error) {
 	note := func(err error) {
 		failed++
 		if firstErr == nil {
@@ -259,9 +264,9 @@ func ApplyDecodedBatch(s *storage.Store, batch []DecodedEntry) (applied, failed 
 			applied++ // advances the log without touching data
 			continue
 		case KindInsert:
-			op = storage.ApplyOp{Kind: storage.ApplyUpsert, ID: e.DocID, Doc: e.Doc}
+			op = storage.ApplyOp{Kind: storage.ApplyUpsert, ID: e.DocID, Enc: e.Payload}
 		case KindSet:
-			op = storage.ApplyOp{Kind: storage.ApplyMerge, ID: e.DocID, Doc: e.Doc}
+			op = storage.ApplyOp{Kind: storage.ApplyMerge, ID: e.DocID, Enc: e.Payload}
 		case KindDelete:
 			op = storage.ApplyOp{Kind: storage.ApplyDelete, ID: e.DocID}
 		default:

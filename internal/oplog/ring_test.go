@@ -3,9 +3,10 @@ package oplog
 // Tests for the ring-buffer Log representation introduced with the
 // write-path pipeline: wraparound correctness against a flat-slice
 // reference model, gap tracking for fetchers that fall off the log,
-// batch append, tail notification and the decode-once apply path.
+// batch append, tail notification and the checked batch apply path.
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -182,10 +183,10 @@ func TestResetToRestartsLog(t *testing.T) {
 	}
 }
 
-// TestDecodedApplyMatchesByteApply replays the same entry sequence
-// through the per-entry byte-decoding path and the decode-once batch
-// path and requires identical stores.
-func TestDecodedApplyMatchesByteApply(t *testing.T) {
+// TestBatchApplyMatchesByteApply replays the same entry sequence
+// through the per-entry path and the checked batch path and requires
+// identical stored bytes.
+func TestBatchApplyMatchesByteApply(t *testing.T) {
 	entries := []Entry{
 		NewInsert(OpTime{1, 1}, "c", storage.D{"_id": "a", "v": int64(1), "nested": storage.D{"x": int64(9)}}),
 		NewSet(OpTime{1, 2}, "c", "a", storage.D{"v": int64(5)}),
@@ -201,27 +202,52 @@ func TestDecodedApplyMatchesByteApply(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	decoded, dropped, err := DecodeBatch(entries)
+	checked, dropped, err := CheckBatch(append([]Entry(nil), entries...))
 	if err != nil || dropped != 0 {
-		t.Fatalf("DecodeBatch: dropped=%d err=%v", dropped, err)
+		t.Fatalf("CheckBatch: dropped=%d err=%v", dropped, err)
 	}
 	byBatch := storage.NewStore()
-	applied, failed, err := ApplyDecodedBatch(byBatch, decoded)
+	applied, failed, err := ApplyBatch(byBatch, checked)
 	if err != nil || failed != 0 || applied != len(entries) {
-		t.Fatalf("ApplyDecodedBatch: applied=%d failed=%d err=%v", applied, failed, err)
+		t.Fatalf("ApplyBatch: applied=%d failed=%d err=%v", applied, failed, err)
 	}
-	for _, coll := range []string{"c", "d"} {
-		byBytes.C(coll).ScanIDs(func(id string) bool {
-			d1, _ := byBytes.C(coll).FindByID(id)
-			d2, ok := byBatch.C(coll).FindByID(id)
-			if !ok || !storage.Equal(d1, d2) {
-				t.Fatalf("divergence at %s/%s: %v vs %v (ok=%v)", coll, id, d1, d2, ok)
+	sameStores(t, byBytes, byBatch, "c", "d")
+}
+
+// sameStores requires the named collections of two stores to hold the
+// same ids with byte-identical stored documents.
+func sameStores(t *testing.T, a, b *storage.Store, colls ...string) {
+	t.Helper()
+	for _, coll := range colls {
+		a.C(coll).ScanIDs(func(id string) bool {
+			e1, _ := a.C(coll).FindByIDEncoded(id)
+			e2, ok := b.C(coll).FindByIDEncoded(id)
+			if !ok || !bytes.Equal(e1.Bytes(), e2.Bytes()) {
+				t.Fatalf("divergence at %s/%s: %v vs %v (ok=%v)", coll, id, e1.Doc(), e2, ok)
 			}
 			return true
 		})
-		if byBytes.C(coll).Len() != byBatch.C(coll).Len() {
+		if a.C(coll).Len() != b.C(coll).Len() {
 			t.Fatalf("length divergence in %s", coll)
 		}
+	}
+}
+
+func TestCheckBatchDropsCorruptEntries(t *testing.T) {
+	entries := []Entry{
+		NewInsert(OpTime{1, 1}, "c", storage.D{"_id": "a", "v": int64(1)}),
+		{TS: OpTime{1, 2}, Kind: KindSet, Collection: "c", DocID: "a", Payload: []byte{0xFF, 0x01}},
+		NewNoop(OpTime{1, 3}),
+		// {b: nil, a: nil}: well formed, but its names are out of order,
+		// so it is not a stored form.
+		{TS: OpTime{1, 4}, Kind: KindSet, Collection: "c", DocID: "a", Payload: []byte{2, 1, 'b', 0x00, 1, 'a', 0x00}},
+	}
+	kept, dropped, err := CheckBatch(entries)
+	if dropped != 2 || err == nil {
+		t.Fatalf("dropped=%d err=%v, want 2 drops with error", dropped, err)
+	}
+	if len(kept) != 2 || kept[0].TS != (OpTime{1, 1}) || kept[1].TS != (OpTime{1, 3}) {
+		t.Fatalf("kept %v, want the insert and the noop", kept)
 	}
 }
 

@@ -1,7 +1,7 @@
 package storage
 
-// Tests for the replication-owned apply entry points (UpsertOwned,
-// ApplySetOwned, ApplyBatch) and the initial-sync shallow clone.
+// Tests for the replication apply entry points (UpsertEncoded,
+// ApplySetEncoded, ApplyBatch) and the initial-sync shallow clone.
 
 import "testing"
 
@@ -11,11 +11,11 @@ func TestApplyBatchMixedOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops := []ApplyOp{
-		{Kind: ApplyUpsert, ID: "a", Doc: D{"_id": "a", "grp": int64(1), "v": int64(1)}},
-		{Kind: ApplyUpsert, ID: "b", Doc: D{"_id": "b", "grp": int64(2), "v": int64(2)}},
-		{Kind: ApplyMerge, ID: "a", Doc: D{"v": int64(10)}},
+		{Kind: ApplyUpsert, ID: "a", Enc: EncodeDoc(D{"_id": "a", "grp": int64(1), "v": int64(1)})},
+		{Kind: ApplyUpsert, ID: "b", Enc: EncodeDoc(D{"_id": "b", "grp": int64(2), "v": int64(2)})},
+		{Kind: ApplyMerge, ID: "a", Enc: EncodeDoc(D{"v": int64(10)})},
 		{Kind: ApplyDelete, ID: "b"},
-		{Kind: ApplyMerge, ID: "ghost", Doc: D{"grp": int64(3)}}, // upserting merge
+		{Kind: ApplyMerge, ID: "ghost", Enc: EncodeDoc(D{"grp": int64(3)})}, // upserting merge
 	}
 	applied, err := c.ApplyBatch(ops)
 	if err != nil || applied != len(ops) {
@@ -40,9 +40,9 @@ func TestApplyBatchMixedOps(t *testing.T) {
 func TestApplyBatchSkipsBadOpAndReportsFirstError(t *testing.T) {
 	c := NewStore().C("c")
 	ops := []ApplyOp{
-		{Kind: ApplyUpsert, ID: "a", Doc: D{"_id": "a", "v": int64(1)}},
-		{Kind: ApplyUpsert, ID: "bad", Doc: D{"v": int64(2)}}, // no _id
-		{Kind: ApplyUpsert, ID: "b", Doc: D{"_id": "b", "v": int64(3)}},
+		{Kind: ApplyUpsert, ID: "a", Enc: EncodeDoc(D{"_id": "a", "v": int64(1)})},
+		{Kind: ApplyUpsert, ID: "bad", Enc: EncodeDoc(D{"v": int64(2)})}, // no _id
+		{Kind: ApplyUpsert, ID: "b", Enc: EncodeDoc(D{"_id": "b", "v": int64(3)})},
 	}
 	applied, err := c.ApplyBatch(ops)
 	if applied != 2 || err == nil {
@@ -57,25 +57,21 @@ func TestOwnedVariantsMatchPublicOnes(t *testing.T) {
 	plain := NewStore().C("c")
 	owned := NewStore().C("c")
 	doc := D{"_id": "k", "v": int64(1), "arr": []any{int64(1), int64(2)}}
-	if err := plain.Upsert(doc); err != nil {
+	if err := plain.UpsertEncoded(encoded(doc)); err != nil {
 		t.Fatal(err)
 	}
 	norm, err := doc.Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := owned.UpsertOwned(norm); err != nil {
+	if err := owned.UpsertEncoded(encoded(norm)); err != nil {
 		t.Fatal(err)
 	}
 	fields := D{"v": int64(7), "w": int64(8)}
 	if _, err := plain.ApplySet("k", fields); err != nil {
 		t.Fatal(err)
 	}
-	nf, err := fields.Normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := owned.ApplySetOwned("k", nf); err != nil {
+	if _, err := owned.ApplySetEncoded("k", EncodeDoc(fields)); err != nil {
 		t.Fatal(err)
 	}
 	d1, _ := plain.FindByID("k")

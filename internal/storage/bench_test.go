@@ -96,13 +96,13 @@ func BenchmarkEncodeDoc(b *testing.B) {
 	b.Run("small", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			dst = appendDoc(dst[:0], small)
+			dst = AppendDoc(dst[:0], small)
 		}
 	})
 	b.Run("nested", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			dst = appendDoc(dst[:0], nested)
+			dst = AppendDoc(dst[:0], nested)
 		}
 	})
 }

@@ -5,13 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
 // BSON-lite: a compact, self-describing binary encoding of documents,
-// in the spirit of BSON. Used for oplog entry payloads (so replication
-// ships bytes, not shared pointers) and as the wire body format.
+// in the spirit of BSON. It is the stored form of every committed
+// document (EncodedDoc), the oplog payload format and the wire's
+// document format.
 //
 // Layout: document = uvarint fieldCount, then per field:
 // uvarint len + name bytes, 1-byte type code, value. Fields are written
@@ -33,66 +35,40 @@ var errCorrupt = errors.New("storage: corrupt bson-lite data")
 
 // EncodeDoc serializes a document to BSON-lite bytes. The result is
 // one allocation whose capacity equals its length: the document is
-// encoded into pooled scratch space and copied out once, so a cached
+// encoded into pooled scratch space and copied out once, so a stored
 // encoding (EncodedDoc) carries no growth slack.
 func EncodeDoc(d Document) []byte {
 	bp := encodeScratch.Get().(*[]byte)
-	buf := appendDoc((*bp)[:0], d)
-	out := make([]byte, len(buf))
-	copy(out, buf)
-	if cap(buf) <= maxPooledScratch {
-		*bp = buf
-		encodeScratch.Put(bp)
-	}
+	*bp = AppendDoc((*bp)[:0], d)
+	out := make([]byte, len(*bp))
+	copy(out, *bp)
+	putScratch(bp)
 	return out
 }
 
-// encodeScratch holds EncodeDoc's reusable encoding buffers.
+// encodeScratch holds reusable encoding buffers (EncodeDoc, ApplySet).
 var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+func putScratch(bp *[]byte) {
+	if cap(*bp) <= maxPooledScratch {
+		encodeScratch.Put(bp)
+	}
+}
 
 // maxPooledScratch caps the buffers EncodeDoc returns to its pool, so
 // one outsized document does not stay resident.
 const maxPooledScratch = 64 << 10
 
-// AppendDoc appends a document's BSON-lite encoding to dst.
+// AppendDoc appends a document's BSON-lite encoding to dst. Up to 16
+// keys sort in a stack buffer (slices.SortFunc does not box, so it
+// does not escape), keeping small-document encoding off the allocator.
 func AppendDoc(dst []byte, d Document) []byte {
-	return appendDoc(dst, d)
-}
-
-// smallDocFields is the field count up to which appendDoc sorts keys
-// in a stack scratch buffer, keeping small-document encoding off the
-// allocator entirely.
-const smallDocFields = 16
-
-func appendDoc(dst []byte, d Document) []byte {
-	if len(d) <= smallDocFields {
-		var scratch [smallDocFields]string
-		keys := scratch[:0]
-		for k := range d {
-			keys = append(keys, k)
-		}
-		insertionSortStrings(keys)
-		return appendFields(dst, d, keys)
-	}
-	keys := make([]string, 0, len(d))
+	var scratch [16]string
+	keys := scratch[:0]
 	for k := range d {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	return appendFields(dst, d, keys)
-}
-
-// insertionSortStrings sorts in place without the interface boxing of
-// sort.Strings, so a caller's stack scratch buffer does not escape.
-func insertionSortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-func appendFields(dst []byte, d Document, keys []string) []byte {
+	slices.SortFunc(keys, strings.Compare)
 	dst = binary.AppendUvarint(dst, uint64(len(keys)))
 	for _, k := range keys {
 		dst = binary.AppendUvarint(dst, uint64(len(k)))
@@ -136,10 +112,10 @@ func appendValue(dst []byte, v any) []byte {
 		return dst
 	case Document:
 		dst = append(dst, btDoc)
-		return appendDoc(dst, x)
+		return AppendDoc(dst, x)
 	case map[string]any:
 		dst = append(dst, btDoc)
-		return appendDoc(dst, Document(x))
+		return AppendDoc(dst, Document(x))
 	default:
 		panic(fmt.Sprintf("storage: cannot encode %T (normalize first)", v))
 	}
@@ -183,16 +159,45 @@ func DecodeDocPrefix(b []byte) (Document, []byte, error) {
 	return r.doc(), b[n:], nil
 }
 
-// DecodeDoc parses BSON-lite bytes back into a document.
+// DecodeDocs decodes n documents stored back to back at the front of
+// b, returning the unconsumed remainder. It validates all n first and
+// then copies their bytes once, so every key and string value of the n
+// documents is a substring of that one copy.
+func DecodeDocs(b []byte, n int) ([]Document, []byte, error) {
+	end := 0
+	for i := 0; i < n; i++ {
+		var err error
+		if end, err = skipDoc(b, end, 0); err != nil {
+			return nil, nil, err
+		}
+	}
+	r := decoder{s: string(b[:end])}
+	docs := make([]Document, n)
+	for i := range docs {
+		docs[i] = r.doc()
+	}
+	return docs, b[end:], nil
+}
+
+// CheckDoc reports whether b is exactly one canonical BSON-lite
+// document: well formed, field names strictly sorted at every level,
+// no overlong varint, and nothing after it.
+func CheckDoc(b []byte) error {
+	n, err := skipDoc(b, 0, 0)
+	if err == nil && n != len(b) {
+		err = fmt.Errorf("%w: %d trailing bytes", errCorrupt, len(b)-n)
+	}
+	return err
+}
+
+// DecodeDoc parses BSON-lite bytes, exactly one document, back into a
+// document.
 func DecodeDoc(b []byte) (Document, error) {
-	d, rest, err := DecodeDocPrefix(b)
-	if err != nil {
+	if err := CheckDoc(b); err != nil {
 		return nil, err
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", errCorrupt, len(rest))
-	}
-	return d, nil
+	r := decoder{s: string(b)}
+	return r.doc(), nil
 }
 
 // maxNesting bounds how deeply arrays and documents may nest, as
@@ -203,27 +208,13 @@ const maxNesting = 100
 
 // skipDoc validates the document encoded at b[off:], nested inside
 // depth arrays and documents, and returns the offset just past it.
+// Field names must be strictly sorted, as the encoder writes them, so
+// a duplicate or out-of-order name is corrupt.
 func skipDoc(b []byte, off, depth int) (int, error) {
-	n, off, err := readUvarint(b, off)
-	if err != nil {
-		return 0, err
+	it := iterFields(b[off:], depth)
+	for it.next() {
 	}
-	// A field costs at least two bytes (key length + type tag), so a
-	// count beyond the remaining bytes / 2 is corrupt — reject it
-	// before the decode pass sizes a map from it, so hostile input
-	// cannot force a huge allocation.
-	if n > uint64(len(b)-off)/2 {
-		return 0, errCorrupt
-	}
-	for i := uint64(0); i < n; i++ {
-		if off, err = skipLen(b, off); err != nil {
-			return 0, err
-		}
-		if off, err = skipValue(b, off, depth+1); err != nil {
-			return 0, err
-		}
-	}
-	return off, nil
+	return off + it.off, it.err
 }
 
 // skipValue validates the value encoded at b[off:] (type tag plus
@@ -243,7 +234,7 @@ func skipValue(b []byte, off, depth int) (int, error) {
 		return off, nil
 	case btInt64:
 		_, n := binary.Varint(b[off:])
-		if n <= 0 {
+		if n <= 0 || overlong(b[off:off+n]) {
 			return 0, errCorrupt
 		}
 		return off + n, nil
@@ -289,12 +280,20 @@ func skipLen(b []byte, off int) (int, error) {
 }
 
 func readUvarint(b []byte, off int) (uint64, int, error) {
+	if off < len(b) && b[off] < 0x80 { // every length and count under 128
+		return uint64(b[off]), off + 1, nil
+	}
 	v, n := binary.Uvarint(b[off:])
-	if n <= 0 {
+	if n <= 0 || overlong(b[off:off+n]) {
 		return 0, 0, errCorrupt
 	}
 	return v, off + n, nil
 }
+
+// overlong reports whether a varint is longer than it needs to be: a
+// last byte of zero adds nothing. Rejecting it keeps every valid
+// encoding canonical, so equal documents have equal bytes.
+func overlong(v []byte) bool { return len(v) > 1 && v[len(v)-1] == 0 }
 
 // decoder builds values from an encoding skipDoc or skipValue has
 // already validated, so it checks no bounds of its own. Keys and

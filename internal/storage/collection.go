@@ -11,21 +11,14 @@ import (
 // Collection is a set of documents keyed by their _id, with optional
 // secondary compound indexes.
 //
+// Each document is stored once, as an immutable EncodedDoc reached
+// through the _id index (idIndex); a mutation builds a new encoding (a
+// $set splices its fields into the old one) and swaps the slot's
+// pointer. Point reads hand the bytes to the wire untouched; FindByID
+// and Find decode one document at a time for the caller.
+//
 // Concurrency: a Collection is safe for concurrent use. An RWMutex
 // lets any number of readers scan while writers mutate exclusively.
-// Committed documents are immutable — mutating operations build a
-// fresh document and swap the pointer (copy-on-write) — so read
-// methods return the stored documents themselves, without defensive
-// copies, and a reader's result set stays a consistent snapshot even
-// while writers advance the collection. Callers must therefore treat
-// every returned Document as strictly read-only; a caller that wants
-// to modify a result clones it first.
-//
-// Documents are reached only through the _id index (idIndex), whose
-// per-document slot holds an EncodedDoc wrapper that lazily caches the
-// canonical BSON-lite encoding — populated the first time the wire
-// layer serializes the document, and invalidated for free because a
-// mutation stores a new wrapper in the slot.
 type Collection struct {
 	name    string
 	mu      sync.RWMutex
@@ -51,9 +44,7 @@ func newCollection(name string) *Collection {
 	}
 }
 
-// Name returns the collection name; Len the number of documents.
-func (c *Collection) Name() string { return c.name }
-
+// Len returns the number of documents.
 func (c *Collection) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -79,7 +70,7 @@ func (c *Collection) CreateIndex(name string, unique bool, fields ...string) (*I
 	}
 	var backfillErr error
 	c.ids.ascend("", "", func(id string, e *EncodedDoc) bool {
-		if err := idx.insert(e.doc, id); err != nil {
+		if err := idx.insert(e, id); err != nil {
 			backfillErr = err
 			return false
 		}
@@ -92,31 +83,18 @@ func (c *Collection) CreateIndex(name string, unique bool, fields ...string) (*I
 	return idx, nil
 }
 
-// Indexes returns a copy of the collection's secondary-index map, so
-// callers can enumerate indexes without racing concurrent CreateIndex
-// calls or mutating the collection's own bookkeeping.
-func (c *Collection) Indexes() map[string]*Index {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make(map[string]*Index, len(c.indexes))
-	for name, idx := range c.indexes {
-		out[name] = idx
-	}
-	return out
-}
-
-func (idx *Index) keyFor(d Document, id string) (string, string) {
+func (idx *Index) keyFor(doc *EncodedDoc, id string) (string, string) {
 	var enc []byte
 	for _, f := range idx.Fields {
-		v, _ := d.Get(f) // missing fields index as nil, like MongoDB
+		v, _ := doc.Get(f) // missing fields index as nil, like MongoDB
 		enc = AppendKey(enc, v)
 	}
 	prefix := string(enc)
 	return prefix, prefix + "\x00id:" + id
 }
 
-func (idx *Index) insert(d Document, id string) error {
-	prefix, key := idx.keyFor(d, id)
+func (idx *Index) insert(doc *EncodedDoc, id string) error {
+	prefix, key := idx.keyFor(doc, id)
 	if idx.Unique {
 		dup := false
 		idx.tree.Range(prefix, PrefixSuccessor(prefix), func(k, v string) bool {
@@ -131,155 +109,114 @@ func (idx *Index) insert(d Document, id string) error {
 	return nil
 }
 
-func (idx *Index) remove(d Document, id string) {
-	_, key := idx.keyFor(d, id)
+func (idx *Index) remove(doc *EncodedDoc, id string) {
+	_, key := idx.keyFor(doc, id)
 	idx.tree.Delete(key)
 }
 
 // Insert adds a document. The document must carry a string _id that is
-// not already present. The stored copy is normalized and detached from
+// not already present. It is stored as its own encoding, detached from
 // the caller's value.
 func (c *Collection) Insert(doc Document) error {
-	norm, err := doc.Normalized()
+	doc, err := doc.Canonicalized()
 	if err != nil {
 		return err
 	}
-	id, ok := norm["_id"].(string)
+	id, ok := doc["_id"].(string)
 	if !ok || id == "" {
 		return fmt.Errorf("storage: insert into %s requires a string _id", c.name)
 	}
-	stored := norm.Clone()
+	e := &EncodedDoc{b: EncodeDoc(doc)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, exists := c.ids.get(id); exists {
 		return fmt.Errorf("storage: duplicate _id %q in %s", id, c.name)
 	}
-	var added []*Index
-	for _, idx := range c.indexes {
-		if err := idx.insert(stored, id); err != nil {
-			for _, undo := range added {
-				undo.remove(stored, id)
-			}
-			return err
-		}
-		added = append(added, idx)
-	}
-	c.ids.put(id, newEncodedDoc(stored))
-	return nil
+	return c.storeLocked(id, nil, e)
 }
 
-// Upsert inserts the document or fully replaces an existing one with
-// the same _id. Used by idempotent oplog application. The previous
-// committed document is left untouched (copy-on-write): readers that
-// already hold it keep a consistent snapshot.
-func (c *Collection) Upsert(doc Document) error {
-	norm, err := doc.Normalized()
-	if err != nil {
+// UpsertEncoded inserts a document already in its stored form (an
+// oplog insert payload), or fully replaces the one with its _id. enc
+// is validated and then kept as it is: the caller hands it over.
+func (c *Collection) UpsertEncoded(enc []byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.upsertLocked(&EncodedDoc{b: enc})
+}
+
+func (c *Collection) upsertLocked(e *EncodedDoc) error {
+	if err := CheckDoc(e.b); err != nil {
 		return err
 	}
-	stored := norm.Clone()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.upsertLocked(stored)
-}
-
-// UpsertOwned is Upsert for a document the caller hands over: already
-// normalized and never mutated again (a freshly decoded oplog payload,
-// or a commit-time post-image). It skips the normalize-and-clone pass
-// and stores the document directly — committed documents stay immutable
-// under copy-on-write, so transferring (or even sharing) the pointer is
-// safe.
-func (c *Collection) UpsertOwned(doc Document) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.upsertLocked(doc)
-}
-
-// upsertLocked replaces or inserts a ready-to-store document. Caller
-// holds the write lock.
-func (c *Collection) upsertLocked(stored Document) error {
-	id, ok := stored["_id"].(string)
+	v, _ := e.Get("_id")
+	id, ok := v.(string)
 	if !ok || id == "" {
 		return fmt.Errorf("storage: upsert into %s requires a string _id", c.name)
 	}
-	if old, exists := c.ids.get(id); exists {
-		for _, idx := range c.indexes {
-			idx.remove(old.doc, id)
-		}
-	}
-	for _, idx := range c.indexes {
-		if err := idx.insert(stored, id); err != nil {
-			return err
-		}
-	}
-	c.ids.put(id, newEncodedDoc(stored))
-	return nil
+	old, _ := c.ids.get(id)
+	return c.storeLocked(id, old, e)
 }
 
 // ApplySet merges the given fields into the document with the given
-// _id, creating it if absent. The operation is idempotent: re-applying
-// the same set yields the same state. Copy-on-write: the merge builds
-// a fresh document (sharing the unchanged values of the old one, which
-// are immutable) and swaps the pointer, so concurrent readers holding
-// the pre-image never observe the mutation. It returns the committed
-// post-image, which callers must treat as read-only.
-func (c *Collection) ApplySet(id string, fields Document) (Document, error) {
-	norm, err := fields.Normalized()
+// _id, creating it if absent; re-applying the same set yields the same
+// state. It encodes the fields into scratch space, splices them in
+// (ApplySetEncoded) and returns the committed post-image.
+func (c *Collection) ApplySet(id string, fields Document) (*EncodedDoc, error) {
+	fields, err := fields.Canonicalized()
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.applySetLocked(id, norm, false)
+	bp := encodeScratch.Get().(*[]byte)
+	*bp = AppendDoc((*bp)[:0], fields)
+	e, err := c.ApplySetEncoded(id, *bp)
+	putScratch(bp)
+	return e, err
 }
 
-// ApplySetOwned is ApplySet for field values the caller hands over:
-// already normalized and never mutated again (a freshly decoded oplog
-// payload, or commit-time post-image fields). It skips normalization
-// and moves the values into the merged document without cloning.
-func (c *Collection) ApplySetOwned(id string, fields Document) (Document, error) {
+// ApplySetEncoded is ApplySet for an oplog $set payload (see splice).
+// A corrupt set is rejected and changes nothing; set is never kept.
+func (c *Collection) ApplySetEncoded(id string, set []byte) (*EncodedDoc, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.applySetLocked(id, fields, true)
+	return c.applySetLocked(id, set)
 }
 
-// applySetLocked merges ready-to-store fields into the identified
-// document (copy-on-write: the merge builds a fresh document). Caller
-// holds the write lock. When owned, field values transfer without a
-// clone.
-func (c *Collection) applySetLocked(id string, fields Document, owned bool) (Document, error) {
-	var old Document
-	oldEnc, exists := c.ids.get(id)
-	if exists {
-		old = oldEnc.doc
+// applySetLocked is ApplySetEncoded under the held write lock.
+func (c *Collection) applySetLocked(id string, set []byte) (*EncodedDoc, error) {
+	old, _ := c.ids.get(id)
+	enc, err := splice(old.Bytes(), set, id)
+	if err != nil {
+		return nil, err
 	}
-	merged := make(Document, len(old)+len(fields))
-	for k, v := range old {
-		merged[k] = v
+	e := &EncodedDoc{b: enc}
+	if err := c.storeLocked(id, old, e); err != nil {
+		return nil, err
 	}
-	merged["_id"] = id
-	for k, v := range fields {
-		if k == "_id" {
-			continue
-		}
-		if owned {
-			merged[k] = v
-		} else {
-			merged[k] = cloneValue(v)
-		}
-	}
-	if exists {
-		for _, idx := range c.indexes {
+	return e, nil
+}
+
+// storeLocked makes e the committed version of document id, moving its
+// secondary-index entries over from old (nil for a new document). A
+// unique-index violation restores old's entries and leaves the
+// collection unchanged. Caller holds the write lock.
+func (c *Collection) storeLocked(id string, old, e *EncodedDoc) error {
+	for _, idx := range c.indexes {
+		if old != nil {
 			idx.remove(old, id)
 		}
-	}
-	for _, idx := range c.indexes {
-		if err := idx.insert(merged, id); err != nil {
-			return nil, err
+		if err := idx.insert(e, id); err != nil {
+			for _, idx := range c.indexes {
+				idx.remove(e, id)
+				if old != nil {
+					_, key := idx.keyFor(old, id)
+					idx.tree.Set(key, id)
+				}
+			}
+			return err
 		}
 	}
-	c.ids.put(id, newEncodedDoc(merged))
-	return merged, nil
+	c.ids.put(id, e)
+	return nil
 }
 
 // Delete removes the document with the given _id; it reports whether a
@@ -292,12 +229,12 @@ func (c *Collection) Delete(id string) bool {
 
 // deleteLocked removes a document. Caller holds the write lock.
 func (c *Collection) deleteLocked(id string) bool {
-	e, exists := c.ids.get(id)
-	if !exists {
+	old, ok := c.ids.get(id)
+	if !ok {
 		return false
 	}
 	for _, idx := range c.indexes {
-		idx.remove(e.doc, id)
+		idx.remove(old, id)
 	}
 	return c.ids.delete(id)
 }
@@ -306,28 +243,26 @@ func (c *Collection) deleteLocked(id string) bool {
 type ApplyKind int
 
 const (
-	// ApplyUpsert stores Doc (which carries its own _id) outright.
+	// ApplyUpsert stores Enc (which carries its own _id) outright.
 	ApplyUpsert ApplyKind = iota
-	// ApplyMerge merges Doc's fields into the document identified by ID.
+	// ApplyMerge merges Enc's fields into the document identified by ID.
 	ApplyMerge
 	// ApplyDelete removes the document identified by ID.
 	ApplyDelete
 )
 
-// ApplyOp is one replication mutation inside an ApplyBatch. Doc is
-// owned by the collection after the call (see UpsertOwned).
+// ApplyOp is one replication mutation inside an ApplyBatch. Enc is its
+// oplog payload (see UpsertEncoded and ApplySetEncoded).
 type ApplyOp struct {
 	Kind ApplyKind
 	ID   string
-	Doc  Document
+	Enc  []byte
 }
 
-// ApplyBatch applies an ordered run of replication mutations under a
-// single write-lock acquisition — the batch apply entry point used by
-// secondary oplog application, amortizing lock traffic that per-entry
-// calls would pay per document. Individual failures skip the op rather
-// than aborting the batch (oplog application must keep going); it
-// returns how many ops applied and the first error encountered.
+// ApplyBatch applies an ordered run of replication mutations under one
+// write-lock acquisition, the secondary's batch apply entry point.
+// A failed op is skipped, not fatal (oplog application must keep
+// going); it returns how many ops applied and the first error.
 func (c *Collection) ApplyBatch(ops []ApplyOp) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -337,9 +272,9 @@ func (c *Collection) ApplyBatch(ops []ApplyOp) (int, error) {
 		var err error
 		switch op.Kind {
 		case ApplyUpsert:
-			err = c.upsertLocked(op.Doc)
+			err = c.upsertLocked(&EncodedDoc{b: op.Enc})
 		case ApplyMerge:
-			_, err = c.applySetLocked(op.ID, op.Doc, true)
+			_, err = c.applySetLocked(op.ID, op.Enc)
 		case ApplyDelete:
 			c.deleteLocked(op.ID)
 		default:
@@ -357,13 +292,9 @@ func (c *Collection) ApplyBatch(ops []ApplyOp) (int, error) {
 }
 
 // CloneShallow returns a new collection sharing this collection's
-// committed documents. Documents are immutable under copy-on-write, so
-// the pointer sharing is safe; the _id index and secondary index trees
-// are copied entry by entry (new slots and trees, same keys). This is
-// the initial-sync snapshot: O(n) pointer copies instead of a deep
-// clone of every document. Sharing a wrapper shares its encoding cache
-// too — safe, since both the document and its cached bytes are
-// immutable.
+// immutable stored documents, with the _id index and secondary index
+// trees copied entry by entry (new slots and trees, same keys): the
+// initial-sync snapshot, O(n) pointer copies instead of n documents.
 func (c *Collection) CloneShallow() *Collection {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -385,24 +316,18 @@ func (c *Collection) CloneShallow() *Collection {
 	return out
 }
 
-// FindByID returns the committed document with the given _id. The
-// result is a shared immutable snapshot (committed documents are never
-// mutated in place); the caller must not modify it, or anything
-// reachable from it, and clones it first if it needs to.
+// FindByID returns the committed document with the given _id, decoded
+// into a Document the caller owns.
 func (c *Collection) FindByID(id string) (Document, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	e, ok := c.ids.get(id)
+	e, ok := c.FindByIDEncoded(id)
 	if !ok {
 		return nil, false
 	}
-	return e.doc, true
+	return e.Doc(), true
 }
 
-// FindByIDEncoded returns the committed document's EncodedDoc wrapper,
-// giving the caller access to its lazily cached BSON-lite encoding.
-// The wire server's binary read path uses it to splice pre-encoded
-// bytes into response frames.
+// FindByIDEncoded returns the committed document in its stored form.
+// The wire server's read path splices its bytes into response frames.
 func (c *Collection) FindByIDEncoded(id string) (*EncodedDoc, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -410,66 +335,25 @@ func (c *Collection) FindByIDEncoded(id string) (*EncodedDoc, bool) {
 }
 
 // Find returns the committed documents matching the filter, up to
-// limit (0 = no limit). It uses a secondary index when the filter has
-// equality conditions on an index's leading fields (optionally followed
-// by one range condition on the next field); otherwise it scans. The
-// results are shared immutable snapshots — strictly read-only for the
-// caller.
+// limit (0 = no limit), each decoded into a Document the caller owns.
 func (c *Collection) Find(f Filter, limit int) []Document {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	var out []Document
-	emit := func(d Document) bool {
-		if f.Matches(d) {
-			out = append(out, d)
-			if limit > 0 && len(out) >= limit {
-				return false
-			}
-		}
-		return true
+	for _, e := range c.FindEncoded(f, limit) {
+		out = append(out, e.Doc())
 	}
-	if idx, lo, hi := c.planIndex(f); idx != nil {
-		idx.tree.Range(lo, hi, func(k, id string) bool {
-			e, ok := c.ids.get(id)
-			if !ok {
-				return true
-			}
-			return emit(e.doc)
-		})
-		return out
-	}
-	c.scanIDRange(f, func(id string, e *EncodedDoc) bool { return emit(e.doc) })
 	return out
 }
 
-// FindEncoded is Find returning EncodedDoc wrappers, so the wire
-// server can serve a filtered scan from the per-document encoding
-// cache. Matching runs against the wrapped documents; results are
-// shared and strictly read-only.
+// FindEncoded is Find returning the stored forms, so the wire server
+// can serve a filtered scan without decoding or encoding a document.
 func (c *Collection) FindEncoded(f Filter, limit int) []*EncodedDoc {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var out []*EncodedDoc
-	emit := func(e *EncodedDoc) bool {
-		if f.Matches(e.doc) {
-			out = append(out, e)
-			if limit > 0 && len(out) >= limit {
-				return false
-			}
-		}
-		return true
-	}
-	if idx, lo, hi := c.planIndex(f); idx != nil {
-		idx.tree.Range(lo, hi, func(k, id string) bool {
-			e, ok := c.ids.get(id)
-			if !ok {
-				return true
-			}
-			return emit(e)
-		})
-		return out
-	}
-	c.scanIDRange(f, func(id string, e *EncodedDoc) bool { return emit(e) })
+	c.scan(f, func(e *EncodedDoc) bool {
+		out = append(out, e)
+		return limit <= 0 || len(out) < limit
+	})
 	return out
 }
 
@@ -478,31 +362,29 @@ func (c *Collection) Count(f Filter) int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	n := 0
-	if idx, lo, hi := c.planIndex(f); idx != nil {
-		idx.tree.Range(lo, hi, func(k, id string) bool {
-			if e, ok := c.ids.get(id); ok && f.Matches(e.doc) {
-				n++
-			}
-			return true
-		})
-		return n
-	}
-	c.scanIDRange(f, func(id string, e *EncodedDoc) bool {
-		if f.Matches(e.doc) {
-			n++
-		}
+	c.scan(f, func(*EncodedDoc) bool {
+		n++
 		return true
 	})
 	return n
 }
 
-// scanIDRange walks the _id index over the slice selected by the
-// filter's _id condition — every document when the filter has no
-// usable _id bound. Residual matching stays with the caller; this only
-// narrows the walk. Caller holds c.mu.
-func (c *Collection) scanIDRange(f Filter, fn func(id string, e *EncodedDoc) bool) {
+// scan calls fn, until it returns false, on each document matching f.
+// It uses a secondary index when the filter has equality conditions on
+// an index's leading fields (optionally followed by one range
+// condition on the next field); otherwise it walks the _id interval
+// the filter's _id condition selects. Caller holds c.mu.
+func (c *Collection) scan(f Filter, fn func(e *EncodedDoc) bool) {
+	visit := func(e *EncodedDoc) bool { return !f.matchesEncoded(e) || fn(e) }
+	if idx, lo, hi := c.planIndex(f); idx != nil {
+		idx.tree.Range(lo, hi, func(k, id string) bool {
+			e, ok := c.ids.get(id)
+			return !ok || visit(e)
+		})
+		return
+	}
 	lo, hi := planIDRange(f)
-	c.ids.ascend(lo, hi, fn)
+	c.ids.ascend(lo, hi, func(id string, e *EncodedDoc) bool { return visit(e) })
 }
 
 // planIDRange resolves a filter's _id condition into a primary-key
@@ -556,7 +438,6 @@ func (c *Collection) planIndex(f Filter) (*Index, string, string) {
 	for _, idx := range c.indexes {
 		score := 0
 		var enc []byte
-		usable := true
 		var lo, hi string
 		for i, field := range idx.Fields {
 			cnd, ok := f[field]
@@ -597,7 +478,7 @@ func (c *Collection) planIndex(f Filter) (*Index, string, string) {
 			}
 			break
 		}
-		if !usable || score == 0 {
+		if score == 0 {
 			continue
 		}
 		if lo == "" && hi == "" {
@@ -629,28 +510,19 @@ type CollStats struct {
 	Name    string
 	Docs    int
 	Indexes int
-	// EncodedBytes sums the cached BSON-lite encodings — the
-	// collection's wire-cache footprint. Documents never serialized
-	// contribute 0 (the cache is lazy), so this is a lower bound on
-	// data size that converges to it as the read set heats up.
+	// EncodedBytes is the collection's data size: the sum of its
+	// documents' stored encodings.
 	EncodedBytes int64
-	// EncodedDocs counts documents whose encoding is cached.
-	EncodedDocs int
 }
 
 // Stats reads the collection's collstats under the read lock in one
-// ordered walk. It never forces encodings (that would churn CPU and
-// memory on a scrape), so EncodedBytes prices only the cache that
-// exists.
+// ordered walk.
 func (c *Collection) Stats() CollStats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	st := CollStats{Name: c.name, Docs: c.ids.len(), Indexes: len(c.indexes)}
 	c.ids.ascend("", "", func(id string, e *EncodedDoc) bool {
-		if n := e.EncodedLen(); n > 0 {
-			st.EncodedBytes += int64(n)
-			st.EncodedDocs++
-		}
+		st.EncodedBytes += int64(len(e.b))
 		return true
 	})
 	return st

@@ -1,9 +1,19 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 )
+
+// encoded returns d's stored form, normalizing it first.
+func encoded(d Document) []byte {
+	n, err := d.Normalized()
+	if err != nil {
+		panic(err)
+	}
+	return EncodeDoc(n)
+}
 
 func TestInsertFindDelete(t *testing.T) {
 	s := NewStore()
@@ -65,7 +75,7 @@ func TestCopyOnWriteSnapshots(t *testing.T) {
 		t.Fatalf("post-write state wrong: %v", cur)
 	}
 	// Upsert replacement likewise leaves the old snapshot untouched.
-	if err := c.Upsert(D{"_id": "x", "v": 3}); err != nil {
+	if err := c.UpsertEncoded(encoded(D{"_id": "x", "v": 3})); err != nil {
 		t.Fatal(err)
 	}
 	if cur.Int("v") != 2 {
@@ -78,19 +88,20 @@ func TestApplySetMergeAndIdempotence(t *testing.T) {
 	if err := c.Insert(D{"_id": "k", "a": 1, "b": 2}); err != nil {
 		t.Fatal(err)
 	}
-	post, err := c.ApplySet("k", D{"b": 20, "c": 30})
+	e, err := c.ApplySet("k", D{"b": 20, "c": 30})
 	if err != nil {
 		t.Fatal(err)
 	}
+	post := e.Doc()
 	if post.Int("a") != 1 || post.Int("b") != 20 || post.Int("c") != 30 {
 		t.Fatalf("post-image wrong: %v", post)
 	}
 	// Re-apply: state unchanged (idempotent, as oplog application needs).
-	post2, err := c.ApplySet("k", D{"b": 20, "c": 30})
+	e2, err := c.ApplySet("k", D{"b": 20, "c": 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Equal(post, post2) {
+	if post2 := e2.Doc(); !bytes.Equal(e.Bytes(), e2.Bytes()) || !Equal(post, post2) {
 		t.Fatalf("re-apply changed state: %v vs %v", post, post2)
 	}
 	// ApplySet on a missing id creates the document.
@@ -104,10 +115,10 @@ func TestApplySetMergeAndIdempotence(t *testing.T) {
 
 func TestUpsertReplaces(t *testing.T) {
 	c := NewStore().C("c")
-	if err := c.Upsert(D{"_id": "k", "a": 1, "b": 2}); err != nil {
+	if err := c.UpsertEncoded(encoded(D{"_id": "k", "a": 1, "b": 2})); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Upsert(D{"_id": "k", "a": 10}); err != nil {
+	if err := c.UpsertEncoded(encoded(D{"_id": "k", "a": 10})); err != nil {
 		t.Fatal(err)
 	}
 	d, _ := c.FindByID("k")
@@ -246,6 +257,38 @@ func TestUniqueIndexRejectsDuplicates(t *testing.T) {
 	}
 }
 
+// TestRejectedSetKeepsIndexEntries makes a $set break a unique index:
+// the document and every index entry it had must survive unchanged.
+func TestRejectedSetKeepsIndexEntries(t *testing.T) {
+	c := NewStore().C("c")
+	if _, err := c.CreateIndex("uniq", true, "email"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateIndex("byGrp", false, "grp"); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []D{{"_id": "a", "email": "x@y", "grp": 1}, {"_id": "b", "email": "z@y", "grp": 2}} {
+		if err := c.Insert(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, _ := c.FindByIDEncoded("b")
+	if _, err := c.ApplySet("b", D{"email": "x@y", "grp": 3}); err == nil {
+		t.Fatal("unique violation accepted")
+	}
+	if after, _ := c.FindByIDEncoded("b"); after != before {
+		t.Fatal("rejected $set replaced the document")
+	}
+	for _, f := range []Filter{{"email": Eq("z@y")}, {"grp": Eq(2)}} {
+		if got := c.Find(f, 0); len(got) != 1 || got[0].ID() != "b" {
+			t.Fatalf("%v after the rejected $set: %v", f, got)
+		}
+	}
+	if got := c.Find(Filter{"grp": Eq(3)}, 0); len(got) != 0 {
+		t.Fatalf("rejected $set left index entries: %v", got)
+	}
+}
+
 func TestMissingIndexedFieldIndexesAsNil(t *testing.T) {
 	c := NewStore().C("c")
 	if _, err := c.CreateIndex("byV", false, "v"); err != nil {
@@ -264,19 +307,19 @@ func TestMissingIndexedFieldIndexesAsNil(t *testing.T) {
 
 func TestStoreCollections(t *testing.T) {
 	s := NewStore()
-	if _, err := s.Create("a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Create("a"); err == nil {
-		t.Fatal("duplicate collection accepted")
+	a := s.C("a")
+	if s.C("a") != a {
+		t.Fatal("C made a second collection under one name")
 	}
 	s.C("b").Insert(D{"_id": "1"})
 	if _, ok := s.Lookup("zzz"); ok {
 		t.Fatal("Lookup invented a collection")
 	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("Names=%v", names)
+	if got, ok := s.Lookup("b"); !ok || got.Len() != 1 {
+		t.Fatal("Lookup missed a collection")
+	}
+	if st := s.Stats(); st.Collections != 2 || st.PerCollection[0].Name != "a" || st.PerCollection[1].Name != "b" {
+		t.Fatalf("Stats=%+v", st)
 	}
 	if s.TotalDocs() != 1 {
 		t.Fatalf("TotalDocs=%d", s.TotalDocs())

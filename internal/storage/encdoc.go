@@ -1,46 +1,173 @@
 package storage
 
-import "sync/atomic"
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"strings"
+)
 
-// EncodedDoc pairs a committed document with a lazily computed cache
-// of its BSON-lite encoding. Collections store one EncodedDoc per
-// committed document; because committed documents are immutable under
-// copy-on-write (every mutation builds a fresh document and swaps the
-// stored wrapper), a cached encoding can never go stale — invalidation
-// is the pointer swap itself. The wire server uses the cache to splice
-// already-encoded bytes straight into binary response frames, so a hot
-// read set pays the document encoding cost once, not per request.
+// EncodedDoc is one committed document in its stored form, the only
+// form a collection keeps: its canonical BSON-lite encoding (names
+// sorted at every level) at exact size. It is immutable — a mutation
+// stores a new EncodedDoc in the document's slot — so readers share it
+// without copies and keep a consistent snapshot while writers move on.
 type EncodedDoc struct {
-	doc Document
-	enc atomic.Pointer[[]byte]
+	b []byte
 }
 
-func newEncodedDoc(d Document) *EncodedDoc {
-	return &EncodedDoc{doc: d}
-}
-
-// Doc returns the wrapped document — a shared immutable snapshot,
-// strictly read-only for the caller.
-func (e *EncodedDoc) Doc() Document { return e.doc }
-
-// Bytes returns the document's BSON-lite encoding, computing and
-// caching it on first use. Concurrent first calls may both encode (the
-// canonical encoding makes the race benign — both produce identical
-// bytes); the returned slice is shared and strictly read-only.
+// Bytes returns the stored encoding (nil for a nil EncodedDoc): shared
+// and strictly read-only, spliced into wire frames as it is.
 func (e *EncodedDoc) Bytes() []byte {
-	if p := e.enc.Load(); p != nil {
-		return *p
+	if e == nil {
+		return nil
 	}
-	b := EncodeDoc(e.doc)
-	e.enc.Store(&b)
-	return b
+	return e.b
 }
 
-// EncodedLen returns the cached encoding's size, or 0 if the document
-// has not been encoded yet.
-func (e *EncodedDoc) EncodedLen() int {
-	if p := e.enc.Load(); p != nil {
-		return len(*p)
+// Doc decodes the document into a fresh Document the caller owns.
+func (e *EncodedDoc) Doc() Document {
+	r := decoder{s: string(e.b)}
+	return r.doc()
+}
+
+// Get decodes the value of one (possibly dotted) field path, as
+// Document.Get does, and nothing else of the document.
+func (e *EncodedDoc) Get(path string) (any, bool) {
+	raw, ok := lookup(e.b, path)
+	if !ok {
+		return nil, false
 	}
-	return 0
+	r := decoder{s: string(raw)}
+	return r.value(), true
+}
+
+// fieldIter walks the top-level fields of an encoded document,
+// validating each: next stops, setting err, at a corrupt field or at a
+// name that does not sort strictly after the one before it. The
+// current field is held as offsets into b, so next writes no pointers.
+type fieldIter struct {
+	b             []byte
+	off, depth    int
+	left          uint64
+	start, ks, vs int // the current field's first byte, name and value (type tag on)
+	err           error
+}
+
+// iterFields starts a walk over the document at the front of b,
+// nested inside depth arrays and documents.
+func iterFields(b []byte, depth int) fieldIter {
+	n, off, err := readUvarint(b, 0)
+	// A field costs at least two bytes (key length + type tag): reject a
+	// count beyond the remaining bytes / 2 before the decode pass sizes
+	// a map from it, so hostile input cannot force a huge allocation.
+	if err == nil && n > uint64(len(b)-off)/2 {
+		err = errCorrupt
+	}
+	return fieldIter{b: b, off: off, depth: depth, left: n, err: err}
+}
+
+func (it *fieldIter) next() bool {
+	if it.left == 0 || it.err != nil {
+		return false
+	}
+	n, ks, err := readUvarint(it.b, it.off)
+	if err != nil || n > uint64(len(it.b)-ks) {
+		it.err = errCorrupt
+		return false
+	}
+	vs := ks + int(n)
+	if it.start > 0 && bytes.Compare(it.b[it.ks:it.vs], it.b[ks:vs]) >= 0 {
+		it.err = fmt.Errorf("%w: field %q out of order", errCorrupt, it.b[ks:vs])
+		return false
+	}
+	end, err := skipValue(it.b, vs, it.depth+1)
+	if err != nil {
+		it.err = err
+		return false
+	}
+	it.start, it.ks, it.vs, it.off = it.off, ks, vs, end
+	it.left--
+	return true
+}
+
+// key, val and field return the current field's name, its value (type
+// tag on) and its whole encoding.
+func (it *fieldIter) key() []byte   { return it.b[it.ks:it.vs] }
+func (it *fieldIter) val() []byte   { return it.b[it.vs:it.off] }
+func (it *fieldIter) field() []byte { return it.b[it.start:it.off] }
+
+// lookup finds the value (type tag onward) of a possibly dotted field
+// path in an encoded document, descending only through embedded
+// documents, as Document.Get does.
+func lookup(doc []byte, path string) ([]byte, bool) {
+	for {
+		seg, rest, dotted := strings.Cut(path, ".")
+		it, found := iterFields(doc, 0), false
+		for !found && it.next() {
+			found = string(it.key()) == seg
+		}
+		if !found {
+			return nil, false
+		}
+		v := it.val()
+		if !dotted || v[0] != btDoc {
+			return v, !dotted
+		}
+		doc, path = v[1:], rest
+	}
+}
+
+// splice returns the stored form of old with the fields of set merged
+// in: one linear merge of two sorted field lists, with no map and no
+// sort, copied out at exact size. A field in both takes set's value,
+// set's own _id is dropped, and an absent document (old nil) starts as
+// {_id: id}. A set that is not exactly one canonical document is
+// rejected (CheckDoc).
+func splice(old, set []byte, id string) ([]byte, error) {
+	if err := CheckDoc(set); err != nil {
+		return nil, err
+	}
+	if old == nil {
+		old = EncodeDoc(Document{"_id": id})
+	}
+	// The field count is known only at the end, so the merge leaves
+	// room for its uvarint in front of the fields.
+	bp := encodeScratch.Get().(*[]byte)
+	defer putScratch(bp)
+	buf := append((*bp)[:0], make([]byte, binary.MaxVarintLen64)...)
+	a, b := iterFields(old, 0), iterFields(set, 0)
+	okA, okB := a.next(), b.next()
+	n := 0
+	for okA || okB {
+		if okB && string(b.key()) == "_id" {
+			okB = b.next()
+			continue
+		}
+		c := -1
+		if !okA {
+			c = 1
+		} else if okB {
+			c = bytes.Compare(a.key(), b.key())
+		}
+		if c < 0 {
+			buf = append(buf, a.field()...)
+			okA = a.next()
+		} else {
+			buf = append(buf, b.field()...)
+			if c == 0 {
+				okA = a.next()
+			}
+			okB = b.next()
+		}
+		n++
+	}
+	*bp = buf
+	var hdr [binary.MaxVarintLen64]byte
+	h := binary.PutUvarint(hdr[:], uint64(n))
+	enc := buf[binary.MaxVarintLen64-h:]
+	copy(enc, hdr[:h])
+	out := make([]byte, len(enc))
+	copy(out, enc)
+	return out, nil
 }

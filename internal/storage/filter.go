@@ -1,5 +1,10 @@
 package storage
 
+import (
+	"encoding/binary"
+	"math"
+)
+
 // Query filters: a Filter maps field paths to conditions. All
 // conditions must hold (implicit AND), mirroring the common MongoDB
 // find shape {f1: v1, f2: {$gt: v2}}.
@@ -88,6 +93,36 @@ func (f Filter) Matches(d Document) bool {
 	for path, c := range f {
 		v, ok := d.Get(path)
 		if !c.matches(v, ok) {
+			return false
+		}
+	}
+	return true
+}
+
+// matchesEncoded is Matches over a stored document: each condition
+// finds and decodes only its own field, and numbers and strings decode
+// into locals that do not escape, so matching them allocates nothing
+// (short strings) or one copy.
+func (f Filter) matchesEncoded(e *EncodedDoc) bool {
+	for path, c := range f {
+		raw, ok := lookup(e.b, path)
+		var match bool
+		switch {
+		case !ok:
+			match = c.matches(nil, false)
+		case raw[0] == btInt64:
+			v, _ := binary.Varint(raw[1:])
+			match = c.matches(v, true)
+		case raw[0] == btFloat:
+			match = c.matches(math.Float64frombits(binary.LittleEndian.Uint64(raw[1:])), true)
+		case raw[0] == btString:
+			_, n := binary.Uvarint(raw[1:])
+			match = c.matches(string(raw[1+n:]), true)
+		default:
+			r := decoder{s: string(raw)}
+			match = c.matches(r.value(), true)
+		}
+		if !match {
 			return false
 		}
 	}

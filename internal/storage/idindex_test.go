@@ -103,7 +103,7 @@ func TestIDIndexMatchesMapModel(t *testing.T) {
 				m[id] = D{"_id": id, "grp": v % 8, "v": v}
 			}
 		case op < 4:
-			if err := c.Upsert(D{"_id": id, "v": v}); err != nil {
+			if err := c.UpsertEncoded(encoded(D{"_id": id, "v": v})); err != nil {
 				t.Fatal(err)
 			}
 			m[id] = D{"_id": id, "v": v}
@@ -124,10 +124,10 @@ func TestIDIndexMatchesMapModel(t *testing.T) {
 				id := ids[rng.Intn(len(ids))]
 				switch rng.Intn(3) {
 				case 0:
-					ops = append(ops, ApplyOp{Kind: ApplyUpsert, ID: id, Doc: D{"_id": id, "v": v}})
+					ops = append(ops, ApplyOp{Kind: ApplyUpsert, ID: id, Enc: EncodeDoc(D{"_id": id, "v": v})})
 					m[id] = D{"_id": id, "v": v}
 				case 1:
-					ops = append(ops, ApplyOp{Kind: ApplyMerge, ID: id, Doc: D{"w": v}})
+					ops = append(ops, ApplyOp{Kind: ApplyMerge, ID: id, Enc: EncodeDoc(D{"w": v})})
 					m.merge(id, D{"w": v})
 				default:
 					ops = append(ops, ApplyOp{Kind: ApplyDelete, ID: id})
@@ -220,11 +220,11 @@ func TestIDIndexConcurrentReaders(t *testing.T) {
 		case 0:
 			_, _ = c.ApplySet(k, D{"a": v, "b": v})
 		case 1:
-			_ = c.Upsert(D{"_id": k, "a": v, "b": v})
+			_ = c.UpsertEncoded(encoded(D{"_id": k, "a": v, "b": v}))
 		case 2:
 			c.Delete(k)
 		default:
-			_, _ = c.ApplyBatch([]ApplyOp{{Kind: ApplyUpsert, ID: k, Doc: D{"_id": k, "a": v, "b": v}}})
+			_, _ = c.ApplyBatch([]ApplyOp{{Kind: ApplyUpsert, ID: k, Enc: EncodeDoc(D{"_id": k, "a": v, "b": v})}})
 		}
 	}
 	close(stop)

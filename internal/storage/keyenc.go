@@ -77,23 +77,6 @@ func appendEscaped(dst, b []byte) []byte {
 	return append(dst, 0x00, 0x01)
 }
 
-// EncodeCompoundKey encodes the ordered field values of a compound
-// index entry into a single memcomparable byte string.
-func EncodeCompoundKey(values ...any) string {
-	var dst []byte
-	for _, v := range values {
-		dst = AppendKey(dst, v)
-	}
-	return string(dst)
-}
-
-// CompoundKeyPrefix returns the encoding of a key prefix — useful for
-// range scans over the leading fields of a compound index: all keys
-// with that prefix sort within [prefix, PrefixSuccessor(prefix)).
-func CompoundKeyPrefix(values ...any) string {
-	return EncodeCompoundKey(values...)
-}
-
 // PrefixSuccessor returns the smallest string greater than every string
 // with the given prefix, or "" if there is none (all 0xFF).
 func PrefixSuccessor(prefix string) string {

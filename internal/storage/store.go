@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 )
@@ -18,18 +17,6 @@ type Store struct {
 // NewStore creates an empty store.
 func NewStore() *Store {
 	return &Store{collections: make(map[string]*Collection)}
-}
-
-// Create makes a new, empty collection. It errors if one exists.
-func (s *Store) Create(name string) (*Collection, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.collections[name]; ok {
-		return nil, fmt.Errorf("storage: collection %q already exists", name)
-	}
-	c := newCollection(name)
-	s.collections[name] = c
-	return c, nil
 }
 
 // C returns the collection with the given name, creating it if needed.
@@ -56,18 +43,6 @@ func (s *Store) Lookup(name string) (*Collection, bool) {
 	defer s.mu.RUnlock()
 	c, ok := s.collections[name]
 	return c, ok
-}
-
-// Names returns the collection names in sorted order.
-func (s *Store) Names() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.collections))
-	for n := range s.collections {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // CloneShallow returns a new store whose collections share this
@@ -100,8 +75,8 @@ type DBStats struct {
 	Collections int
 	Docs        int
 	Indexes     int
-	// EncodedBytes is the total footprint of cached BSON-lite
-	// encodings (see CollStats.EncodedBytes).
+	// EncodedBytes is the store's data size: the sum of every stored
+	// encoding (see CollStats.EncodedBytes).
 	EncodedBytes int64
 	// PerCollection carries the individual rows, sorted by name.
 	PerCollection []CollStats

@@ -2,15 +2,15 @@
 // each replica-set node: JSON-like documents, collections with a
 // primary _id index and optional secondary (compound) indexes over a
 // memcomparable key encoding, filtered queries with simple index
-// selection, and a compact binary ("BSON-lite") document encoding used
-// for oplog payloads and deep copies.
+// selection, and a compact binary ("BSON-lite") document encoding: the
+// form every committed document is stored in, oplog payloads travel in
+// and the wire carries.
 //
 // The store is safe for concurrent use: collections carry
-// reader-writer locks, and committed documents are immutable
-// (mutations are copy-on-write — they build a fresh document and swap
-// the pointer), so queries return shared snapshots without defensive
-// copies. Every Document obtained from a collection is strictly
-// read-only; clone before modifying.
+// reader-writer locks, and stored encodings are immutable (a mutation
+// builds a new encoding and swaps the pointer), so readers share them
+// without copies. A Document obtained from a collection is decoded for
+// the caller.
 package storage
 
 import (
@@ -78,6 +78,15 @@ func (d Document) Normalized() (Document, error) {
 		out[k] = n
 	}
 	return out, nil
+}
+
+// Canonicalized returns d itself when it is Canonical, since it encodes
+// as it stands, and a normalized copy otherwise.
+func (d Document) Canonicalized() (Document, error) {
+	if Canonical(d) {
+		return d, nil
+	}
+	return d.Normalized()
 }
 
 // Canonical reports whether v already has only canonical types, so

@@ -16,12 +16,12 @@ import (
 // by a tag-specific payload; absent fields are simply not written, and
 // unknown tags are a decode error (both sides checked the hello's
 // version, so there is no skew to tolerate). Documents travel as
-// BSON-lite, which is self-delimiting — the server can splice a cached
+// BSON-lite, which is self-delimiting — the server splices a stored
 // encoding straight into the frame, and the decoder hands concatenated
-// docs to storage.DecodeDocPrefix one after another. Metrics snapshots,
-// span exports and currentOp rows are the exception: they ride as JSON
-// inside a binary field, since they are rare, large, and not on any
-// hot path.
+// docs to storage.DecodeDocs, which copies them out of the frame once.
+// Metrics snapshots, span exports and currentOp rows are the
+// exception: they ride as JSON inside a binary field, since they are
+// rare, large, and not on any hot path.
 
 var errBadFrame = errors.New("wire: corrupt binary frame")
 
@@ -604,12 +604,9 @@ func appendMutation(dst []byte, m *Mutation) ([]byte, error) {
 	if m.Doc == nil {
 		return append(dst, 0), nil
 	}
-	doc := m.Doc
-	if !storage.Canonical(doc) {
-		var err error
-		if doc, err = doc.Normalized(); err != nil {
-			return nil, err
-		}
+	doc, err := m.Doc.Canonicalized()
+	if err != nil {
+		return nil, err
 	}
 	dst = append(dst, 1)
 	return storage.AppendDoc(dst, doc), nil
@@ -652,7 +649,7 @@ func decodeMutation(b []byte, m *Mutation) ([]byte, error) {
 }
 
 // encodeResponse appends r's binary body to dst. Document payloads
-// prefer the raw cached encodings (rawDoc/rawDocs) — spliced in with a
+// prefer the raw stored encodings (rawDoc/rawDocs) — spliced in with a
 // copy but no re-encoding — then the typed documents.
 func encodeResponse(dst []byte, r *Response) ([]byte, error) {
 	if r.ID != 0 {
@@ -849,15 +846,9 @@ func decodeResponse(b []byte, r *Response) error {
 			if n > uint64(len(b)) { // each doc costs ≥1 byte
 				return errBadFrame
 			}
-			docs := make([]storage.Document, 0, n)
-			for i := uint64(0); i < n; i++ {
-				var d storage.Document
-				if d, b, err = storage.DecodeDocPrefix(b); err != nil {
-					return errBadFrame
-				}
-				docs = append(docs, d)
+			if r.docs, b, err = storage.DecodeDocs(b, int(n)); err != nil {
+				return errBadFrame
 			}
-			r.docs = docs
 		case rsCount:
 			var v int64
 			if v, b, err = getVarint(b); err == nil {

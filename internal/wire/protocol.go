@@ -263,7 +263,7 @@ type Response struct {
 	// zero wire bytes.
 	StaleSecs int64
 
-	// Document results: the server fills rawDoc/rawDocs with cached
+	// Document results: the server fills rawDoc/rawDocs with stored
 	// BSON-lite encodings (or doc/docs when it must materialize), and
 	// the client's decoder fills doc/docs.
 	doc     storage.Document

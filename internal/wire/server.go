@@ -102,8 +102,8 @@ type Backend interface {
 // cannot wait itself and dispatches every other one on its own proc,
 // and id-tagged responses stream back in completion order — so one
 // socket carries many requests in flight. A connection is served only
-// after it opens with the protocol's hello. Response documents come
-// from the storage layer's encoding cache; responses are encoded into
+// after it opens with the protocol's hello. Response documents are the
+// storage layer's stored encodings; responses are encoded into
 // pooled buffers and flushed in bursts through one writev.
 type Server struct {
 	env     *sim.RealtimeEnv
@@ -693,7 +693,7 @@ func (s *Server) CurrentOps() []trace.OpInfo {
 // here against the server's own state, everything else goes to the
 // backend. Backends route read results through cluster.EncodedReadView
 // when the serving view offers it, so responses carry each document's
-// cached BSON-lite encoding (rawDoc/rawDocs) and the write loop splices
+// stored BSON-lite encoding (rawDoc/rawDocs) and the write loop splices
 // bytes instead of re-serializing.
 func (s *Server) dispatch(p sim.Proc, req *Request, tctx trace.Context) *Response {
 	switch req.Op {

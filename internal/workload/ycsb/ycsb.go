@@ -252,7 +252,18 @@ func (pl *Pool) randomField(rng *rand.Rand, spec Spec) (string, string) {
 func (pl *Pool) doRead(p sim.Proc, rng *rand.Rand, spec Spec) {
 	key := pl.nextKey(rng, spec)
 	_, pref, lat, err := pl.exec.Read(p, func(v cluster.ReadView) (any, error) {
-		// Shared (no-copy) read: the result is discarded, never mutated.
+		// A node's own view reads the one field out of the stored
+		// encoding rather than decoding the whole record; both cost
+		// the same read unit.
+		if ev, ok := v.(cluster.EncodedReadView); ok {
+			e, found := ev.FindByIDEncoded(Table, key)
+			if !found {
+				return false, nil
+			}
+			f, _ := e.Get("field0")
+			s, _ := f.(string)
+			return s != "", nil
+		}
 		d, _ := v.FindByID(Table, key)
 		return d.Str("field0") != "", nil
 	})
