@@ -490,21 +490,16 @@ const (
 	leaseOutcomeConfirm = "majority-confirm" // primary served after a majority confirmation round
 )
 
-// ExecReadLinearizable runs a linearizable read at the chosen node.
-// The primary serves locally under its leader lease (or, without one,
-// after a majority confirmation round — the primary-only baseline); a
-// secondary serves locally from a valid read lease whose commit point
-// its lastApplied covers, and otherwise rejects with a retryable
-// *LeaseError for the driver to fall back on.
-func (rs *ReplicaSet) ExecReadLinearizable(p sim.Proc, nodeID int, fn func(v ReadView) (any, error)) (any, oplog.OpTime, error) {
-	return rs.ExecReadLinearizableMeta(p, nodeID, oplog.Zero, ReadMeta{}, fn)
-}
-
-// ExecReadLinearizableMeta is ExecReadLinearizable with a causal
-// prerequisite (session read-your-writes tokens compose with
-// linearizable reads) and the observability layer: a cluster.lease
-// span when sampled, and — independently of sampling — the lease audit
-// on every lease-served read, which pins the trace and fires
+// ExecReadLinearizableMeta runs a linearizable read at the chosen
+// node. The primary serves locally under its leader lease (or, without
+// one, after a majority confirmation round — the primary-only
+// baseline); a secondary serves locally from a valid read lease whose
+// commit point its lastApplied covers, and otherwise rejects with a
+// retryable *LeaseError for the driver to fall back on. after is a
+// causal prerequisite (session read-your-writes tokens compose with
+// linearizable reads). Observability: a cluster.lease span when
+// sampled, and — independently of sampling — the lease audit on every
+// lease-served read, which pins the trace and fires
 // lease.audit_violations if the read outlived its lease regime.
 func (rs *ReplicaSet) ExecReadLinearizableMeta(p sim.Proc, nodeID int, after oplog.OpTime, meta ReadMeta, fn func(v ReadView) (any, error)) (any, oplog.OpTime, error) {
 	n := rs.nodes[nodeID]

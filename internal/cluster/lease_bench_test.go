@@ -26,6 +26,7 @@ import (
 	"testing"
 	"time"
 
+	"decongestant/internal/oplog"
 	"decongestant/internal/sim"
 	"decongestant/internal/storage"
 )
@@ -98,9 +99,9 @@ func linearizableRead(p sim.Proc, rs *ReplicaSet, node int, id string) error {
 		}
 		return nil, nil
 	}
-	_, _, err := rs.ExecReadLinearizable(p, node, body)
+	_, _, err := rs.ExecReadLinearizableMeta(p, node, oplog.Zero, ReadMeta{}, body)
 	if _, rejected := LeaseReject(err); rejected {
-		_, _, err = rs.ExecReadLinearizable(p, rs.PrimaryID(), body)
+		_, _, err = rs.ExecReadLinearizableMeta(p, rs.PrimaryID(), oplog.Zero, ReadMeta{}, body)
 	}
 	return err
 }

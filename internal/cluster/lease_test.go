@@ -54,7 +54,7 @@ func TestLinearizableLeaseServesLocally(t *testing.T) {
 		}
 		p.Sleep(3 * cfg.HeartbeatInterval) // let grants ride a few heartbeats
 		for id := 0; id < cfg.Nodes; id++ {
-			res, _, err := rs.ExecReadLinearizable(p, id, func(v ReadView) (any, error) {
+			res, _, err := rs.ExecReadLinearizableMeta(p, id, oplog.Zero, ReadMeta{}, func(v ReadView) (any, error) {
 				d, ok := v.FindByID("kv", "lin")
 				if !ok {
 					return nil, fmt.Errorf("node %d: doc missing", id)
@@ -116,10 +116,10 @@ func TestLinearizableDisabledRejectsSecondaries(t *testing.T) {
 		rs.ExecWrite(p, func(tx WriteTxn) (any, error) {
 			return nil, tx.Insert("kv", storage.D{"_id": "x", "v": 1})
 		})
-		_, _, secErr = rs.ExecReadLinearizable(p, rs.SecondaryIDs()[0], func(v ReadView) (any, error) {
+		_, _, secErr = rs.ExecReadLinearizableMeta(p, rs.SecondaryIDs()[0], oplog.Zero, ReadMeta{}, func(v ReadView) (any, error) {
 			return nil, nil
 		})
-		_, _, err := rs.ExecReadLinearizable(p, rs.PrimaryID(), func(v ReadView) (any, error) {
+		_, _, err := rs.ExecReadLinearizableMeta(p, rs.PrimaryID(), oplog.Zero, ReadMeta{}, func(v ReadView) (any, error) {
 			_, ok := v.FindByID("kv", "x")
 			return ok, nil
 		})
@@ -162,10 +162,10 @@ func TestLeaseExpiresWhenPrimaryPartitioned(t *testing.T) {
 	var before, after error
 	env.Spawn("client", func(p sim.Proc) {
 		p.Sleep(3 * cfg.HeartbeatInterval)
-		_, _, before = rs.ExecReadLinearizable(p, sec, func(v ReadView) (any, error) { return nil, nil })
+		_, _, before = rs.ExecReadLinearizableMeta(p, sec, oplog.Zero, ReadMeta{}, func(v ReadView) (any, error) { return nil, nil })
 		rs.SetDown(primary, true)
 		p.Sleep(cfg.LeaseDuration + cfg.HeartbeatInterval)
-		_, _, after = rs.ExecReadLinearizable(p, sec, func(v ReadView) (any, error) { return nil, nil })
+		_, _, after = rs.ExecReadLinearizableMeta(p, sec, oplog.Zero, ReadMeta{}, func(v ReadView) (any, error) { return nil, nil })
 	})
 	env.Run(30 * time.Second)
 
@@ -200,7 +200,7 @@ func TestLeaseCommitPointGate(t *testing.T) {
 		// Re-grant the secondary's lease with a commit point far ahead of
 		// anything it has applied.
 		rs.leases.grant(rs.PrimaryID(), sec, p.Now(), oplog.OpTime{Secs: 1 << 30, Inc: 1})
-		_, _, err = rs.ExecReadLinearizable(p, sec, func(v ReadView) (any, error) { return nil, nil })
+		_, _, err = rs.ExecReadLinearizableMeta(p, sec, oplog.Zero, ReadMeta{}, func(v ReadView) (any, error) { return nil, nil })
 	})
 	env.Run(10 * time.Second)
 
@@ -230,9 +230,9 @@ func TestLeaseClockSkewGuardBand(t *testing.T) {
 		p.Sleep(3 * cfg.HeartbeatInterval)
 		rs.SetDown(rs.PrimaryID(), true) // freeze renewals
 		rs.SetClockSkew(sec, cfg.LeaseGuardBand/2)
-		_, _, small = rs.ExecReadLinearizable(p, sec, func(v ReadView) (any, error) { return nil, nil })
+		_, _, small = rs.ExecReadLinearizableMeta(p, sec, oplog.Zero, ReadMeta{}, func(v ReadView) (any, error) { return nil, nil })
 		rs.SetClockSkew(sec, cfg.LeaseDuration)
-		_, _, large = rs.ExecReadLinearizable(p, sec, func(v ReadView) (any, error) { return nil, nil })
+		_, _, large = rs.ExecReadLinearizableMeta(p, sec, oplog.Zero, ReadMeta{}, func(v ReadView) (any, error) { return nil, nil })
 	})
 	env.Run(10 * time.Second)
 
@@ -287,7 +287,7 @@ func TestFailoverDrainsAndReissuesLeases(t *testing.T) {
 	env.Spawn("client2", func(p sim.Proc) {
 		p.Sleep(3 * cfg.HeartbeatInterval) // new-epoch grants ride new heartbeats
 		for id := 0; id < cfg.Nodes; id++ {
-			if _, _, err := rs.ExecReadLinearizable(p, id, func(v ReadView) (any, error) {
+			if _, _, err := rs.ExecReadLinearizableMeta(p, id, oplog.Zero, ReadMeta{}, func(v ReadView) (any, error) {
 				return nil, nil
 			}); err != nil && served == nil {
 				served = fmt.Errorf("node %d after failover: %w", id, err)
@@ -329,7 +329,7 @@ func TestWMajorityWaitsForLeaseholders(t *testing.T) {
 		// The ack returned: every leaseholder's linearizable read must now
 		// observe the write.
 		for _, id := range rs.SecondaryIDs() {
-			res, _, err := rs.ExecReadLinearizable(p, id, func(v ReadView) (any, error) {
+			res, _, err := rs.ExecReadLinearizableMeta(p, id, oplog.Zero, ReadMeta{}, func(v ReadView) (any, error) {
 				d, ok := v.FindByID("kv", "bar")
 				if !ok {
 					return int64(-1), nil
@@ -434,14 +434,14 @@ func TestRealtimeLinearizableLeaseAudit(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				floor := lastAcked.Load()
 				node := rng.Intn(cfg.Nodes)
-				res, _, err := rs.ExecReadLinearizable(p, node, body)
+				res, _, err := rs.ExecReadLinearizableMeta(p, node, oplog.Zero, ReadMeta{}, body)
 				if err != nil {
 					if _, lease := LeaseReject(err); !lease && !errors.Is(err, ErrNodeDown) {
 						fail(err)
 						return
 					}
 					fellBack.Add(1)
-					if res, _, err = rs.ExecReadLinearizable(p, rs.PrimaryID(), body); err != nil {
+					if res, _, err = rs.ExecReadLinearizableMeta(p, rs.PrimaryID(), oplog.Zero, ReadMeta{}, body); err != nil {
 						continue // failover race; next iteration
 					}
 				} else if node != rs.PrimaryID() {

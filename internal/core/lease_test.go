@@ -1,6 +1,6 @@
 package core
 
-// Router-level tests for PR 9: linearizable reads route across lease
+// Router-level tests for linearizable reads: they route across lease
 // holders with reason-coded decisions, latency files under the role
 // that actually served, and the decision ring retains the routing
 // evidence for currentOp-style inspection.
@@ -16,6 +16,8 @@ import (
 	"decongestant/internal/storage"
 )
 
+var linearizable = driver.ReadRequest{ReadOptions: driver.ReadOptions{Pref: driver.Linearizable}}
+
 func newLeaseRouter(seed int64) (*sim.VirtualEnv, *cluster.ReplicaSet, *Router) {
 	env := sim.NewEnv(seed)
 	cfg := cluster.DefaultConfig()
@@ -24,7 +26,7 @@ func newLeaseRouter(seed int64) (*sim.VirtualEnv, *cluster.ReplicaSet, *Router) 
 	cfg.ReplIdlePoll = 5 * time.Millisecond
 	cfg.LinearizableLeases = true
 	rs := cluster.New(env, cfg)
-	client := driver.NewClient(env, driver.WrapClusterCausal(rs))
+	client := driver.NewClient(env, driver.WrapCluster(rs))
 	client.StartMonitor(env, 200*time.Millisecond)
 	b := NewBalancer(env, client, DefaultParams())
 	return env, rs, NewRouter(env, b, client)
@@ -49,13 +51,14 @@ func TestRouterLinearizableRoutesAndRecords(t *testing.T) {
 		}
 		p.Sleep(500 * time.Millisecond) // grants + monitor snapshot
 		for i := 0; i < reads; i++ {
-			res, node, _, reason, err := r.ReadLinearizable(p, func(v cluster.ReadView) (any, error) {
+			out, _, err := r.ReadWith(p, linearizable, func(v cluster.ReadView) (any, error) {
 				d, ok := v.FindByID("kv", "rt")
 				if !ok {
 					return int64(-1), nil
 				}
 				return d.Int("v"), nil
 			})
+			res, node, reason := out.Value, out.Node, out.Reason
 			if err != nil {
 				t.Errorf("read %d: %v", i, err)
 				return
@@ -110,14 +113,13 @@ func TestRouterLinearizableTraceCarriesRoute(t *testing.T) {
 	env.Spawn("client", func(p sim.Proc) {
 		r.client.RefreshRTTs(p)
 		p.Sleep(500 * time.Millisecond)
-		_, _, _, _, tid, err := r.ReadLinearizableTraced(p, func(v cluster.ReadView) (any, error) {
+		if _, _, err := r.ReadWith(p, linearizable, func(v cluster.ReadView) (any, error) {
 			return nil, nil
-		})
-		if err != nil {
+		}); err != nil {
 			t.Error(err)
 			return
 		}
-		traceID = tid
+		traceID = routerTraceID(r.client.Tracer())
 	})
 	env.Run(30 * time.Second)
 

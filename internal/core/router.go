@@ -10,7 +10,6 @@ import (
 	"decongestant/internal/driver"
 	"decongestant/internal/obs"
 	"decongestant/internal/obs/trace"
-	"decongestant/internal/oplog"
 	"decongestant/internal/sim"
 )
 
@@ -58,122 +57,143 @@ func (r *Router) Choose() driver.ReadPref {
 // destination (the experiments report measured percentages, not the
 // suggested fraction).
 func (r *Router) Read(p sim.Proc, fn func(v cluster.ReadView) (any, error)) (any, driver.ReadPref, time.Duration, error) {
-	res, pref, lat, _, err := r.ReadTraced(p, fn)
-	return res, pref, lat, err
+	res, pref, err := r.ReadWith(p, driver.ReadRequest{}, fn)
+	return res.Value, pref, res.Latency, err
 }
 
-// ReadTraced is Read plus the trace id it ran under (0 when the
-// sampling coin came up unsampled). The router is the trace
-// originator for balanced reads: a sampled read gets a router.read
-// root span, a balancer.decision child span recording the routing
-// choice and the balancer state that produced it (reason code,
-// fraction, staleness estimate at decision time, gate state), and the
-// same decision snapshot rides the wire in the trace context so the
-// server's slow-op log can attribute the op to its routing. Reads the
-// coin sends to a secondary also declare the balancer's staleness
+// ReadWith routes one read request and returns its result with the
+// preference it ran under.
+//
+// With Pref Linearizable the read routes across the replica set's lease
+// holders: the driver picks among leased members (primary always
+// eligible) using the same latency window the balancer's RTT pinger
+// feeds, and falls back to the primary on a lease rejection. The
+// latency is filed under the role that actually served (a leased
+// secondary's local strong read counts as secondary capacity, exactly
+// like a balanced stale read), and the routing reason is counted and
+// kept in the decision ring.
+//
+// Any other Pref is replaced by the biased coin's choice, and a read
+// the coin sends to a secondary declares the balancer's staleness
 // bound, arming the serving side's freshness auditor.
-func (r *Router) ReadTraced(p sim.Proc, fn func(v cluster.ReadView) (any, error)) (any, driver.ReadPref, time.Duration, uint64, error) {
-	pref := r.Choose()
-	tracer := r.client.Tracer()
-	tctx := tracer.StartTrace()
-	opts := driver.ReadOptions{Pref: pref}
-	if pref == driver.Secondary {
-		opts.AuditBoundSecs = r.balancer.Params().StaleBound
+//
+// The router is the trace originator: a sampled read gets a
+// router.read root span and a balancer.decision child recording the
+// routing choice and the balancer state that produced it (reason code,
+// fraction, staleness estimate at decision time, gate state), and the
+// same decision snapshot rides the wire so the server's slow-op log
+// can attribute the op to its routing. A Fresh read (a cache fill,
+// whose spans the cache owner records) runs under the context it is
+// given instead.
+func (r *Router) ReadWith(p sim.Proc, req driver.ReadRequest, fn func(v cluster.ReadView) (any, error)) (driver.ReadResult, driver.ReadPref, error) {
+	lin := req.Pref == driver.Linearizable
+	if !lin {
+		req.Pref = r.Choose()
+		if req.Pref == driver.Secondary {
+			req.AuditBoundSecs = r.balancer.Params().StaleBound
+		}
 	}
-	child := tctx
+	tracer := r.client.Tracer()
+	var tctx trace.Context
+	if !req.Fresh {
+		tctx = tracer.StartTrace()
+		req.Trace = tctx
+	}
 	var start time.Duration
 	if tctx.Live() {
 		start = p.Now()
-		rootID := tracer.NewSpanID()
-		staleSecs := r.balancer.MaxStaleness()
-		fracPct := r.balancer.FractionPct()
-		gated := r.balancer.Gated()
-		reason := ""
-		if d, ok := r.balancer.LastDecision(); ok {
-			reason = d.Reason
-		}
-		tracer.Record(trace.Span{
-			Trace:  tctx.TraceID,
-			ID:     tracer.NewSpanID(),
-			Parent: rootID,
-			Name:   "balancer.decision",
-			Node:   -1,
-			Start:  start,
-			Attrs: []trace.Attr{
-				{K: "pref", V: pref.String()},
-				{K: "reason", V: reason},
-				{K: "frac_pct", V: strconv.Itoa(fracPct)},
-				{K: "stale_secs", V: strconv.FormatInt(staleSecs, 10)},
-				{K: "gated", V: strconv.FormatBool(gated)},
-			},
-		})
-		child = trace.Context{
-			TraceID: tctx.TraceID,
-			SpanID:  rootID,
-			Route: &trace.Route{
-				Pref:      pref.String(),
-				Reason:    reason,
-				FracPct:   fracPct,
-				StaleSecs: staleSecs,
-				Gated:     gated,
-			},
-		}
+		req.Trace = r.recordDecision(tracer, tctx, start, req.Pref)
 	}
-	res, node, lat, err := r.client.ReadTraced(p, opts, child, fn)
+	res, err := r.client.ReadWith(p, req, fn)
 	if tctx.Live() {
+		attrs := []trace.Attr{
+			{K: "pref", V: req.Pref.String()},
+			{K: "node", V: strconv.Itoa(res.Node)},
+		}
+		if lin {
+			attrs = append(attrs, trace.Attr{K: "reason", V: res.Reason})
+		}
 		tracer.Record(trace.Span{
 			Trace: tctx.TraceID,
-			ID:    child.SpanID,
+			ID:    req.Trace.SpanID,
 			Name:  "router.read",
 			Node:  -1,
 			Start: start,
 			Dur:   p.Now() - start,
-			Attrs: []trace.Attr{
-				{K: "pref", V: pref.String()},
-				{K: "node", V: strconv.Itoa(node)},
-			},
+			Attrs: attrs,
 		})
 	}
-	if err != nil {
-		return nil, pref, lat, tctx.TraceID, err
+	if res.Reason != "" {
+		r.client.Metrics().Counter(obs.Name("router.linearizable", "reason", res.Reason)).Inc(1)
 	}
-	r.balancer.Record(pref, lat)
+	if err != nil {
+		res.Value = nil
+		return res, req.Pref, err
+	}
+	role := req.Pref
+	if lin {
+		role = driver.Secondary
+		if res.Node == r.client.Conn().PrimaryID() {
+			role = driver.Primary
+		}
+	}
+	r.balancer.Record(role, res.Latency)
 	r.mu.Lock()
-	if pref == driver.Secondary {
+	if role == driver.Secondary {
 		r.nSecond++
 	} else {
 		r.nPrimary++
 	}
+	if lin {
+		r.lin.add(LinDecision{At: p.Now(), Node: res.Node, Reason: res.Reason, Lat: res.Latency})
+	}
 	r.mu.Unlock()
-	return res, pref, lat, tctx.TraceID, nil
+	return res, req.Pref, nil
 }
 
-// ReadFresh routes one read like Read — same biased coin, same
-// balancer latency accounting — but also returns the serving node's
-// applied OpTime and observed staleness, so a caller-side
-// freshness-priced cache (the mongos router cache) can stamp its
-// fills. fresh=false means the connection cannot report staleness and
-// the results must not be cached under a bound. This path is untraced:
-// it exists for cache fills, whose spans the cache owner records.
-func (r *Router) ReadFresh(p sim.Proc, fn func(v cluster.ReadView) (any, error)) (any, oplog.OpTime, int64, driver.ReadPref, time.Duration, bool, error) {
-	pref := r.Choose()
-	opts := driver.ReadOptions{Pref: pref}
-	if pref == driver.Secondary {
-		opts.AuditBoundSecs = r.balancer.Params().StaleBound
+// recordDecision records a sampled read's balancer.decision span and
+// returns the child context the read runs under: parented on a fresh
+// router.read root id and carrying the route snapshot. A linearizable
+// read's decision is "lease-routing"; a balanced read's is the
+// balancer's latest reason code.
+func (r *Router) recordDecision(tracer *trace.Recorder, tctx trace.Context, start time.Duration, pref driver.ReadPref) trace.Context {
+	rootID := tracer.NewSpanID()
+	staleSecs := r.balancer.MaxStaleness()
+	fracPct := r.balancer.FractionPct()
+	gated := r.balancer.Gated()
+	reason := "lease-routing"
+	if pref != driver.Linearizable {
+		reason = ""
+		if d, ok := r.balancer.LastDecision(); ok {
+			reason = d.Reason
+		}
 	}
-	res, ts, observed, _, lat, fresh, err := r.client.ReadFresh(p, opts, fn)
-	if err != nil {
-		return nil, oplog.Zero, 0, pref, lat, fresh, err
+	tracer.Record(trace.Span{
+		Trace:  tctx.TraceID,
+		ID:     tracer.NewSpanID(),
+		Parent: rootID,
+		Name:   "balancer.decision",
+		Node:   -1,
+		Start:  start,
+		Attrs: []trace.Attr{
+			{K: "pref", V: pref.String()},
+			{K: "reason", V: reason},
+			{K: "frac_pct", V: strconv.Itoa(fracPct)},
+			{K: "stale_secs", V: strconv.FormatInt(staleSecs, 10)},
+			{K: "gated", V: strconv.FormatBool(gated)},
+		},
+	})
+	return trace.Context{
+		TraceID: tctx.TraceID,
+		SpanID:  rootID,
+		Route: &trace.Route{
+			Pref:      pref.String(),
+			Reason:    reason,
+			FracPct:   fracPct,
+			StaleSecs: staleSecs,
+			Gated:     gated,
+		},
 	}
-	r.balancer.Record(pref, lat)
-	r.mu.Lock()
-	if pref == driver.Secondary {
-		r.nSecond++
-	} else {
-		r.nPrimary++
-	}
-	r.mu.Unlock()
-	return res, ts, observed, pref, lat, fresh, nil
 }
 
 // LinDecision records one linearizable routing outcome: where the read
@@ -220,103 +240,6 @@ func (r *linRing) list() []LinDecision {
 		out = append(out, r.buf[(start+i)%len(r.buf)])
 	}
 	return out
-}
-
-// ReadLinearizable routes one linearizable read across the replica
-// set's lease holders: the driver picks among leased members (primary
-// always eligible) using the same latency window the balancer's RTT
-// pinger feeds, and falls back to the primary on a lease rejection.
-// The observed latency is filed with the Balancer under the role that
-// actually served — a leased secondary's local strong read counts as
-// secondary capacity, exactly like a balanced stale read — and the
-// routing reason is returned, counted, and kept in the decision ring.
-func (r *Router) ReadLinearizable(p sim.Proc, fn func(v cluster.ReadView) (any, error)) (any, int, time.Duration, string, error) {
-	res, node, lat, reason, _, err := r.ReadLinearizableTraced(p, fn)
-	return res, node, lat, reason, err
-}
-
-// ReadLinearizableTraced is ReadLinearizable plus the trace id it ran
-// under (0 when unsampled). A sampled linearizable read mirrors the
-// balanced-read span tree: a balancer.decision child records the
-// routing mode and balancer state, the route snapshot rides the wire
-// for slow-op attribution (the driver rewrites its reason on a lease
-// fallback so the primary's slow-op log names the redirected hop), and
-// a router.read root span closes over the serving node and final
-// reason.
-func (r *Router) ReadLinearizableTraced(p sim.Proc, fn func(v cluster.ReadView) (any, error)) (any, int, time.Duration, string, uint64, error) {
-	tracer := r.client.Tracer()
-	tctx := tracer.StartTrace()
-	child := tctx
-	var start time.Duration
-	if tctx.Live() {
-		start = p.Now()
-		rootID := tracer.NewSpanID()
-		staleSecs := r.balancer.MaxStaleness()
-		fracPct := r.balancer.FractionPct()
-		gated := r.balancer.Gated()
-		tracer.Record(trace.Span{
-			Trace:  tctx.TraceID,
-			ID:     tracer.NewSpanID(),
-			Parent: rootID,
-			Name:   "balancer.decision",
-			Node:   -1,
-			Start:  start,
-			Attrs: []trace.Attr{
-				{K: "pref", V: driver.Linearizable.String()},
-				{K: "reason", V: "lease-routing"},
-				{K: "frac_pct", V: strconv.Itoa(fracPct)},
-				{K: "stale_secs", V: strconv.FormatInt(staleSecs, 10)},
-				{K: "gated", V: strconv.FormatBool(gated)},
-			},
-		})
-		child = trace.Context{
-			TraceID: tctx.TraceID,
-			SpanID:  rootID,
-			Route: &trace.Route{
-				Pref:      driver.Linearizable.String(),
-				Reason:    "lease-routing",
-				FracPct:   fracPct,
-				StaleSecs: staleSecs,
-				Gated:     gated,
-			},
-		}
-	}
-	res, node, lat, reason, err := r.client.ReadLinearizableTraced(p, driver.ReadOptions{}, child, fn)
-	if tctx.Live() {
-		tracer.Record(trace.Span{
-			Trace: tctx.TraceID,
-			ID:    child.SpanID,
-			Name:  "router.read",
-			Node:  -1,
-			Start: start,
-			Dur:   p.Now() - start,
-			Attrs: []trace.Attr{
-				{K: "pref", V: driver.Linearizable.String()},
-				{K: "node", V: strconv.Itoa(node)},
-				{K: "reason", V: reason},
-			},
-		})
-	}
-	if reason != "" {
-		r.client.Metrics().Counter(obs.Name("router.linearizable", "reason", reason)).Inc(1)
-	}
-	if err != nil {
-		return nil, node, lat, reason, tctx.TraceID, err
-	}
-	rolePref := driver.Secondary
-	if node == r.client.Conn().PrimaryID() {
-		rolePref = driver.Primary
-	}
-	r.balancer.Record(rolePref, lat)
-	r.mu.Lock()
-	if rolePref == driver.Secondary {
-		r.nSecond++
-	} else {
-		r.nPrimary++
-	}
-	r.lin.add(LinDecision{At: p.Now(), Node: node, Reason: reason, Lat: lat})
-	r.mu.Unlock()
-	return res, node, lat, reason, tctx.TraceID, nil
 }
 
 // LinearizableDecisions returns the retained linearizable routing

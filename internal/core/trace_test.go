@@ -12,6 +12,17 @@ import (
 	"decongestant/internal/storage"
 )
 
+// routerTraceID returns the trace id of the newest router.read span
+// (0 when none was recorded).
+func routerTraceID(tr *trace.Recorder) uint64 {
+	for _, sp := range tr.Recent(0) {
+		if sp.Name == "router.read" {
+			return sp.Trace
+		}
+	}
+	return 0
+}
+
 // TestRoutedReadTraceTree is the in-process acceptance check for the
 // tracing tentpole: a balancer-routed read sampled at rate 1 yields a
 // causally linked span tree — router.read at the root, a
@@ -37,15 +48,14 @@ func TestRoutedReadTraceTree(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		_, _, _, id, err := sys.Router.ReadTraced(p, func(v cluster.ReadView) (any, error) {
+		if _, _, _, err := sys.Router.Read(p, func(v cluster.ReadView) (any, error) {
 			v.FindByID("kv", "k")
 			return nil, nil
-		})
-		if err != nil {
+		}); err != nil {
 			t.Error(err)
 			return
 		}
-		traceID = id
+		traceID = routerTraceID(rs.Tracer())
 	})
 	env.Run(10 * time.Second)
 

@@ -1,14 +1,11 @@
 package driver
 
 import (
-	"errors"
-	"strconv"
 	"sync"
 	"time"
 
 	"decongestant/internal/cache"
 	"decongestant/internal/cluster"
-	"decongestant/internal/obs/trace"
 	"decongestant/internal/oplog"
 	"decongestant/internal/sim"
 	"decongestant/internal/storage"
@@ -45,56 +42,15 @@ var (
 // capability. Returns the cache (nil when the connection cannot report
 // observed staleness — then the client reads exactly as before).
 func (c *Client) EnableCache(env sim.Env, cfg cache.Config) *cache.Cache {
-	fc, ok := c.conn.(FreshConn)
-	if !ok {
+	if c.fresh == nil {
 		return nil
 	}
 	c.cache = cache.New(env, cfg, c.reg)
-	c.fresh = fc
-	c.cacheAudit, _ = c.conn.(CacheAuditor)
 	return c.cache
 }
 
 // Cache returns the attached cache (nil when disabled).
 func (c *Client) Cache() *cache.Cache { return c.cache }
-
-// ReadFresh routes one read like Read but additionally returns the
-// serving node's applied OpTime and observed staleness — the stamp an
-// external freshness-priced cache (the mongos router-side cache) needs
-// to price its fills. fresh=false means the connection lacks the
-// FreshConn capability: the read still executed, but the staleness is
-// unknown and the results must not be cached under a freshness bound.
-func (c *Client) ReadFresh(p sim.Proc, opts ReadOptions, fn func(v cluster.ReadView) (any, error)) (res any, ts oplog.OpTime, observedSecs int64, nodeID int, lat time.Duration, fresh bool, err error) {
-	fc, ok := c.conn.(FreshConn)
-	if !ok {
-		res, nodeID, lat, err = c.Read(p, opts, fn)
-		return res, oplog.Zero, 0, nodeID, lat, false, err
-	}
-	nodeID, err = c.SelectServer(opts)
-	if err != nil {
-		return nil, oplog.Zero, 0, -1, 0, true, err
-	}
-	meta := cluster.ReadMeta{BoundSecs: opts.AuditBoundSecs}
-	start := p.Now()
-	res, ts, observedSecs, err = fc.ExecReadFreshMeta(p, nodeID, oplog.Zero, meta, fn)
-	if errors.Is(err, cluster.ErrNodeDown) {
-		switch opts.Pref {
-		case PrimaryPreferred:
-			fallback := opts
-			fallback.Pref = Secondary
-			if id2, err2 := c.SelectServer(fallback); err2 == nil {
-				c.obsFallbacks.Inc(1)
-				res, ts, observedSecs, err = fc.ExecReadFreshMeta(p, id2, oplog.Zero, meta, fn)
-				nodeID = id2
-			}
-		case SecondaryPreferred:
-			c.obsFallbacks.Inc(1)
-			nodeID = c.conn.PrimaryID()
-			res, ts, observedSecs, err = fc.ExecReadFreshMeta(p, nodeID, oplog.Zero, meta, fn)
-		}
-	}
-	return res, ts, observedSecs, nodeID, p.Now() - start, true, err
-}
 
 // cacheView is the phase-1 optimistic read view: it answers point
 // lookups from the cache alone and flags the first miss. It is pooled
@@ -201,14 +157,33 @@ func (r *fillRecorder) Count(collection string, f storage.Filter) int {
 
 func (r *fillRecorder) AddUnits(u int) { r.inner.AddUnits(u) }
 
-// tryCacheHit runs fn against the cache-only view. On an all-hit read
-// it audits once with the worst effective staleness, advances the
-// session token to the newest fill OpTime, and returns the result with
-// served=true. fn must be a pure function of the view: a missing read
-// is re-run against the cluster, discarding this attempt's result.
-func (c *Client) tryCacheHit(p sim.Proc, bound int64, after oplog.OpTime, traceID uint64, sess *Session, fn func(v cluster.ReadView) (any, error)) (any, cache.Key, bool, error) {
+// wrap runs fn against the recorder over each view the read executes
+// on, keeping only the last attempt's results.
+func (r *fillRecorder) wrap(fn func(v cluster.ReadView) (any, error)) func(v cluster.ReadView) (any, error) {
+	return func(v cluster.ReadView) (any, error) {
+		r.inner = v
+		r.cols, r.docs = r.cols[:0], r.docs[:0]
+		return fn(r)
+	}
+}
+
+// fill puts every recorded point-read result into the cache, stamped
+// with the serving member's observed staleness and applied OpTime.
+func (r *fillRecorder) fill(c *cache.Cache, now time.Duration, observed int64, ts oplog.OpTime) {
+	for i := range r.docs {
+		c.Put(now, cache.Key{Collection: r.cols[i], ID: r.docs[i].ID()}, r.docs[i], observed, ts, 0)
+	}
+}
+
+// tryCacheHit runs fn against the cache-only view (zero network hops,
+// zero allocations). On an all-hit read it audits once with the worst
+// effective staleness and returns the result with the newest fill
+// OpTime and hit=true; otherwise it returns the first missing key. fn
+// must be a pure function of the view: a missing read is re-run
+// against the cluster, discarding this attempt's result.
+func (c *Client) tryCacheHit(p sim.Proc, req ReadRequest, fn func(v cluster.ReadView) (any, error)) (any, oplog.OpTime, cache.Key, bool, error) {
 	v := cacheViewPool.Get().(*cacheView)
-	v.cache, v.now, v.bound, v.after = c.cache, p.Now(), bound, after
+	v.cache, v.now, v.bound, v.after = c.cache, p.Now(), req.AuditBoundSecs, req.After
 	v.miss, v.worst = false, 0
 	v.missKey = cache.Key{}
 	v.maxFill = oplog.OpTime{}
@@ -216,149 +191,14 @@ func (c *Client) tryCacheHit(p sim.Proc, bound int64, after oplog.OpTime, traceI
 	if v.miss {
 		missKey := v.missKey
 		cacheViewPool.Put(v)
-		return nil, missKey, false, nil
+		return nil, oplog.Zero, missKey, false, nil
 	}
 	worst, maxFill := v.worst, v.maxFill
 	cacheViewPool.Put(v)
 	if c.cacheAudit != nil {
-		c.cacheAudit.AuditServed(bound, worst, traceID)
+		c.cacheAudit.AuditServed(req.AuditBoundSecs, worst, req.Trace.TraceID)
 	}
-	if sess != nil {
-		sess.advance(maxFill)
-	}
-	return res, cache.Key{}, true, err
-}
-
-// readCached is the freshness-priced read path: spend the client's
-// staleness budget locally before paying the network. Phase 1 serves
-// the read from valid cache entries alone (zero network hops, zero
-// allocations). On a miss, concurrent readers of the hot key collapse
-// into one singleflight fill, the read executes through FreshConn, and
-// every point-read result is filled back stamped with the serving
-// node's observed staleness and OpTime.
-//
-// handled=false means the cached path does not apply (no cache, no
-// bound, linearizable preference) and the caller must run the normal
-// path. sess, when non-nil, supplies the causal token and receives
-// advances.
-func (c *Client) readCached(p sim.Proc, opts ReadOptions, tctx trace.Context, sess *Session, fn func(v cluster.ReadView) (any, error)) (any, int, time.Duration, bool, error) {
-	if c.cache == nil || opts.AuditBoundSecs <= 0 || opts.Pref == Linearizable {
-		return nil, 0, 0, false, nil
-	}
-	var after oplog.OpTime
-	if sess != nil {
-		after = sess.opTime
-	}
-	start := p.Now()
-	res, missKey, served, err := c.tryCacheHit(p, opts.AuditBoundSecs, after, tctx.TraceID, sess, fn)
-	if served {
-		c.recordCacheSpan(p, tctx, start, opts, true)
-		return res, -1, p.Now() - start, true, err
-	}
-	// Singleflight on the first missing key: one leader fetches, the
-	// collapsed followers wait and re-check before fetching themselves.
-	if !c.cache.BeginFill(p, missKey) {
-		res, _, served, err = c.tryCacheHit(p, opts.AuditBoundSecs, after, tctx.TraceID, sess, fn)
-		if served {
-			c.recordCacheSpan(p, tctx, start, opts, true)
-			return res, -1, p.Now() - start, true, err
-		}
-		if !c.cache.BeginFill(p, missKey) {
-			// A second leader is already refetching; fetch alongside it
-			// rather than queueing indefinitely.
-			return c.fillRead(p, opts, tctx, sess, after, start, fn)
-		}
-	}
-	defer c.cache.EndFill(missKey)
-	return c.fillRead(p, opts, tctx, sess, after, start, fn)
-}
-
-// fillRead is the miss path: execute the read through FreshConn at a
-// selected server (with the same down-node fallback as ReadTraced) and
-// fill the cache from the recorded point reads.
-func (c *Client) fillRead(p sim.Proc, opts ReadOptions, tctx trace.Context, sess *Session, after oplog.OpTime, start time.Duration, fn func(v cluster.ReadView) (any, error)) (any, int, time.Duration, bool, error) {
-	nodeID, err := c.SelectServer(opts)
-	if err != nil {
-		return nil, -1, p.Now() - start, true, err
-	}
-	var spanID uint64
-	if tctx.Live() {
-		spanID = c.tracer.NewSpanID()
-	}
-	meta := cluster.ReadMeta{
-		Ctx:       trace.Context{TraceID: tctx.TraceID, SpanID: spanID, Route: tctx.Route},
-		BoundSecs: opts.AuditBoundSecs,
-	}
-	rec := &fillRecorder{}
-	wrapped := func(v cluster.ReadView) (any, error) {
-		rec.inner = v
-		rec.cols, rec.docs = rec.cols[:0], rec.docs[:0]
-		return fn(rec)
-	}
-	res, ts, observed, err := c.fresh.ExecReadFreshMeta(p, nodeID, after, meta, wrapped)
-	if errors.Is(err, cluster.ErrNodeDown) {
-		switch opts.Pref {
-		case PrimaryPreferred:
-			fallback := opts
-			fallback.Pref = Secondary
-			if id2, err2 := c.SelectServer(fallback); err2 == nil {
-				c.obsFallbacks.Inc(1)
-				res, ts, observed, err = c.fresh.ExecReadFreshMeta(p, id2, after, meta, wrapped)
-				nodeID = id2
-			}
-		case SecondaryPreferred:
-			c.obsFallbacks.Inc(1)
-			nodeID = c.conn.PrimaryID()
-			res, ts, observed, err = c.fresh.ExecReadFreshMeta(p, nodeID, after, meta, wrapped)
-		}
-	}
-	if err == nil {
-		now := p.Now()
-		for i := range rec.docs {
-			key := cache.Key{Collection: rec.cols[i], ID: rec.docs[i].ID()}
-			c.cache.Put(now, key, rec.docs[i], observed, ts, 0)
-		}
-		if sess != nil {
-			sess.advance(ts)
-		}
-	}
-	lat := p.Now() - start
-	if tctx.Live() {
-		c.tracer.Record(trace.Span{
-			Trace:  tctx.TraceID,
-			ID:     spanID,
-			Parent: tctx.SpanID,
-			Name:   "driver.read",
-			Node:   -1,
-			Start:  start,
-			Dur:    lat,
-			Attrs: []trace.Attr{
-				{K: "pref", V: opts.Pref.String()},
-				{K: "node", V: strconv.Itoa(nodeID)},
-				{K: "cache", V: "fill"},
-			},
-		})
-	}
-	return res, nodeID, lat, true, err
-}
-
-func (c *Client) recordCacheSpan(p sim.Proc, tctx trace.Context, start time.Duration, opts ReadOptions, hit bool) {
-	if !tctx.Live() {
-		return
-	}
-	c.tracer.Record(trace.Span{
-		Trace:  tctx.TraceID,
-		ID:     c.tracer.NewSpanID(),
-		Parent: tctx.SpanID,
-		Name:   "driver.read",
-		Node:   -1,
-		Start:  start,
-		Dur:    p.Now() - start,
-		Attrs: []trace.Attr{
-			{K: "pref", V: opts.Pref.String()},
-			{K: "cache", V: "hit"},
-		},
-	})
+	return res, maxFill, cache.Key{}, true, err
 }
 
 // invalidatingTxn wraps a WriteTxn and records the keys it mutates so

@@ -161,7 +161,7 @@ func TestCacheSessionTokenBypass(t *testing.T) {
 	cfg.CheckpointInterval = time.Hour
 	cfg.NoopInterval = time.Hour
 	rs := cluster.New(env, cfg)
-	c := NewClient(env, WrapClusterCausal(rs))
+	c := NewClient(env, WrapCluster(rs))
 	rc := c.EnableCache(env, cache.Config{})
 	if rc == nil {
 		t.Fatal("causal conn lost the FreshConn capability")

@@ -186,12 +186,15 @@ type Client struct {
 	reg    *obs.Registry
 	tracer *trace.Recorder
 
-	// Freshness-priced read cache (nil when disabled). fresh and
-	// cacheAudit are the connection's capabilities, resolved once at
-	// EnableCache so the hot path never type-asserts.
-	cache      *cache.Cache
+	// The connection's optional capabilities, resolved once in
+	// NewClient so the read path never type-asserts (nil when absent).
+	causal     CausalConn
+	traced     TracedConn
+	lin        LinearizableConn
 	fresh      FreshConn
 	cacheAudit CacheAuditor
+
+	cache *cache.Cache // freshness-priced read cache (nil when disabled)
 
 	// Cached registry instruments (atomic; no lock needed).
 	obsSelections  [6]*obs.Counter // indexed by ReadPref
@@ -220,6 +223,11 @@ func NewClient(env sim.Env, conn Conn) *Client {
 		reg:  reg,
 		rtt:  make(map[int]time.Duration),
 	}
+	c.causal, _ = conn.(CausalConn)
+	c.traced, _ = conn.(TracedConn)
+	c.lin, _ = conn.(LinearizableConn)
+	c.fresh, _ = conn.(FreshConn)
+	c.cacheAudit, _ = conn.(CacheAuditor)
 	if tp, ok := conn.(TraceProvider); ok {
 		c.tracer = tp.Tracer()
 	} else {
@@ -422,103 +430,261 @@ func (c *Client) pickWithinWindow(candidates []int) int {
 	return eligible[c.rng.Intn(len(eligible))]
 }
 
-// Read selects a server per opts and runs the read body there,
-// retrying once on the fallback role for the *Preferred preferences.
-// It returns the body result, the chosen node, and the end-to-end
-// latency observed by the client. Read originates the trace sampling
-// decision; with sampling off and no audit bound it is the untraced
-// fast path.
-func (c *Client) Read(p sim.Proc, opts ReadOptions, fn func(v cluster.ReadView) (any, error)) (any, int, time.Duration, error) {
-	return c.ReadTraced(p, opts, c.tracer.StartTrace(), fn)
+// ReadRequest is one read: where to route it and what rides along.
+type ReadRequest struct {
+	ReadOptions
+	// Trace is the context the read runs under; the zero Context runs
+	// it untraced. Client.Read originates one per read, and the core
+	// router passes its own, carrying the routing decision.
+	Trace trace.Context
+	// After is the causal prerequisite: the serving member waits until
+	// it has applied this OpTime (afterClusterTime). Sessions pass
+	// their token.
+	After oplog.OpTime
+	// Fresh asks for the serving member's applied OpTime and observed
+	// staleness, the stamp a caller-side freshness-priced cache (the
+	// mongos router cache) prices its fills with. A Fresh read bypasses
+	// the client's own cache.
+	Fresh bool
 }
 
-// ReadTraced is Read under an externally originated trace context (the
-// core router passes one carrying the balancer's routing decision):
-// the read is recorded as a driver.read span parented on tctx, and the
-// context plus opts.AuditBoundSecs propagate to the serving node. With
-// a dead context and no bound it behaves exactly like the pre-trace
-// Read.
-func (c *Client) ReadTraced(p sim.Proc, opts ReadOptions, tctx trace.Context, fn func(v cluster.ReadView) (any, error)) (any, int, time.Duration, error) {
-	if res, nodeID, lat, handled, err := c.readCached(p, opts, tctx, nil, fn); handled {
-		return res, nodeID, lat, err
+// ReadResult is the outcome of one read.
+type ReadResult struct {
+	Value any
+	// Node is the member that served the read: -1 for a cache hit, or
+	// when no member was selected.
+	Node int
+	// Latency is the end-to-end latency the client observed.
+	Latency time.Duration
+	// OpTime is the serving member's applied OpTime (the newest fill
+	// OpTime for a cache hit); zero on the plain path.
+	OpTime oplog.OpTime
+	// StalenessSecs is the staleness the serving member observed at
+	// serve time (0 when the primary served); set only when Fresh.
+	StalenessSecs int64
+	// Fresh reports that OpTime and StalenessSecs came from the
+	// connection's FreshConn capability. false means the results must
+	// not be cached under a freshness bound.
+	Fresh bool
+	// Reason is the linearizable routing reason ("lease-valid",
+	// "primary", "lease-expired→primary", ...); empty for every other
+	// preference.
+	Reason string
+}
+
+// Read selects a server per opts and runs the read body there,
+// retrying once on the fallback role for the *Preferred preferences
+// and at the primary for Linearizable. It returns the body result, the
+// chosen node, and the end-to-end latency observed by the client. Read
+// originates the trace sampling decision; with sampling off and no
+// audit bound it is one plain conn.ExecRead.
+func (c *Client) Read(p sim.Proc, opts ReadOptions, fn func(v cluster.ReadView) (any, error)) (any, int, time.Duration, error) {
+	res, err := c.read(p, ReadRequest{ReadOptions: opts, Trace: c.tracer.StartTrace()}, nil, fn)
+	return res.Value, res.Node, res.Latency, err
+}
+
+// ReadWith runs one read request under the context it carries (it
+// originates none) and returns everything the read learned.
+func (c *Client) ReadWith(p sim.Proc, req ReadRequest, fn func(v cluster.ReadView) (any, error)) (ReadResult, error) {
+	return c.read(p, req, nil, fn)
+}
+
+// read is the one read path. Every read runs through it in this order:
+// the cache phase, server selection, one conn call chosen from the
+// request's shape (exec), the preference's fallback, and one span.
+// sess, when non-nil, marks a causal session read: it takes no
+// *Preferred fallback, because a causal wait on another member has no
+// bound, and it receives the token advance.
+func (c *Client) read(p sim.Proc, req ReadRequest, sess *Session, fn func(v cluster.ReadView) (any, error)) (ReadResult, error) {
+	out := ReadResult{Node: -1}
+	lin := req.Pref == Linearizable
+	if lin && c.lin == nil {
+		return out, ErrNoLinearizable
 	}
-	tc, traced := c.conn.(TracedConn)
-	if !traced || (!tctx.Live() && opts.AuditBoundSecs == 0) {
-		return c.readPlain(p, opts, fn)
-	}
-	nodeID, err := c.SelectServer(opts)
-	if err != nil {
-		return nil, -1, 0, err
+	start := p.Now()
+	var err error
+	// Cache phase: a bounded read spends its staleness budget locally
+	// before paying the network. It is served from valid entries alone
+	// (a hit), or it becomes a fill: concurrent readers of the missing
+	// key collapse into one singleflight leader, whose read records every
+	// point-read result for the cache.
+	cacheUse := ""
+	var rec *fillRecorder
+	if c.cache != nil && req.AuditBoundSecs > 0 && !lin && !req.Fresh {
+		var missKey cache.Key
+		var hit bool
+		out.Value, out.OpTime, missKey, hit, err = c.tryCacheHit(p, req, fn)
+		if !hit {
+			leader := c.cache.BeginFill(p, missKey)
+			if !leader {
+				// Collapsed follower: the leader's fill may already
+				// answer. If not, and a second leader is already
+				// refetching, fetch alongside it rather than queueing.
+				out.Value, out.OpTime, _, hit, err = c.tryCacheHit(p, req, fn)
+				leader = !hit && c.cache.BeginFill(p, missKey)
+			}
+			if leader {
+				defer c.cache.EndFill(missKey)
+			}
+		}
+		cacheUse = "hit"
+		if !hit {
+			cacheUse, rec = "fill", &fillRecorder{}
+		}
 	}
 	var spanID uint64
-	if tctx.Live() {
+	if req.Trace.Live() {
 		spanID = c.tracer.NewSpanID()
 	}
-	meta := cluster.ReadMeta{
-		Ctx:       trace.Context{TraceID: tctx.TraceID, SpanID: spanID, Route: tctx.Route},
-		BoundSecs: opts.AuditBoundSecs,
-	}
-	start := p.Now()
-	res, _, err := tc.ExecReadMeta(p, nodeID, oplog.Zero, meta, fn)
-	if errors.Is(err, cluster.ErrNodeDown) {
-		switch opts.Pref {
-		case PrimaryPreferred:
-			fallback := opts
-			fallback.Pref = Secondary
-			if id2, err2 := c.SelectServer(fallback); err2 == nil {
-				c.obsFallbacks.Inc(1)
-				res, _, err = tc.ExecReadMeta(p, id2, oplog.Zero, meta, fn)
-				nodeID = id2
+	if cacheUse != "hit" {
+		if out.Node, err = c.SelectServer(req.ReadOptions); err != nil {
+			return ReadResult{Node: -1, Latency: p.Now() - start}, err
+		}
+		meta := cluster.ReadMeta{
+			Ctx:       trace.Context{TraceID: req.Trace.TraceID, SpanID: spanID, Route: req.Trace.Route},
+			BoundSecs: req.AuditBoundSecs,
+		}
+		body := fn
+		if rec != nil {
+			body = rec.wrap(fn)
+		}
+		err = c.exec(p, &out, req, meta, sess != nil, rec != nil, body)
+		if lin {
+			out.Reason = RouteLeaseValid
+			if out.Node == c.conn.PrimaryID() {
+				out.Reason = RoutePrimary
 			}
-		case SecondaryPreferred:
+		}
+		for attempt := 0; err != nil; attempt++ {
+			next, why, ok := c.fallback(req, sess != nil, attempt, out.Node, err)
+			if !ok {
+				break
+			}
 			c.obsFallbacks.Inc(1)
-			nodeID = c.conn.PrimaryID()
-			res, _, err = tc.ExecReadMeta(p, nodeID, oplog.Zero, meta, fn)
+			if lin {
+				c.reg.Counter(obs.Name("driver.lease_fallbacks", "reason", why)).Inc(1)
+				out.Reason = why + "→primary"
+				// Rewrite the route snapshot riding the wire so the
+				// primary's slow-op log and currentOp attribute the
+				// redirected hop to its cause, not to the original
+				// routing choice.
+				if meta.Ctx.Route != nil {
+					rt := *meta.Ctx.Route
+					rt.Reason = out.Reason
+					meta.Ctx.Route = &rt
+				}
+			}
+			out.Node = next
+			err = c.exec(p, &out, req, meta, sess != nil, rec != nil, body)
+		}
+		if rec != nil && err == nil {
+			rec.fill(c.cache, p.Now(), out.StalenessSecs, out.OpTime)
 		}
 	}
-	lat := p.Now() - start
-	if tctx.Live() {
-		c.tracer.Record(trace.Span{
-			Trace:  tctx.TraceID,
-			ID:     spanID,
-			Parent: tctx.SpanID,
-			Name:   "driver.read",
-			Node:   -1,
-			Start:  start,
-			Dur:    lat,
-			Attrs: []trace.Attr{
-				{K: "pref", V: opts.Pref.String()},
-				{K: "node", V: strconv.Itoa(nodeID)},
-			},
-		})
+	out.Latency = p.Now() - start
+	if spanID != 0 {
+		c.recordRead(req, sess != nil, cacheUse, spanID, start, out)
 	}
-	return res, nodeID, lat, err
+	if sess != nil && err == nil {
+		sess.advance(out.OpTime)
+	}
+	return out, err
 }
 
-func (c *Client) readPlain(p sim.Proc, opts ReadOptions, fn func(v cluster.ReadView) (any, error)) (any, int, time.Duration, error) {
-	nodeID, err := c.SelectServer(opts)
-	if err != nil {
-		return nil, -1, 0, err
+// exec makes the one conn call the request's shape asks for, at
+// out.Node, filling the rest of out. A capability the connection lacks
+// degrades the shape to the next one down; Linearizable has none to
+// degrade to and is refused earlier with ErrNoLinearizable.
+//
+//	Pref Linearizable              ExecReadLinearizableMeta
+//	cache fill, or Fresh           ExecReadFreshMeta
+//	live trace, or an audit bound  ExecReadMeta
+//	session read, or After set     ExecReadAfter
+//	anything else (plain)          ExecRead
+func (c *Client) exec(p sim.Proc, out *ReadResult, req ReadRequest, meta cluster.ReadMeta, session, fill bool, fn func(v cluster.ReadView) (any, error)) (err error) {
+	switch {
+	case req.Pref == Linearizable:
+		out.Value, out.OpTime, err = c.lin.ExecReadLinearizableMeta(p, out.Node, req.After, meta, fn)
+	case (fill || req.Fresh) && c.fresh != nil:
+		out.Value, out.OpTime, out.StalenessSecs, err = c.fresh.ExecReadFreshMeta(p, out.Node, req.After, meta, fn)
+		out.Fresh = true
+	case c.traced != nil && (meta.Ctx.Live() || meta.BoundSecs != 0):
+		out.Value, out.OpTime, err = c.traced.ExecReadMeta(p, out.Node, req.After, meta, fn)
+	case c.causal != nil && (session || !req.After.IsZero()):
+		out.Value, out.OpTime, err = c.causal.ExecReadAfter(p, out.Node, req.After, fn)
+	default:
+		out.Value, err = c.conn.ExecRead(p, out.Node, fn)
 	}
-	start := p.Now()
-	res, err := c.conn.ExecRead(p, nodeID, fn)
-	if errors.Is(err, cluster.ErrNodeDown) {
-		switch opts.Pref {
-		case PrimaryPreferred:
-			fallback := opts
-			fallback.Pref = Secondary
-			if id2, err2 := c.SelectServer(fallback); err2 == nil {
-				c.obsFallbacks.Inc(1)
-				res, err = c.conn.ExecRead(p, id2, fn)
-				nodeID = id2
+	return err
+}
+
+// fallback is the retry policy, one per preference. A lease rejection
+// or a down member sends a Linearizable read to the primary, twice at
+// most (a failover between attempts moves the primary once), with why
+// naming the rejection. A down member sends a PrimaryPreferred read to
+// a secondary and a SecondaryPreferred read to the primary, once,
+// except in a session. Every other failure is final.
+func (c *Client) fallback(req ReadRequest, session bool, attempt, node int, err error) (next int, why string, ok bool) {
+	if req.Pref == Linearizable {
+		why, isLease := cluster.LeaseReject(err)
+		if !isLease {
+			if !errors.Is(err, cluster.ErrNodeDown) {
+				return 0, "", false
 			}
-		case SecondaryPreferred:
-			c.obsFallbacks.Inc(1)
-			nodeID = c.conn.PrimaryID()
-			res, err = c.conn.ExecRead(p, nodeID, fn)
+			why = "node-down"
 		}
+		if attempt >= 2 {
+			return 0, "", false
+		}
+		primary := c.conn.PrimaryID()
+		return primary, why, node != primary
 	}
-	return res, nodeID, p.Now() - start, err
+	if session || attempt > 0 || !errors.Is(err, cluster.ErrNodeDown) {
+		return 0, "", false
+	}
+	switch req.Pref {
+	case PrimaryPreferred:
+		opts := req.ReadOptions
+		opts.Pref = Secondary
+		next, err := c.SelectServer(opts)
+		return next, "", err == nil
+	case SecondaryPreferred:
+		return c.conn.PrimaryID(), "", true
+	}
+	return 0, "", false
+}
+
+// recordRead is the read path's one span-recording site: a driver.read
+// span parented on the caller's context, attributed with the
+// preference and the serving node, the linearizable reason, or the
+// cache use. An uncached causal session read records a session.read
+// span carrying its token instead.
+func (c *Client) recordRead(req ReadRequest, session bool, cacheUse string, spanID uint64, start time.Duration, out ReadResult) {
+	sp := trace.Span{
+		Trace:  req.Trace.TraceID,
+		ID:     spanID,
+		Parent: req.Trace.SpanID,
+		Name:   "driver.read",
+		Node:   -1,
+		Start:  start,
+		Dur:    out.Latency,
+		Attrs:  append(make([]trace.Attr, 0, 3), trace.Attr{K: "pref", V: req.Pref.String()}),
+	}
+	switch {
+	case cacheUse == "hit":
+	case session && cacheUse == "" && req.Pref != Linearizable:
+		sp.Name = "session.read"
+		sp.Attrs = append(sp.Attrs, trace.Attr{K: "after", V: req.After.String()})
+	default:
+		sp.Attrs = append(sp.Attrs, trace.Attr{K: "node", V: strconv.Itoa(out.Node)})
+	}
+	if out.Reason != "" {
+		sp.Attrs = append(sp.Attrs, trace.Attr{K: "reason", V: out.Reason})
+	}
+	if cacheUse != "" {
+		sp.Attrs = append(sp.Attrs, trace.Attr{K: "cache", V: cacheUse})
+	}
+	c.tracer.Record(sp)
 }
 
 // Write runs a write transaction at the primary and returns the
@@ -549,101 +715,3 @@ const (
 	RouteLeaseValid = "lease-valid"
 	RoutePrimary    = "primary" // unleased primary served (majority-confirm baseline)
 )
-
-// ReadLinearizable selects a lease-holding member and runs a
-// linearizable read there, falling back to the primary on a lease
-// rejection. It returns the body result, the serving node, the
-// end-to-end latency, and the routing reason ("lease-valid",
-// "lease-expired→primary", "commit-point-behind→primary", ...).
-func (c *Client) ReadLinearizable(p sim.Proc, opts ReadOptions, fn func(v cluster.ReadView) (any, error)) (any, int, time.Duration, string, error) {
-	res, node, _, lat, reason, err := c.readLinearizable(p, opts, c.tracer.StartTrace(), oplog.Zero, fn)
-	return res, node, lat, reason, err
-}
-
-// ReadLinearizableTraced is ReadLinearizable under an externally
-// originated trace context (the core router passes one carrying its
-// routing decision).
-func (c *Client) ReadLinearizableTraced(p sim.Proc, opts ReadOptions, tctx trace.Context, fn func(v cluster.ReadView) (any, error)) (any, int, time.Duration, string, error) {
-	res, node, _, lat, reason, err := c.readLinearizable(p, opts, tctx, oplog.Zero, fn)
-	return res, node, lat, reason, err
-}
-
-// readLinearizable is the shared linearizable read path: select a
-// lease holder, execute, and on a typed lease rejection (or a down
-// node) retry at the primary — attributing WHY the read was redirected
-// through driver.lease_fallbacks{reason}, the driver.read span's
-// reason attribute, and the returned reason string, so currentOp and
-// the slow-op log can explain the extra hop. `after` is the session's
-// causal token (read-your-writes composes with linearizable reads).
-func (c *Client) readLinearizable(p sim.Proc, opts ReadOptions, tctx trace.Context, after oplog.OpTime, fn func(v cluster.ReadView) (any, error)) (any, int, oplog.OpTime, time.Duration, string, error) {
-	lc, ok := c.conn.(LinearizableConn)
-	if !ok {
-		return nil, -1, oplog.Zero, 0, "", ErrNoLinearizable
-	}
-	opts.Pref = Linearizable
-	nodeID, err := c.SelectServer(opts)
-	if err != nil {
-		return nil, -1, oplog.Zero, 0, "", err
-	}
-	var spanID uint64
-	if tctx.Live() {
-		spanID = c.tracer.NewSpanID()
-	}
-	meta := cluster.ReadMeta{
-		Ctx:       trace.Context{TraceID: tctx.TraceID, SpanID: spanID, Route: tctx.Route},
-		BoundSecs: opts.AuditBoundSecs,
-	}
-	start := p.Now()
-	res, ts, err := lc.ExecReadLinearizableMeta(p, nodeID, after, meta, fn)
-	reason := RouteLeaseValid
-	if nodeID == c.conn.PrimaryID() {
-		reason = RoutePrimary
-	}
-	// Fallback: a lease rejection or a down member redirects to the
-	// primary (twice at most — a failover between attempts moves the
-	// primary once). The rejection reason is preserved end to end.
-	for attempt := 0; attempt < 2 && err != nil; attempt++ {
-		why, isLease := cluster.LeaseReject(err)
-		if !isLease {
-			if !errors.Is(err, cluster.ErrNodeDown) {
-				break
-			}
-			why = "node-down"
-		}
-		primary := c.conn.PrimaryID()
-		if nodeID == primary {
-			break // the primary itself rejected; nothing further to try
-		}
-		c.obsFallbacks.Inc(1)
-		c.reg.Counter(obs.Name("driver.lease_fallbacks", "reason", why)).Inc(1)
-		reason = why + "→primary"
-		// Rewrite the route snapshot riding the wire so the primary's
-		// slow-op log and currentOp attribute the redirected hop to its
-		// cause, not to the original routing choice.
-		if meta.Ctx.Route != nil {
-			rt := *meta.Ctx.Route
-			rt.Reason = reason
-			meta.Ctx.Route = &rt
-		}
-		nodeID = primary
-		res, ts, err = lc.ExecReadLinearizableMeta(p, nodeID, after, meta, fn)
-	}
-	lat := p.Now() - start
-	if tctx.Live() {
-		c.tracer.Record(trace.Span{
-			Trace:  tctx.TraceID,
-			ID:     spanID,
-			Parent: tctx.SpanID,
-			Name:   "driver.read",
-			Node:   -1,
-			Start:  start,
-			Dur:    lat,
-			Attrs: []trace.Attr{
-				{K: "pref", V: Linearizable.String()},
-				{K: "node", V: strconv.Itoa(nodeID)},
-				{K: "reason", V: reason},
-			},
-		})
-	}
-	return res, nodeID, ts, lat, reason, err
-}

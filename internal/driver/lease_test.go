@@ -1,6 +1,6 @@
 package driver
 
-// Driver-side tests for PR 9: linearizable server selection across
+// Driver-side tests for linearizable reads: server selection across
 // lease holders, the primary fallback with end-to-end reason
 // attribution, and session composition (read-your-writes tokens ride
 // linearizable reads).
@@ -25,7 +25,7 @@ func leaseSetup(seed int64) (*sim.VirtualEnv, *cluster.ReplicaSet, *Client) {
 	cfg.NoopInterval = time.Hour
 	cfg.LinearizableLeases = true
 	rs := cluster.New(env, cfg)
-	c := NewClient(env, WrapClusterCausal(rs))
+	c := NewClient(env, WrapCluster(rs))
 	return env, rs, c
 }
 
@@ -85,13 +85,14 @@ func TestReadLinearizableServedByLeasedSecondary(t *testing.T) {
 		}
 		p.Sleep(500 * time.Millisecond) // leases granted + snapshot observed
 		for i := 0; i < 20; i++ {
-			res, node, _, reason, err := c.ReadLinearizable(p, ReadOptions{}, func(v cluster.ReadView) (any, error) {
+			r, err := c.ReadWith(p, ReadRequest{ReadOptions: ReadOptions{Pref: Linearizable}}, func(v cluster.ReadView) (any, error) {
 				d, ok := v.FindByID("kv", "strong")
 				if !ok {
 					return int64(-1), nil
 				}
 				return d.Int("v"), nil
 			})
+			res, node, reason := r.Value, r.Node, r.Reason
 			if err != nil {
 				t.Errorf("read %d: %v", i, err)
 				return
@@ -141,9 +142,10 @@ func TestReadLinearizableFallbackAttributesReason(t *testing.T) {
 			return nil, tx.Insert("kv", storage.D{"_id": "fb", "v": 1})
 		})
 		for i := 0; i < 50; i++ {
-			_, n, _, why, err := c.ReadLinearizable(p, ReadOptions{}, func(v cluster.ReadView) (any, error) {
+			r, err := c.ReadWith(p, ReadRequest{ReadOptions: ReadOptions{Pref: Linearizable}}, func(v cluster.ReadView) (any, error) {
 				return nil, nil
 			})
+			n, why := r.Node, r.Reason
 			if err != nil {
 				t.Error(err)
 				return
@@ -170,7 +172,7 @@ func TestReadLinearizableFallbackAttributesReason(t *testing.T) {
 }
 
 // TestSessionReadLinearizableComposesToken: a causal session's
-// linearizable read carries the session token (read-your-writes) and
+// Pref Linearizable read carries the session token (read-your-writes) and
 // advances it with the served optime.
 func TestSessionReadLinearizableComposesToken(t *testing.T) {
 	env, _, c := leaseSetup(14)
@@ -192,7 +194,7 @@ func TestSessionReadLinearizableComposesToken(t *testing.T) {
 			t.Error("session token not advanced by write")
 			return
 		}
-		res, _, _, _, err := sess.ReadLinearizable(p, ReadOptions{}, func(v cluster.ReadView) (any, error) {
+		res, _, _, err := sess.Read(p, ReadOptions{Pref: Linearizable}, func(v cluster.ReadView) (any, error) {
 			d, ok := v.FindByID("kv", "tok")
 			if !ok {
 				return int64(-1), nil

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"decongestant/internal/cluster"
-	"decongestant/internal/obs/trace"
 	"decongestant/internal/oplog"
 	"decongestant/internal/sim"
 )
@@ -20,15 +19,9 @@ type CausalConn interface {
 	ExecWriteTracked(p sim.Proc, fn func(tx cluster.WriteTxn) (any, error)) (any, oplog.OpTime, error)
 }
 
-// Statically assert the in-process replica set provides causality.
-var _ CausalConn = (*causalClusterConn)(nil)
-
-type causalClusterConn struct{ clusterConn }
-
-// WrapClusterCausal adapts an in-process replica set to CausalConn.
-func WrapClusterCausal(rs *cluster.ReplicaSet) CausalConn {
-	return causalClusterConn{clusterConn{rs}}
-}
+// Statically assert the in-process replica set provides causality:
+// method promotion makes WrapCluster's conn a CausalConn.
+var _ CausalConn = (*clusterConn)(nil)
 
 // Session provides MongoDB-style causally consistent session
 // guarantees on top of a Client: every read observes at least the
@@ -43,25 +36,17 @@ func WrapClusterCausal(rs *cluster.ReplicaSet) CausalConn {
 // router-compatible connection.
 type Session struct {
 	client *Client
-	causal CausalConn // nil when the connection lacks the capability
-
 	opTime oplog.OpTime
 }
 
 // NewSession starts a session. If the client's connection implements
 // CausalConn the session enforces causal consistency; otherwise reads
 // behave like plain Client reads.
-func (c *Client) NewSession() *Session {
-	s := &Session{client: c}
-	if cc, ok := c.conn.(CausalConn); ok {
-		s.causal = cc
-	}
-	return s
-}
+func (c *Client) NewSession() *Session { return &Session{client: c} }
 
 // Causal reports whether the session actually enforces causal
 // consistency.
-func (s *Session) Causal() bool { return s.causal != nil }
+func (s *Session) Causal() bool { return s.client.causal != nil }
 
 // OperationTime returns the session's causal token.
 func (s *Session) OperationTime() oplog.OpTime { return s.opTime }
@@ -76,85 +61,30 @@ func (s *Session) advance(ts oplog.OpTime) {
 // Read routes a read with the given options; under a causal connection
 // it waits at the target node for the session's operationTime before
 // executing, and advances the token to the node's applied time. The
-// session originates the trace sampling decision like Client.Read, and
-// the context rides alongside the causal token when the connection is
-// also a TracedConn.
+// session originates the trace sampling decision like Client.Read.
+// Pref Linearizable composes with the token: a leased secondary first
+// waits for it, then serves under its lease, and a rejection falls back
+// to the primary as for Client.Read. No other preference falls back.
 func (s *Session) Read(p sim.Proc, opts ReadOptions, fn func(v cluster.ReadView) (any, error)) (any, int, time.Duration, error) {
-	if s.causal == nil {
-		return s.client.Read(p, opts, fn)
+	c := s.client
+	if c.causal == nil {
+		return c.Read(p, opts, fn)
 	}
-	// The freshness-priced cache path enforces read-your-writes itself:
-	// entries older than the session token miss, and hits advance the
-	// token to the entry's fill OpTime.
-	if res, nodeID, lat, handled, err := s.client.readCached(p, opts, s.client.tracer.StartTrace(), s, fn); handled {
-		return res, nodeID, lat, err
-	}
-	nodeID, err := s.client.SelectServer(opts)
-	if err != nil {
-		return nil, -1, 0, err
-	}
-	tctx := s.client.tracer.StartTrace()
-	tc, traced := s.causal.(TracedConn)
-	start := p.Now()
-	var res any
-	var ts oplog.OpTime
-	if traced && (tctx.Live() || opts.AuditBoundSecs != 0) {
-		var spanID uint64
-		if tctx.Live() {
-			spanID = s.client.tracer.NewSpanID()
-		}
-		meta := cluster.ReadMeta{
-			Ctx:       trace.Context{TraceID: tctx.TraceID, SpanID: spanID},
-			BoundSecs: opts.AuditBoundSecs,
-		}
-		res, ts, err = tc.ExecReadMeta(p, nodeID, s.opTime, meta, fn)
-		if tctx.Live() {
-			s.client.tracer.Record(trace.Span{
-				Trace: tctx.TraceID,
-				ID:    spanID,
-				Name:  "session.read",
-				Node:  -1,
-				Start: start,
-				Dur:   p.Now() - start,
-				Attrs: []trace.Attr{
-					{K: "pref", V: opts.Pref.String()},
-					{K: "after", V: s.opTime.String()},
-				},
-			})
-		}
-	} else {
-		res, ts, err = s.causal.ExecReadAfter(p, nodeID, s.opTime, fn)
-	}
-	if err == nil {
-		s.advance(ts)
-	}
-	return res, nodeID, p.Now() - start, err
-}
-
-// ReadLinearizable routes a linearizable read across lease-holding
-// members, threading the session's operationTime as the causal
-// prerequisite — read-your-writes composes with linearizability, so a
-// leased secondary first waits for the session's token, then serves
-// under its lease. The token advances to the serving node's applied
-// time. Returns the routing reason alongside the usual results.
-func (s *Session) ReadLinearizable(p sim.Proc, opts ReadOptions, fn func(v cluster.ReadView) (any, error)) (any, int, time.Duration, string, error) {
-	res, node, ts, lat, reason, err := s.client.readLinearizable(p, opts, s.client.tracer.StartTrace(), s.opTime, fn)
-	if err == nil {
-		s.advance(ts)
-	}
-	return res, node, lat, reason, err
+	res, err := c.read(p, ReadRequest{ReadOptions: opts, Trace: c.tracer.StartTrace(), After: s.opTime}, s, fn)
+	return res.Value, res.Node, res.Latency, err
 }
 
 // Write runs a write transaction and advances the session token to its
 // commit time, so subsequent session reads (anywhere) observe it.
 func (s *Session) Write(p sim.Proc, fn func(tx cluster.WriteTxn) (any, error)) (any, time.Duration, error) {
-	if s.causal == nil {
+	causal := s.client.causal
+	if causal == nil {
 		return s.client.Write(p, fn)
 	}
 	start := p.Now()
 	if s.client.cache != nil {
 		rec := &invalidatingTxn{}
-		res, ts, err := s.causal.ExecWriteTracked(p, func(tx cluster.WriteTxn) (any, error) {
+		res, ts, err := causal.ExecWriteTracked(p, func(tx cluster.WriteTxn) (any, error) {
 			rec.WriteTxn = tx
 			return fn(rec)
 		})
@@ -164,7 +94,7 @@ func (s *Session) Write(p sim.Proc, fn func(tx cluster.WriteTxn) (any, error)) (
 		}
 		return res, p.Now() - start, err
 	}
-	res, ts, err := s.causal.ExecWriteTracked(p, fn)
+	res, ts, err := causal.ExecWriteTracked(p, fn)
 	if err == nil {
 		s.advance(ts)
 	}

@@ -18,7 +18,7 @@ func causalSetup(seed int64, poll time.Duration) (*sim.VirtualEnv, *cluster.Repl
 	cfg.CheckpointInterval = time.Hour
 	cfg.NoopInterval = time.Hour
 	rs := cluster.New(env, cfg)
-	c := NewClient(env, WrapClusterCausal(rs))
+	c := NewClient(env, WrapCluster(rs))
 	return env, rs, c
 }
 
@@ -132,8 +132,7 @@ func TestSessionDegradesWithoutCausalConn(t *testing.T) {
 
 func TestPlainWrapClusterIsCausal(t *testing.T) {
 	// In-process connections always support causality via method
-	// promotion; WrapClusterCausal just makes it explicit at the type
-	// level.
+	// promotion.
 	env, _, c := testSetup(4)
 	defer env.Shutdown()
 	if !c.NewSession().Causal() {

@@ -119,19 +119,19 @@ func (r *Router) ReadByIDBounded(p sim.Proc, collection, id string, boundSecs in
 		fresh    bool
 	)
 	err := r.route(p, id, false, func(shard int) error {
-		res, t, obs, pf, _, fr, err := r.systems[shard].Router.ReadFresh(p, func(v cluster.ReadView) (any, error) {
+		res, pf, err := r.systems[shard].Router.ReadWith(p, driver.ReadRequest{Fresh: true}, func(v cluster.ReadView) (any, error) {
 			d, ok := v.FindByID(collection, id)
 			if !ok {
 				return nil, nil
 			}
 			return d, nil
 		})
-		pref, ts, observed, fresh = pf, t, obs, fr
+		pref, ts, observed, fresh = pf, res.OpTime, res.StalenessSecs, res.Fresh
 		if err != nil {
 			return err
 		}
-		if res != nil {
-			doc = res.(storage.Document)
+		if res.Value != nil {
+			doc = res.Value.(storage.Document)
 		}
 		return nil
 	})

@@ -70,6 +70,10 @@ func (c *Collection) CreateIndex(name string, unique bool, fields ...string) (*I
 	}
 	var backfillErr error
 	c.ids.ascend("", "", func(id string, e *EncodedDoc) bool {
+		if err := idx.checkKeyable(e); err != nil {
+			backfillErr = err
+			return false
+		}
 		if err := idx.insert(e, id); err != nil {
 			backfillErr = err
 			return false
@@ -81,6 +85,17 @@ func (c *Collection) CreateIndex(name string, unique bool, fields ...string) (*I
 	}
 	c.indexes[name] = idx
 	return idx, nil
+}
+
+// checkKeyable rejects a document whose indexed field holds a value
+// with no key order (an array or an embedded document).
+func (idx *Index) checkKeyable(doc *EncodedDoc) error {
+	for _, f := range idx.Fields {
+		if v, _ := doc.Get(f); !keyable(v) {
+			return fmt.Errorf("storage: index %q cannot key field %q holding %T", idx.Name, f, v)
+		}
+	}
+	return nil
 }
 
 func (idx *Index) keyFor(doc *EncodedDoc, id string) (string, string) {
@@ -196,10 +211,16 @@ func (c *Collection) applySetLocked(id string, set []byte) (*EncodedDoc, error) 
 }
 
 // storeLocked makes e the committed version of document id, moving its
-// secondary-index entries over from old (nil for a new document). A
-// unique-index violation restores old's entries and leaves the
-// collection unchanged. Caller holds the write lock.
+// secondary-index entries over from old (nil for a new document). An
+// indexed field e cannot key is rejected before any index is touched;
+// a unique-index violation restores old's entries. Either way the
+// collection is left unchanged. Caller holds the write lock.
 func (c *Collection) storeLocked(id string, old, e *EncodedDoc) error {
+	for _, idx := range c.indexes {
+		if err := idx.checkKeyable(e); err != nil {
+			return err
+		}
+	}
 	for _, idx := range c.indexes {
 		if old != nil {
 			idx.remove(old, id)
@@ -430,12 +451,18 @@ func planIDRange(f Filter) (lo, hi string) {
 }
 
 // planIndex picks an index usable for the filter and returns the scan
-// bounds, or nil if none applies. Caller holds c.mu (read or write).
+// bounds, or nil if none applies. An index whose key the filter's
+// values cannot encode (an array or an embedded document) is skipped:
+// the scan then filters every candidate. Caller holds c.mu (read or
+// write).
 func (c *Collection) planIndex(f Filter) (*Index, string, string) {
 	var best *Index
 	var bestLo, bestHi string
 	bestScore := 0
 	for _, idx := range c.indexes {
+		if !filterKeyable(f, idx) {
+			continue
+		}
 		score := 0
 		var enc []byte
 		var lo, hi string
@@ -496,6 +523,27 @@ func (c *Collection) planIndex(f Filter) (*Index, string, string) {
 		bestHi = "\xff\xff\xff\xff\xff\xff\xff\xff"
 	}
 	return best, bestLo, bestHi
+}
+
+// filterKeyable reports whether every filter value planIndex would
+// encode for idx's fields is keyable.
+func filterKeyable(f Filter, idx *Index) bool {
+	for _, field := range idx.Fields {
+		cnd, ok := f[field]
+		switch {
+		case !ok:
+			return true
+		case cnd.Op == OpEq:
+			if !keyable(cnd.Value) {
+				return false
+			}
+		case IsRangeOp(cnd.Op):
+			return keyable(cnd.Value) && (cnd.Op2 == 0 || keyable(cnd.Value2))
+		default:
+			return true
+		}
+	}
+	return true
 }
 
 // ScanIDs iterates document ids in _id order, for diagnostics/tests.

@@ -289,6 +289,65 @@ func TestRejectedSetKeepsIndexEntries(t *testing.T) {
 	}
 }
 
+// TestUnkeyableIndexedValueIsRejected: an array or an embedded
+// document in an indexed field has no key order. Insert, ApplySet and
+// UpsertEncoded reject it and leave the document and every index
+// unchanged, and a filter holding such a value skips the index and
+// scans instead.
+func TestUnkeyableIndexedValueIsRejected(t *testing.T) {
+	c := NewStore().C("c")
+	for _, f := range []string{"a", "b"} {
+		if _, err := c.CreateIndex("by"+f, false, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Insert(D{"_id": "x", "a": 1, "b": 1}); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := c.FindByIDEncoded("x")
+	for _, v := range []any{[]any{1}, D{"k": 1}} {
+		if err := c.Insert(D{"_id": "y", "a": v}); err == nil {
+			t.Errorf("Insert of a: %v accepted", v)
+		}
+		if _, err := c.ApplySet("x", D{"a": v, "b": 2}); err == nil {
+			t.Errorf("ApplySet of a: %v accepted", v)
+		}
+		if err := c.UpsertEncoded(encoded(D{"_id": "x", "a": v, "b": 3})); err == nil {
+			t.Errorf("UpsertEncoded of a: %v accepted", v)
+		}
+		if got := c.Find(Filter{"a": Eq(v)}, 0); len(got) != 0 {
+			t.Errorf("filter a = %v found %v", v, got)
+		}
+		if n := c.Count(Filter{"a": Gte(v), "b": Eq(1)}); n != 0 {
+			t.Errorf("filter a >= %v counted %d", v, n)
+		}
+	}
+	if after, _ := c.FindByIDEncoded("x"); after != before {
+		t.Fatal("a rejected write replaced the document")
+	}
+	if _, ok := c.FindByID("y"); ok {
+		t.Fatal("a rejected insert stored its document")
+	}
+	for _, f := range []Filter{{"a": Eq(1)}, {"b": Eq(1)}} {
+		if got := c.Find(f, 0); len(got) != 1 || got[0].ID() != "x" {
+			t.Fatalf("%v after the rejected writes: %v", f, got)
+		}
+	}
+	for _, f := range []Filter{{"b": Eq(2)}, {"b": Eq(3)}} {
+		if got := c.Find(f, 0); len(got) != 0 {
+			t.Fatalf("rejected writes left index entries: %v found %v", f, got)
+		}
+	}
+	// A backfill over a document the new index cannot key fails.
+	d := NewStore().C("d")
+	if err := d.Insert(D{"_id": "z", "a": []any{1}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.CreateIndex("bya", false, "a"); err == nil {
+		t.Fatal("index built over an array value")
+	}
+}
+
 func TestMissingIndexedFieldIndexesAsNil(t *testing.T) {
 	c := NewStore().C("c")
 	if _, err := c.CreateIndex("byV", false, "v"); err != nil {

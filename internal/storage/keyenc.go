@@ -24,7 +24,18 @@ const (
 	tagBytes  byte = 0x06
 )
 
-// AppendKey appends the memcomparable encoding of v to dst.
+// keyable reports whether AppendKey can encode v. Arrays and embedded
+// documents have no key order, so a field holding one is not indexable.
+func keyable(v any) bool {
+	switch v.(type) {
+	case nil, bool, int64, float64, string, []byte:
+		return true
+	}
+	return false
+}
+
+// AppendKey appends the memcomparable encoding of v to dst. v must be
+// keyable.
 func AppendKey(dst []byte, v any) []byte {
 	switch x := v.(type) {
 	case nil:
@@ -45,8 +56,8 @@ func AppendKey(dst []byte, v any) []byte {
 		dst = append(dst, tagBytes)
 		return appendEscaped(dst, x)
 	default:
-		// Callers normalize documents on insert, so this indicates a
-		// programming error in index definitions.
+		// Writes and filters are checked with keyable first, so this
+		// indicates a programming error.
 		panic("storage: unindexable key type")
 	}
 }

@@ -568,40 +568,12 @@ func (cl *Client) ExecReadAfter(p sim.Proc, nodeID int, after oplog.OpTime, fn f
 	return res, view.seen, view.err
 }
 
-// ExecReadMeta implements driver.TracedConn: the trace context and
-// declared staleness bound ride on every round trip of the body, and a
-// client.exec_read span wraps the body so the gap between it and the
-// server's admission span is attributable wire time. The span ids are
-// rewritten so server-side spans parent under the client hop.
+// ExecReadMeta implements driver.TracedConn: the trace context, the
+// declared staleness bound and the causal prerequisite ride on every
+// round trip of the body (see execReadMeta).
 func (cl *Client) ExecReadMeta(p sim.Proc, nodeID int, after oplog.OpTime, meta cluster.ReadMeta, fn func(v cluster.ReadView) (any, error)) (any, oplog.OpTime, error) {
-	view := &remoteReadView{cl: cl, node: nodeID, after: after, bound: meta.BoundSecs}
-	live := meta.Ctx.Live()
-	var spanID uint64
-	var start time.Duration
-	if live {
-		spanID = cl.tracer.NewSpanID()
-		tctx := meta.Ctx
-		tctx.SpanID = spanID
-		view.trace = &tctx
-		start = tnow(p)
-	}
-	res, err := fn(view)
-	if live {
-		cl.tracer.Record(trace.Span{
-			Trace:  meta.Ctx.TraceID,
-			ID:     spanID,
-			Parent: meta.Ctx.SpanID,
-			Name:   "client.exec_read",
-			Node:   -1,
-			Start:  start,
-			Dur:    tnow(p) - start,
-			Attrs:  []trace.Attr{{K: "node", V: strconv.Itoa(nodeID)}},
-		})
-	}
-	if err != nil {
-		return nil, oplog.Zero, err
-	}
-	return res, view.seen, view.err
+	res, ts, _, err := cl.execReadMeta(p, &remoteReadView{cl: cl, node: nodeID, after: after, bound: meta.BoundSecs}, meta, fn)
+	return res, ts, err
 }
 
 // ExecReadFreshMeta implements driver.FreshConn: like ExecReadMeta,
@@ -613,34 +585,7 @@ func (cl *Client) ExecReadMeta(p sim.Proc, nodeID int, after oplog.OpTime, meta 
 // Unrequested, the tag costs zero wire bytes, so plain reads are
 // byte-identical.
 func (cl *Client) ExecReadFreshMeta(p sim.Proc, nodeID int, after oplog.OpTime, meta cluster.ReadMeta, fn func(v cluster.ReadView) (any, error)) (any, oplog.OpTime, int64, error) {
-	view := &remoteReadView{cl: cl, node: nodeID, after: after, bound: meta.BoundSecs, wantFresh: true}
-	live := meta.Ctx.Live()
-	var spanID uint64
-	var start time.Duration
-	if live {
-		spanID = cl.tracer.NewSpanID()
-		tctx := meta.Ctx
-		tctx.SpanID = spanID
-		view.trace = &tctx
-		start = tnow(p)
-	}
-	res, err := fn(view)
-	if live {
-		cl.tracer.Record(trace.Span{
-			Trace:  meta.Ctx.TraceID,
-			ID:     spanID,
-			Parent: meta.Ctx.SpanID,
-			Name:   "client.exec_read",
-			Node:   -1,
-			Start:  start,
-			Dur:    tnow(p) - start,
-			Attrs:  []trace.Attr{{K: "node", V: strconv.Itoa(nodeID)}},
-		})
-	}
-	if err != nil {
-		return nil, oplog.Zero, 0, err
-	}
-	return res, view.seen, view.stale, view.err
+	return cl.execReadMeta(p, &remoteReadView{cl: cl, node: nodeID, after: after, bound: meta.BoundSecs, wantFresh: true}, meta, fn)
 }
 
 // ExecReadLinearizableMeta implements driver.LinearizableConn: every
@@ -648,10 +593,19 @@ func (cl *Client) ExecReadFreshMeta(p sim.Proc, nodeID int, after oplog.OpTime, 
 // serving node answers under the lease protocol (primary leader lease,
 // secondary read lease, majority-confirm otherwise) and rejects with
 // CodeNotLeased when it cannot — the driver maps that back through
-// cluster.LeaseReject and retries at the primary. The causal
-// prerequisite and trace context ride along exactly as in ExecReadMeta.
+// cluster.LeaseReject and retries at the primary.
 func (cl *Client) ExecReadLinearizableMeta(p sim.Proc, nodeID int, after oplog.OpTime, meta cluster.ReadMeta, fn func(v cluster.ReadView) (any, error)) (any, oplog.OpTime, error) {
-	view := &remoteReadView{cl: cl, node: nodeID, after: after, bound: meta.BoundSecs, rc: RCLinearizable}
+	res, ts, _, err := cl.execReadMeta(p, &remoteReadView{cl: cl, node: nodeID, after: after, bound: meta.BoundSecs, rc: RCLinearizable}, meta, fn)
+	return res, ts, err
+}
+
+// execReadMeta runs the body against view with meta's trace context on
+// every round trip, and a client.exec_read span wraps the body so the
+// gap between it and the server's admission span is attributable wire
+// time. The span ids are rewritten so server-side spans parent under
+// the client hop. It returns the highest node-applied OpTime and the
+// worst observed staleness across the body's ops.
+func (cl *Client) execReadMeta(p sim.Proc, view *remoteReadView, meta cluster.ReadMeta, fn func(v cluster.ReadView) (any, error)) (any, oplog.OpTime, int64, error) {
 	live := meta.Ctx.Live()
 	var spanID uint64
 	var start time.Duration
@@ -664,6 +618,10 @@ func (cl *Client) ExecReadLinearizableMeta(p sim.Proc, nodeID int, after oplog.O
 	}
 	res, err := fn(view)
 	if live {
+		attrs := []trace.Attr{{K: "node", V: strconv.Itoa(view.node)}}
+		if view.rc == RCLinearizable {
+			attrs = append(attrs, trace.Attr{K: "rc", V: "linearizable"})
+		}
 		cl.tracer.Record(trace.Span{
 			Trace:  meta.Ctx.TraceID,
 			ID:     spanID,
@@ -672,16 +630,13 @@ func (cl *Client) ExecReadLinearizableMeta(p sim.Proc, nodeID int, after oplog.O
 			Node:   -1,
 			Start:  start,
 			Dur:    tnow(p) - start,
-			Attrs: []trace.Attr{
-				{K: "node", V: strconv.Itoa(nodeID)},
-				{K: "rc", V: "linearizable"},
-			},
+			Attrs:  attrs,
 		})
 	}
 	if err != nil {
-		return nil, oplog.Zero, err
+		return nil, oplog.Zero, 0, err
 	}
-	return res, view.seen, view.err
+	return res, view.seen, view.stale, view.err
 }
 
 // tnow reads the span clock: the proc's when the caller runs under an

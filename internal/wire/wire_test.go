@@ -411,6 +411,51 @@ func TestWireBadRequests(t *testing.T) {
 	}
 }
 
+// TestWireUnkeyableIndexedValue: a write putting an array or an
+// embedded document into an indexed field, and a find or count
+// filtering on one, are answered with an error or an empty result, and
+// the server goes on serving.
+func TestWireUnkeyableIndexedValue(t *testing.T) {
+	_, rs, addr, stop := startTestServer(t)
+	defer stop()
+	if err := rs.Bootstrap(func(s *storage.Store) error {
+		_, err := s.C("kv").CreateIndex("byA", false, "a")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	p := sim.NewRealtimeEnv(5).Adhoc("test")
+	for _, v := range []any{[]any{1}, storage.D{"k": 1}} {
+		if _, err := cl.ExecWrite(p, func(tx cluster.WriteTxn) (any, error) {
+			return nil, tx.Insert("kv", storage.D{"_id": "bad", "a": v})
+		}); err == nil {
+			t.Errorf("insert of a: %v accepted", v)
+		}
+		res, err := cl.ExecRead(p, rs.PrimaryID(), func(v2 cluster.ReadView) (any, error) {
+			return len(v2.Find("kv", storage.Filter{"a": storage.Eq(v)}, 0)) + v2.Count("kv", storage.Filter{"a": storage.Gt(v)}), nil
+		})
+		if err == nil && res.(int) != 0 {
+			t.Errorf("filter on a = %v matched %v documents", v, res)
+		}
+	}
+	if _, err := cl.ExecWrite(p, func(tx cluster.WriteTxn) (any, error) {
+		return nil, tx.Insert("kv", storage.D{"_id": "good", "a": 1})
+	}); err != nil {
+		t.Fatalf("server broken after the rejected requests: %v", err)
+	}
+	res, err := cl.ExecRead(p, rs.PrimaryID(), func(v cluster.ReadView) (any, error) {
+		return len(v.Find("kv", storage.Filter{"a": storage.Eq(1)}, 0)), nil
+	})
+	if err != nil || res.(int) != 1 {
+		t.Fatalf("indexed find after the rejected requests: %v, %v", res, err)
+	}
+}
+
 var _ = driver.Primary // keep driver imported for the full-stack test
 
 // TestCausalSessionOverWire: read-your-writes at a secondary through
