@@ -8,6 +8,8 @@
 // positive). It is not safe for concurrent use; callers synchronize.
 package btree
 
+import "slices"
+
 // degree is the minimum number of children of an internal node; nodes
 // hold between degree-1 and 2*degree-1 keys.
 const degree = 16
@@ -39,6 +41,38 @@ func New[K, V any](cmp func(a, b K) int) *Tree[K, V] {
 
 // Len returns the number of key/value pairs stored.
 func (t *Tree[K, V]) Len() int { return t.size }
+
+// Clone returns a tree with t's keys and shape and nodes of its own,
+// so a later Set or Delete on either tree leaves the other untouched.
+// It copies node by node, with no searches or splits. mapValue, when
+// not nil, gives each pair's value in the copy and is called in key
+// order; nil copies the values as they are.
+func (t *Tree[K, V]) Clone(mapValue func(k K, v V) V) *Tree[K, V] {
+	var prev *node[K, V] // the last leaf copied, to link the next one to
+	var clone func(n *node[K, V]) *node[K, V]
+	clone = func(n *node[K, V]) *node[K, V] {
+		c := &node[K, V]{keys: slices.Clone(n.keys)}
+		if !n.leaf() {
+			c.children = make([]*node[K, V], len(n.children))
+			for i, child := range n.children {
+				c.children[i] = clone(child)
+			}
+			return c
+		}
+		c.vals = slices.Clone(n.vals)
+		if mapValue != nil {
+			for i := range c.vals {
+				c.vals[i] = mapValue(c.keys[i], c.vals[i])
+			}
+		}
+		if prev != nil {
+			prev.next = c
+		}
+		prev = c
+		return c
+	}
+	return &Tree[K, V]{cmp: t.cmp, root: clone(t.root), size: t.size}
+}
 
 // search returns the index of the first key in n.keys >= k, and
 // whether it equals k.

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"cmp"
+	"maps"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -392,5 +393,127 @@ func BenchmarkTreeGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Get(rng.Intn(1 << 16))
+	}
+}
+
+// walk returns the tree's pairs in ascending order, read through the
+// leaf links.
+func walk(tr *Tree[int, int]) [][2]int {
+	var out [][2]int
+	tr.AscendAll(func(k, v int) bool {
+		out = append(out, [2]int{k, v})
+		return true
+	})
+	return out
+}
+
+// sameWalk fails the test unless the tree holds exactly the reference
+// pairs, by walk, Len and point lookups.
+func sameWalk(t *testing.T, label string, tr *Tree[int, int], ref map[int]int) {
+	t.Helper()
+	got := walk(tr)
+	if len(got) != len(ref) || tr.Len() != len(ref) {
+		t.Fatalf("%s: walk has %d pairs, Len %d, want %d", label, len(got), tr.Len(), len(ref))
+	}
+	for i, kv := range got {
+		if i > 0 && got[i-1][0] >= kv[0] {
+			t.Fatalf("%s: walk out of order at %d: %d then %d", label, i, got[i-1][0], kv[0])
+		}
+		if want, ok := ref[kv[0]]; !ok || want != kv[1] {
+			t.Fatalf("%s: pair %v, reference has %d (present %v)", label, kv, want, ok)
+		}
+		if v, ok := tr.Get(kv[0]); !ok || v != kv[1] {
+			t.Fatalf("%s: Get(%d) = %d, %v", label, kv[0], v, ok)
+		}
+	}
+}
+
+func TestCloneWalksTheSameAndStaysIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	orig := newInt()
+	ref := map[int]int{}
+	for i := 0; i < 6000; i++ {
+		k := rng.Intn(4000)
+		if rng.Intn(4) == 0 {
+			orig.Delete(k)
+			delete(ref, k)
+			continue
+		}
+		orig.Set(k, i)
+		ref[k] = i
+	}
+	var mapped []int
+	cl := orig.Clone(func(k, v int) int {
+		mapped = append(mapped, k)
+		return v * 10
+	})
+	if !sort.IntsAreSorted(mapped) || len(mapped) != len(ref) {
+		t.Fatalf("mapValue saw %d keys (sorted %v), want %d in order", len(mapped), sort.IntsAreSorted(mapped), len(ref))
+	}
+	scaled := map[int]int{}
+	for k, v := range ref {
+		scaled[k] = v * 10
+	}
+	sameWalk(t, "mapped clone", cl, scaled)
+	plain := orig.Clone(nil)
+	sameWalk(t, "plain clone", plain, ref)
+	sameWalk(t, "original", orig, ref)
+
+	// A range that starts mid-leaf must follow the copied leaf links.
+	var from []int
+	plain.Ascend(2000, func(k, v int) bool {
+		from = append(from, k)
+		return true
+	})
+	var want []int
+	for k := range ref {
+		if k >= 2000 {
+			want = append(want, k)
+		}
+	}
+	sort.Ints(want)
+	if len(from) != len(want) || (len(want) > 0 && (from[0] != want[0] || from[len(from)-1] != want[len(want)-1])) {
+		t.Fatalf("Ascend(2000) on the clone visited %d keys, want %d", len(from), len(want))
+	}
+
+	// Changes to the clone, enough to split and merge nodes, leave the
+	// original as it was, and the other way round.
+	plainRef := maps.Clone(ref)
+	for i := 0; i < 6000; i++ {
+		k := rng.Intn(8000)
+		if rng.Intn(2) == 0 {
+			plain.Delete(k)
+			delete(plainRef, k)
+		} else {
+			plain.Set(k, -i)
+			plainRef[k] = -i
+		}
+	}
+	sameWalk(t, "changed clone", plain, plainRef)
+	sameWalk(t, "original after clone changes", orig, ref)
+	for k := range ref {
+		orig.Delete(k)
+	}
+	sameWalk(t, "emptied original", orig, map[int]int{})
+	sameWalk(t, "clone after original emptied", plain, plainRef)
+	sameWalk(t, "mapped clone after both changed", cl, scaled)
+}
+
+func TestCloneEmpty(t *testing.T) {
+	cl := newInt().Clone(nil)
+	sameWalk(t, "empty clone", cl, map[int]int{})
+	cl.Set(1, 1)
+	sameWalk(t, "empty clone after Set", cl, map[int]int{1: 1})
+}
+
+func BenchmarkTreeClone(b *testing.B) {
+	tr := newInt()
+	for _, k := range rand.New(rand.NewSource(1)).Perm(50_000) {
+		tr.Set(k, k)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Clone(nil)
 	}
 }

@@ -120,18 +120,36 @@ func (rs *ReplicaSet) Zone(id int) string { return rs.nodes[id].Zone }
 // ClientZone returns the zone client systems run in.
 func (rs *ReplicaSet) ClientZone() string { return rs.cfg.ClientZone }
 
-// Bootstrap runs fn against every node's store directly, outside the
-// oplog — modeling data that was present before the run (a restored
-// snapshot / completed initial sync). Use it for loading datasets and
-// creating indexes.
+// Bootstrap loads data that was present before the run, outside the
+// oplog. fn runs once, against the primary's store; every other member
+// then starts from its own shallow clone of that store
+// (storage.Store.CloneShallow), as a new MongoDB member starts from an
+// initial sync of one sync source. The members share the immutable
+// stored documents and each gets its own slots and index trees, so a
+// later write to one is invisible to the others. Use it for loading
+// datasets and creating indexes.
 func (rs *ReplicaSet) Bootstrap(fn func(s *storage.Store) error) error {
+	src := rs.Primary()
+	snaps := make(map[*Node]*storage.Store, len(rs.nodes)-1)
+	src.applyMu.Lock()
+	src.mu.Lock()
+	err := fn(src.store)
 	for _, n := range rs.nodes {
-		n.mu.Lock()
-		err := fn(n.store)
-		n.mu.Unlock()
-		if err != nil {
-			return err
+		if n != src && err == nil {
+			snaps[n] = src.store.CloneShallow()
 		}
+	}
+	src.mu.Unlock()
+	src.applyMu.Unlock()
+	if err != nil {
+		return err
+	}
+	for n, snap := range snaps {
+		n.applyMu.Lock()
+		n.mu.Lock()
+		n.store = snap
+		n.mu.Unlock()
+		n.applyMu.Unlock()
 	}
 	return nil
 }

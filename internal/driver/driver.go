@@ -317,6 +317,14 @@ func (c *Client) SelectServer(opts ReadOptions) (int, error) {
 		c.obsSelections[opts.Pref].Inc(1)
 	}
 	primary := c.conn.PrimaryID()
+	switch opts.Pref {
+	case Primary, PrimaryPreferred:
+		// The primary is tracked via PrimaryID; the member list is
+		// never built.
+		return primary, nil
+	case Linearizable:
+		return c.pickWithinWindow(c.linearizableCandidates(primary)), nil
+	}
 	var secondaries []int
 	for _, id := range c.conn.NodeIDs() {
 		if id != primary {
@@ -327,10 +335,6 @@ func (c *Client) SelectServer(opts ReadOptions) (int, error) {
 		secondaries = c.filterByStaleness(secondaries, opts.MaxStalenessSeconds)
 	}
 	switch opts.Pref {
-	case Primary:
-		return primary, nil
-	case PrimaryPreferred:
-		return primary, nil // the primary is tracked via PrimaryID
 	case Secondary:
 		if len(secondaries) == 0 {
 			c.obsNoEligible.Inc(1)
@@ -344,26 +348,24 @@ func (c *Client) SelectServer(opts ReadOptions) (int, error) {
 		return primary, nil
 	case Nearest:
 		return c.pickWithinWindow(append(secondaries, primary)), nil
-	case Linearizable:
-		// Route across the members the monitor last saw holding leases,
-		// always keeping the primary eligible (it can serve any strong
-		// read, leased or not). The view may be stale — a member that
-		// lost its lease since simply rejects and the read falls back.
-		cands := c.leasedCandidates()
-		havePrimary := false
-		for _, id := range cands {
-			if id == primary {
-				havePrimary = true
-				break
-			}
-		}
-		if !havePrimary {
-			cands = append(cands, primary)
-		}
-		return c.pickWithinWindow(cands), nil
 	default:
 		return 0, fmt.Errorf("driver: unknown read preference %v", opts.Pref)
 	}
+}
+
+// linearizableCandidates returns the members a Linearizable read may
+// go to: those the monitor last saw holding leases, always keeping the
+// primary eligible (it can serve any strong read, leased or not). The
+// view may be stale — a member that lost its lease since simply
+// rejects and the read falls back.
+func (c *Client) linearizableCandidates(primary int) []int {
+	cands := c.leasedCandidates()
+	for _, id := range cands {
+		if id == primary {
+			return cands
+		}
+	}
+	return append(cands, primary)
 }
 
 // leasedCandidates returns the node ids the latest topology snapshot

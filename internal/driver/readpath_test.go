@@ -378,3 +378,25 @@ func TestLinearizablePrefIsLinearizable(t *testing.T) {
 		t.Fatal("no read fell back with reason no-lease")
 	}
 }
+
+// TestPrimaryReadAllocs: a Primary read over a connection whose reads
+// allocate nothing allocates nothing in the driver either — server
+// selection returns the primary without listing the members.
+func TestPrimaryReadAllocs(t *testing.T) {
+	env := sim.NewRealtimeEnv(1)
+	defer env.Shutdown()
+	conn := &countingConn{nodes: make([]int, 0, 2048)} // holds every call AllocsPerRun makes
+	c := NewClient(env, conn)
+	p := env.Adhoc("reader")
+	for _, pref := range []ReadPref{Primary, PrimaryPreferred} {
+		allocs := testing.AllocsPerRun(1000, func() {
+			if _, _, _, err := c.Read(p, ReadOptions{Pref: pref}, pointBody); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v read: %.0f allocs, want 0", pref, allocs)
+		}
+		conn.nodes = conn.nodes[:0]
+	}
+}

@@ -62,12 +62,7 @@ func (m *Mongos) Tracer() *trace.Recorder { return m.router.Tracer() }
 func (m *Mongos) Inline(*wire.Request) bool { return false }
 
 // Dispatch implements wire.Backend: the routed op set.
-func (m *Mongos) Dispatch(p sim.Proc, req *wire.Request, tctx trace.Context) *wire.Response {
-	resp := &wire.Response{}
-	fail := func(err error) *wire.Response {
-		resp.Err = err.Error()
-		return resp
-	}
+func (m *Mongos) Dispatch(p sim.Proc, req *wire.Request, tctx trace.Context, resp *wire.Response) error {
 	switch req.Op {
 	case wire.OpTopology:
 		// One logical node: clients address the router itself; the
@@ -83,30 +78,30 @@ func (m *Mongos) Dispatch(p sim.Proc, req *wire.Request, tctx trace.Context) *wi
 	case wire.OpFindByID:
 		doc, err := m.findByID(p, req.Collection, req.DocID, req.BoundSecs)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		resp.SetDoc(doc)
 	case wire.OpFindMany:
 		docs, err := m.findMany(p, req.Collection, req.IDs, req.BoundSecs)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		resp.SetDocs(docs)
 	case wire.OpFind:
 		docs, err := m.router.scatterFind(p, tctx, req.Collection, req.Filter, req.Limit, ScatterOptions{})
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		resp.SetDocs(docs)
 	case wire.OpCount:
 		n, err := m.router.scatterCount(p, tctx, req.Collection, req.Filter, ScatterOptions{})
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		resp.Count = n
 	case wire.OpWriteBatch:
 		if err := m.writeBatch(p, req.Muts); err != nil {
-			return fail(err)
+			return err
 		}
 	case wire.OpListShards:
 		resp.Shards = append([]wire.ShardInfo(nil), m.shards...)
@@ -121,12 +116,12 @@ func (m *Mongos) Dispatch(p sim.Proc, req *wire.Request, tctx trace.Context) *wi
 		}
 	case wire.OpMoveChunk:
 		if err := m.router.MigrateChunk(p, req.DocID, req.Node, MigrateOptions{}); err != nil {
-			return fail(err)
+			return err
 		}
 	default:
-		return fail(fmt.Errorf("wire: op %q not supported by mongos", req.Op))
+		return fmt.Errorf("wire: op %q not supported by mongos", req.Op)
 	}
-	return resp
+	return nil
 }
 
 // findByID routes a point read, spending the request's declared

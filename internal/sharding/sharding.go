@@ -94,9 +94,11 @@ func (c *Cluster) Owner(id string) int {
 	return c.ShardFor(id)
 }
 
-// Bootstrap loads data: fn is invoked once per (shard, store) so
-// loaders can insert only the documents belonging to that shard (use
-// Owner). It runs against every node of every shard.
+// Bootstrap loads data: fn is invoked once per shard, with that
+// shard's store, so loaders can insert only the documents belonging to
+// that shard (use Owner). It runs against each shard's primary; the
+// shard's other members start from a copy of the result (see
+// cluster.ReplicaSet.Bootstrap).
 func (c *Cluster) Bootstrap(fn func(shard int, s *storage.Store) error) error {
 	for i, rs := range c.shards {
 		i := i

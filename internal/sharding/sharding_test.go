@@ -1,6 +1,7 @@
 package sharding
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -190,5 +191,91 @@ func TestPerShardAdaptationIndependence(t *testing.T) {
 	}
 	if fr[1] > 20 {
 		t.Errorf("idle shard fraction %d%%, want it to stay near the floor", fr[1])
+	}
+}
+
+// TestShardedBootstrapSyncsEachShard: Cluster.Bootstrap runs its
+// loader once per shard, and every member of a shard then holds that
+// shard's documents byte for byte, with the index built on each.
+func TestShardedBootstrapSyncsEachShard(t *testing.T) {
+	env := sim.NewEnv(4)
+	defer env.Shutdown()
+	c := New(env, 3, shardConfig())
+	calls := make([]int, c.NumShards())
+	owned := make([]int, c.NumShards())
+	grp2 := make([]int, c.NumShards())
+	err := c.Bootstrap(func(shard int, s *storage.Store) error {
+		calls[shard]++
+		items := s.C("items")
+		if _, err := items.CreateIndex("grp", false, "grp"); err != nil {
+			return err
+		}
+		for i := 0; i < 300; i++ {
+			id := fmt.Sprintf("item%03d", i)
+			if c.ShardFor(id) != shard {
+				continue
+			}
+			owned[shard]++
+			if i%5 == 2 {
+				grp2[shard]++
+			}
+			if err := items.Insert(storage.D{"_id": id, "grp": i % 5}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for shard, n := range calls {
+		if n != 1 {
+			t.Fatalf("shard %d loader ran %d times, want 1", shard, n)
+		}
+	}
+	ran := false
+	env.Spawn("reader", func(p sim.Proc) {
+		defer func() { ran = true }()
+		for shard := 0; shard < c.NumShards(); shard++ {
+			rs := c.Shard(shard)
+			var first [][]byte
+			for _, id := range rs.NodeIDs() {
+				res, err := rs.ExecRead(p, id, func(v cluster.ReadView) (any, error) {
+					ev := v.(cluster.EncodedReadView)
+					var out [][]byte
+					for _, e := range ev.FindEncoded("items", storage.Filter{}, 0) {
+						out = append(out, e.Bytes())
+					}
+					// An indexed query sees the same group on every member.
+					if n := len(ev.FindEncoded("items", storage.Filter{"grp": storage.Eq(int64(2))}, 0)); n != grp2[shard] {
+						return nil, fmt.Errorf("grp 2 holds %d documents, want %d", n, grp2[shard])
+					}
+					return out, nil
+				})
+				if err != nil {
+					t.Errorf("shard %d member %d: %v", shard, id, err)
+					return
+				}
+				docs := res.([][]byte)
+				if len(docs) != owned[shard] {
+					t.Errorf("shard %d member %d holds %d documents, want %d", shard, id, len(docs), owned[shard])
+					return
+				}
+				if first == nil {
+					first = docs
+					continue
+				}
+				for i := range docs {
+					if !bytes.Equal(docs[i], first[i]) {
+						t.Errorf("shard %d member %d document %d differs from member 0's", shard, id, i)
+						return
+					}
+				}
+			}
+		}
+	})
+	env.Run(time.Second)
+	if !ran {
+		t.Fatal("reader did not finish")
 	}
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"decongestant/internal/btree"
@@ -313,26 +314,22 @@ func (c *Collection) ApplyBatch(ops []ApplyOp) (int, error) {
 }
 
 // CloneShallow returns a new collection sharing this collection's
-// immutable stored documents, with the _id index and secondary index
-// trees copied entry by entry (new slots and trees, same keys): the
-// initial-sync snapshot, O(n) pointer copies instead of n documents.
+// immutable stored documents, with new slots and with the _id index
+// and secondary index trees copied node by node (same keys and shape):
+// the initial-sync snapshot, O(n) pointer copies instead of n
+// documents.
 func (c *Collection) CloneShallow() *Collection {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	out := newCollection(c.name)
 	out.ids = c.ids.clone()
 	for name, idx := range c.indexes {
-		ni := &Index{
+		out.indexes[name] = &Index{
 			Name:   idx.Name,
 			Fields: append([]string(nil), idx.Fields...),
 			Unique: idx.Unique,
-			tree:   btree.New[string, string](cmp.Compare[string]),
+			tree:   idx.tree.Clone(nil),
 		}
-		idx.tree.AscendAll(func(k, id string) bool {
-			ni.tree.Set(k, id)
-			return true
-		})
-		out.indexes[name] = ni
 	}
 	return out
 }
@@ -358,9 +355,14 @@ func (c *Collection) FindByIDEncoded(id string) (*EncodedDoc, bool) {
 // Find returns the committed documents matching the filter, up to
 // limit (0 = no limit), each decoded into a Document the caller owns.
 func (c *Collection) Find(f Filter, limit int) []Document {
-	var out []Document
-	for _, e := range c.FindEncoded(f, limit) {
-		out = append(out, e.Doc())
+	sp := c.matches(f, limit)
+	defer releaseMatches(sp)
+	if len(*sp) == 0 {
+		return nil
+	}
+	out := make([]Document, len(*sp))
+	for i, e := range *sp {
+		out[i] = e.Doc()
 	}
 	return out
 }
@@ -368,14 +370,44 @@ func (c *Collection) Find(f Filter, limit int) []Document {
 // FindEncoded is Find returning the stored forms, so the wire server
 // can serve a filtered scan without decoding or encoding a document.
 func (c *Collection) FindEncoded(f Filter, limit int) []*EncodedDoc {
+	sp := c.matches(f, limit)
+	defer releaseMatches(sp)
+	if len(*sp) == 0 {
+		return nil
+	}
+	return slices.Clone(*sp)
+}
+
+// matches collects the documents matching f, up to limit, into a
+// pooled scratch slice, so Find and FindEncoded allocate their results
+// once at their final size; releaseMatches hands the slice back.
+func (c *Collection) matches(f Filter, limit int) *[]*EncodedDoc {
+	sp := matchScratch.Get().(*[]*EncodedDoc)
+	hits := (*sp)[:0]
 	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []*EncodedDoc
 	c.scan(f, func(e *EncodedDoc) bool {
-		out = append(out, e)
-		return limit <= 0 || len(out) < limit
+		hits = append(hits, e)
+		return limit <= 0 || len(hits) < limit
 	})
-	return out
+	c.mu.RUnlock()
+	*sp = hits
+	return sp
+}
+
+var matchScratch = sync.Pool{New: func() any { return new([]*EncodedDoc) }}
+
+// maxPooledMatches caps the scratch slices returned to matchScratch,
+// so one unbounded scan does not keep a large slice resident.
+const maxPooledMatches = 4096
+
+// releaseMatches clears a matches result, so the pool holds no
+// document alive, and pools it unless it grew past maxPooledMatches.
+func releaseMatches(sp *[]*EncodedDoc) {
+	clear(*sp)
+	if cap(*sp) <= maxPooledMatches {
+		*sp = (*sp)[:0]
+		matchScratch.Put(sp)
+	}
 }
 
 // Count returns the number of documents matching the filter.
@@ -551,6 +583,19 @@ func (c *Collection) ScanIDs(fn func(id string) bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	c.ids.ascend("", "", func(id string, e *EncodedDoc) bool { return fn(id) })
+}
+
+// ScanIndex iterates the named secondary index's entries in key
+// order — each entry's encoded key and its document's _id — for
+// diagnostics/tests. It reports whether the index exists.
+func (c *Collection) ScanIndex(name string, fn func(key, id string) bool) bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	idx, ok := c.indexes[name]
+	if ok {
+		idx.tree.AscendAll(fn)
+	}
+	return ok
 }
 
 // CollStats is the collstats command's view of one collection.

@@ -79,16 +79,13 @@ func (x *idIndex) ascend(lo, hi string, fn func(id string, e *EncodedDoc) bool) 
 
 // clone returns an index over the same committed documents with slots
 // of its own, so writes to either copy stay invisible to the other.
+// The ordered tree is copied node by node (btree.Tree.Clone).
 func (x *idIndex) clone() idIndex {
-	out := idIndex{
-		byID:  make(map[string]*idSlot, len(x.byID)),
-		order: btree.New[string, *idSlot](cmp.Compare[string]),
-	}
-	x.order.AscendAll(func(id string, s *idSlot) bool {
+	out := idIndex{byID: make(map[string]*idSlot, len(x.byID))}
+	out.order = x.order.Clone(func(id string, s *idSlot) *idSlot {
 		ns := &idSlot{e: s.e}
 		out.byID[id] = ns
-		out.order.Set(id, ns)
-		return true
+		return ns
 	})
 	return out
 }

@@ -16,6 +16,9 @@ import (
 // *cluster.ReplicaSet in.
 type rsBackend struct {
 	rs *cluster.ReplicaSet
+	// nodes is the member count, fixed when the set is built; the
+	// request bounds check reads it instead of allocating NodeIDs.
+	nodes int
 	// sleepless is set when the deployment models no service time and
 	// no network delay, so nothing a read or a w:1 write waits on — the
 	// node's CPU slot, its locks — is ever held across a sleep.
@@ -24,7 +27,7 @@ type rsBackend struct {
 
 func newRSBackend(rs *cluster.ReplicaSet) *rsBackend {
 	cfg := rs.Config()
-	return &rsBackend{rs: rs, sleepless: cfg.ReadCost <= 0 && cfg.WriteCost <= 0 &&
+	return &rsBackend{rs: rs, nodes: cfg.Nodes, sleepless: cfg.ReadCost <= 0 && cfg.WriteCost <= 0 &&
 		cfg.ApplyCost <= 0 && cfg.StatusCost <= 0 && cfg.GetMoreCost <= 0 &&
 		cfg.RTTSameZone <= 0 && cfg.RTTCrossZoneBase <= 0 && cfg.RTTCrossZoneSpread <= 0}
 }
@@ -81,24 +84,13 @@ func (b *rsBackend) execRead(p sim.Proc, req *Request, tctx trace.Context, fn fu
 }
 
 // Dispatch implements Backend for a replica set.
-func (b *rsBackend) Dispatch(p sim.Proc, req *Request, tctx trace.Context) *Response {
-	resp := &Response{}
-	fail := func(err error) *Response {
-		resp.Err = err.Error()
-		// A lease rejection is a typed retryable error: code it so the
-		// remote driver falls back to the primary exactly like the
-		// in-process one (the reason rides in the message).
-		if _, ok := cluster.LeaseReject(err); ok {
-			resp.Code = CodeNotLeased
-		}
-		return resp
-	}
-	if req.Node < 0 || req.Node >= len(b.rs.NodeIDs()) {
+func (b *rsBackend) Dispatch(p sim.Proc, req *Request, tctx trace.Context, resp *Response) error {
+	if req.Node < 0 || req.Node >= b.nodes {
 		switch req.Op {
 		case OpTopology, OpWriteBatch, OpOplogTail:
 			// Not addressed to a node.
 		default:
-			return fail(fmt.Errorf("wire: bad node %d", req.Node))
+			return fmt.Errorf("wire: bad node %d", req.Node)
 		}
 	}
 	switch req.Op {
@@ -110,7 +102,7 @@ func (b *rsBackend) Dispatch(p sim.Proc, req *Request, tctx trace.Context) *Resp
 		resp.Topo = topo
 	case OpPing:
 		if b.rs.Ping(p, req.Node) < 0 {
-			return fail(cluster.ErrNodeDown)
+			return cluster.ErrNodeDown
 		}
 	case OpStatus:
 		st := b.rs.ServerStatus(p, req.Node)
@@ -137,7 +129,7 @@ func (b *rsBackend) Dispatch(p sim.Proc, req *Request, tctx trace.Context) *Resp
 			return d, nil
 		})
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		resp.OpSecs, resp.OpInc, resp.StaleSecs = ts.Secs, ts.Inc, stale
 		switch d := res.(type) {
@@ -155,7 +147,7 @@ func (b *rsBackend) Dispatch(p sim.Proc, req *Request, tctx trace.Context) *Resp
 			return v.FindManyByID(req.Collection, req.IDs), nil
 		})
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		resp.OpSecs, resp.OpInc, resp.StaleSecs = ts.Secs, ts.Inc, stale
 		fillDocs(resp, res)
@@ -167,7 +159,7 @@ func (b *rsBackend) Dispatch(p sim.Proc, req *Request, tctx trace.Context) *Resp
 			return v.Find(req.Collection, req.Filter, req.Limit), nil
 		})
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		resp.OpSecs, resp.OpInc, resp.StaleSecs = ts.Secs, ts.Inc, stale
 		fillDocs(resp, res)
@@ -176,7 +168,7 @@ func (b *rsBackend) Dispatch(p sim.Proc, req *Request, tctx trace.Context) *Resp
 			return v.Count(req.Collection, req.Filter), nil
 		})
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		resp.OpSecs, resp.OpInc, resp.StaleSecs = ts.Secs, ts.Inc, stale
 		resp.Count = res.(int)
@@ -185,7 +177,7 @@ func (b *rsBackend) Dispatch(p sim.Proc, req *Request, tctx trace.Context) *Resp
 			return nil, applyMutations(tx, req.Muts)
 		})
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		resp.OpSecs, resp.OpInc = commitTS.Secs, commitTS.Inc
 	case OpOplogTail:
@@ -196,15 +188,15 @@ func (b *rsBackend) Dispatch(p sim.Proc, req *Request, tctx trace.Context) *Resp
 		}
 		entries, applied, trunc, err := b.rs.OplogTail(p, after, max)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		fillEntries(resp, entries)
 		resp.OpSecs, resp.OpInc = applied.Secs, applied.Inc
 		resp.TruncSecs, resp.TruncInc = trunc.Secs, trunc.Inc
 	default:
-		return fail(fmt.Errorf("wire: unknown op %q", req.Op))
+		return fmt.Errorf("wire: unknown op %q", req.Op)
 	}
-	return resp
+	return nil
 }
 
 // applyMutations replays a write batch into a transaction — shared by

@@ -259,12 +259,14 @@ func BenchmarkWireFindMany(b *testing.B) {
 // Allocation ceilings for the concurrent wire benchmarks, as allocs/op
 // counted the way the benchmarks count them (the process-wide malloc
 // delta over the operations, truncated). Both were measured at 2 Ps
-// with 16 callers: 13 per point read (1,149 B), 171 per 16-document
+// with 16 callers: 10 per point read (489 B), 165 per 16-document
 // find query (64 document maps and 64 value boxes on the client, one
-// copy of the 16 documents, and the rest of the round trip).
+// copy of the 16 documents, and the rest of the round trip). Neither
+// end allocates a Response per request: the server's reader refills
+// one per connection and the client's demux decodes into pooled ones.
 const (
-	maxConcurrentPointReadAllocs = 13
-	maxFindQueryAllocs           = 171
+	maxConcurrentPointReadAllocs = 10
+	maxFindQueryAllocs           = 165
 )
 
 // concurrentAllocs runs op from callers goroutines, perCaller times

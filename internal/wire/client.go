@@ -60,8 +60,15 @@ type muxConn struct {
 	flushing bool    // a flusher is chosen and will take out as it stands
 
 	pmu     sync.Mutex
-	pending map[uint64]chan *Response
+	pending map[uint64]call
 	err     error // set once the connection dies; sticky
+}
+
+// call is one request waiting for its response: demux fills resp and
+// then delivers it on done.
+type call struct {
+	done chan *Response
+	resp *Response
 }
 
 // send appends one frame and makes sure it is written. The first
@@ -113,42 +120,61 @@ func (mc *muxConn) send(req *Request) error {
 // else holds it; a channel fail closed is dropped.
 var waiters = sync.Pool{New: func() any { return make(chan *Response, 1) }}
 
-// register files a response channel for a request id.
-func (mc *muxConn) register(id uint64) (chan *Response, error) {
-	ch := waiters.Get().(chan *Response)
+// responses recycles the Responses demux fills. roundTrip's caller
+// hands one back with releaseResponse once it has copied out what it
+// keeps; one that is not handed back is simply collected.
+var responses = sync.Pool{New: func() any { return new(Response) }}
+
+// releaseResponse clears resp, so the pool holds nothing alive, and
+// pools it. A nil resp is ignored.
+func releaseResponse(resp *Response) {
+	if resp != nil {
+		*resp = Response{}
+		responses.Put(resp)
+	}
+}
+
+// register files a call for a request id.
+func (mc *muxConn) register(id uint64) (call, error) {
+	c := call{done: waiters.Get().(chan *Response), resp: responses.Get().(*Response)}
 	mc.pmu.Lock()
 	defer mc.pmu.Unlock()
 	if mc.err != nil {
-		waiters.Put(ch)
-		return nil, mc.err
+		waiters.Put(c.done)
+		responses.Put(c.resp)
+		return call{}, mc.err
 	}
-	mc.pending[id] = ch
-	return ch, nil
+	mc.pending[id] = c
+	return c, nil
 }
 
 // demux delivers response frames to their registered callers until the
 // connection dies, then fails every outstanding caller. Frames are
 // read into a per-connection reused buffer; decoding copies what it
-// keeps, so the buffer never escapes a loop iteration.
+// keeps, so the buffer never escapes a loop iteration. Each frame
+// decodes into one reused Response, which is then copied into the
+// caller's pooled one: a response allocates nothing of its own.
 func (mc *muxConn) demux() {
 	fr := &frameReader{r: bufio.NewReader(mc.c)}
+	var resp Response
 	for {
 		body, err := fr.next()
 		if err != nil {
 			mc.fail(err)
 			return
 		}
-		resp := &Response{}
-		if err := decodeResponse(body, resp); err != nil {
+		resp = Response{}
+		if err := decodeResponse(body, &resp); err != nil {
 			mc.fail(err)
 			return
 		}
 		mc.pmu.Lock()
-		ch, ok := mc.pending[resp.ID]
+		c, ok := mc.pending[resp.ID]
 		delete(mc.pending, resp.ID)
 		mc.pmu.Unlock()
 		if ok {
-			ch <- resp
+			*c.resp = resp
+			c.done <- c.resp
 		}
 	}
 }
@@ -161,9 +187,9 @@ func (mc *muxConn) fail(err error) {
 	if mc.err == nil {
 		mc.err = err
 	}
-	for id, ch := range mc.pending {
+	for id, c := range mc.pending {
 		delete(mc.pending, id)
-		close(ch)
+		close(c.done)
 	}
 	mc.pmu.Unlock()
 }
@@ -272,7 +298,7 @@ func (cl *Client) dialMux() (*muxConn, error) {
 		return nil, err
 	}
 	c.SetDeadline(time.Time{})
-	mc := &muxConn{c: c, pending: map[uint64]chan *Response{}}
+	mc := &muxConn{c: c, pending: map[uint64]call{}}
 	go mc.demux()
 	return mc, nil
 }
@@ -285,7 +311,10 @@ func clientHandshake(c net.Conn) error {
 }
 
 // roundTrip pipelines one request onto the shared connection and
-// waits for the response with its id.
+// waits for the response with its id. The response is pooled: the
+// caller copies out what it keeps and hands it back with
+// releaseResponse. An error response is released here and comes back
+// as the error alone.
 func (cl *Client) roundTrip(req *Request) (*Response, error) {
 	req.ID = cl.nextID.Add(1)
 	mc, err := cl.getMux()
@@ -294,7 +323,7 @@ func (cl *Client) roundTrip(req *Request) (*Response, error) {
 	}
 	mc.calls.Add(1)
 	defer mc.calls.Add(-1)
-	ch, err := mc.register(req.ID)
+	c, err := mc.register(req.ID)
 	if err != nil {
 		return nil, err
 	}
@@ -302,15 +331,25 @@ func (cl *Client) roundTrip(req *Request) (*Response, error) {
 		mc.fail(err)
 		return nil, err
 	}
-	resp, ok := <-ch
+	resp, ok := <-c.done
 	if !ok {
 		return nil, mc.failure()
 	}
-	waiters.Put(ch)
+	waiters.Put(c.done)
 	if resp.Err != "" {
-		return resp, &Error{Code: resp.Code, Msg: resp.Err}
+		err := &Error{Code: resp.Code, Msg: resp.Err}
+		releaseResponse(resp)
+		return nil, err
 	}
 	return resp, nil
+}
+
+// do is roundTrip for a request whose response carries nothing the
+// caller keeps.
+func (cl *Client) do(req *Request) error {
+	resp, err := cl.roundTrip(req)
+	releaseResponse(resp)
+	return err
 }
 
 func (cl *Client) refreshTopology() error {
@@ -318,6 +357,7 @@ func (cl *Client) refreshTopology() error {
 	if err != nil {
 		return err
 	}
+	defer releaseResponse(resp)
 	if resp.Topo == nil {
 		return errors.New("wire: empty topology")
 	}
@@ -371,7 +411,7 @@ func (cl *Client) Zone(id int) string {
 // folding an error path's timing into their RTT estimates.
 func (cl *Client) Ping(p sim.Proc, nodeID int) time.Duration {
 	start := time.Now()
-	if _, err := cl.roundTrip(&Request{Op: OpPing, Node: nodeID}); err != nil {
+	if err := cl.do(&Request{Op: OpPing, Node: nodeID}); err != nil {
 		return -1
 	}
 	return time.Since(start)
@@ -384,6 +424,7 @@ func (cl *Client) FetchMetrics() (obs.Snapshot, error) {
 	if err != nil {
 		return obs.Snapshot{}, err
 	}
+	defer releaseResponse(resp)
 	if resp.Metrics == nil {
 		return obs.Snapshot{}, errors.New("wire: empty metrics response")
 	}
@@ -394,8 +435,7 @@ func (cl *Client) FetchMetrics() (obs.Snapshot, error) {
 // name; the server namespaces it as "<source>." and folds it into
 // subsequent metrics responses. Push repeatedly to keep it current.
 func (cl *Client) PushMetrics(source string, snap obs.Snapshot) error {
-	_, err := cl.roundTrip(&Request{Op: OpMetricsPush, Source: source, Snapshot: &snap})
-	return err
+	return cl.do(&Request{Op: OpMetricsPush, Source: source, Snapshot: &snap})
 }
 
 // FetchTrace retrieves every span the server holds for one trace id —
@@ -406,6 +446,7 @@ func (cl *Client) FetchTrace(id uint64) ([]trace.Span, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer releaseResponse(resp)
 	return resp.Spans, nil
 }
 
@@ -416,6 +457,7 @@ func (cl *Client) RecentSpans(limit int) ([]trace.Span, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer releaseResponse(resp)
 	return resp.Spans, nil
 }
 
@@ -427,6 +469,7 @@ func (cl *Client) CurrentOp() ([]trace.OpInfo, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer releaseResponse(resp)
 	return resp.Ops, nil
 }
 
@@ -439,8 +482,7 @@ func (cl *Client) PushTraces() error {
 	if len(spans) == 0 {
 		return nil
 	}
-	_, err := cl.roundTrip(&Request{Op: OpTracePush, Spans: spans})
-	return err
+	return cl.do(&Request{Op: OpTracePush, Spans: spans})
 }
 
 // ListShards retrieves a mongos's shard roster. Replica-set servers
@@ -450,6 +492,7 @@ func (cl *Client) ListShards() ([]ShardInfo, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer releaseResponse(resp)
 	return resp.Shards, nil
 }
 
@@ -461,14 +504,14 @@ func (cl *Client) ChunkMap() (*ChunkMapBody, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer releaseResponse(resp)
 	return resp.Chunks, nil
 }
 
 // MoveChunk asks a mongos to live-migrate the chunk owning key to the
 // given shard. It returns when the hand-off has committed.
 func (cl *Client) MoveChunk(key string, toShard int) error {
-	_, err := cl.roundTrip(&Request{Op: OpMoveChunk, DocID: key, Node: toShard})
-	return err
+	return cl.do(&Request{Op: OpMoveChunk, DocID: key, Node: toShard})
 }
 
 // OplogTail implements driver.OplogTailer over the wire: scan the
@@ -479,6 +522,7 @@ func (cl *Client) OplogTail(p sim.Proc, after oplog.OpTime, max int) ([]oplog.De
 	if err != nil {
 		return nil, oplog.Zero, oplog.Zero, err
 	}
+	defer releaseResponse(resp)
 	entries := make([]oplog.DecodedEntry, 0, len(resp.Entries))
 	for i := range resp.Entries {
 		eb := &resp.Entries[i]
@@ -511,6 +555,7 @@ func (cl *Client) OplogTail(p sim.Proc, after oplog.OpTime, max int) ([]oplog.De
 // ServerStatus implements driver.Conn.
 func (cl *Client) ServerStatus(p sim.Proc, nodeID int) cluster.Status {
 	resp, err := cl.roundTrip(&Request{Op: OpStatus, Node: nodeID})
+	defer releaseResponse(resp)
 	if err != nil || resp.Status == nil {
 		return cluster.Status{From: nodeID}
 	}
@@ -681,6 +726,7 @@ func (cl *Client) ExecWriteTracked(p sim.Proc, fn func(tx cluster.WriteTxn) (any
 			return nil, oplog.Zero, err
 		}
 		commit = oplog.OpTime{Secs: resp.OpSecs, Inc: resp.OpInc}
+		releaseResponse(resp)
 	}
 	if live {
 		cl.tracer.Record(trace.Span{
@@ -761,6 +807,7 @@ func (v *remoteReadView) FindByID(collection, id string) (storage.Document, bool
 		v.fail(err)
 		return nil, false
 	}
+	defer releaseResponse(resp)
 	v.observe(resp)
 	if !resp.Found {
 		return nil, false
@@ -776,6 +823,7 @@ func (v *remoteReadView) FindManyByID(collection string, ids []string) []storage
 		v.fail(err)
 		return nil
 	}
+	defer releaseResponse(resp)
 	v.observe(resp)
 	return resp.docs
 }
@@ -788,6 +836,7 @@ func (v *remoteReadView) Find(collection string, f storage.Filter, limit int) []
 		v.fail(err)
 		return nil
 	}
+	defer releaseResponse(resp)
 	v.observe(resp)
 	return resp.docs
 }
@@ -800,6 +849,7 @@ func (v *remoteReadView) Count(collection string, f storage.Filter) int {
 		v.fail(err)
 		return 0
 	}
+	defer releaseResponse(resp)
 	v.observe(resp)
 	return resp.Count
 }

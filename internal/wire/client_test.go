@@ -241,14 +241,14 @@ func TestUnencodableRequestMidBurst(t *testing.T) {
 		}
 		send := func(req *Request) chan *Response {
 			t.Helper()
-			ch, err := mc.register(req.ID)
+			c, err := mc.register(req.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := mc.send(req); err != nil {
 				t.Fatal(err)
 			}
-			return ch
+			return c.done
 		}
 		read := func(id uint64) *Request {
 			return &Request{ID: id, Op: OpFindByID, Collection: "mux", DocID: muxKey(int(id))}

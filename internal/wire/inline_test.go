@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"decongestant/internal/cluster"
+	"decongestant/internal/obs"
 	"decongestant/internal/sim"
 	"decongestant/internal/storage"
 )
@@ -256,5 +257,46 @@ func TestSerialFindByIDAllocs(t *testing.T) {
 	}
 	if bytes > maxRoundTripBytes {
 		t.Errorf("%d bytes per round trip, want <= %d", bytes, maxRoundTripBytes)
+	}
+}
+
+// TestInlineResponsesStartEmpty: the reader refills one Response for
+// every request it serves inline, and the client's demux decodes every
+// frame into one reused Response. A miss or an error after a hit must
+// carry nothing of the hit, and a miss after an error nothing of the
+// error.
+func TestInlineResponsesStartEmpty(t *testing.T) {
+	rs, addr, stop := startSleeplessServer(t, ServerConfig{})
+	defer stop()
+	loadMuxDocs(t, rs)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for i := 0; i < 3; i++ {
+		resp, err := cl.roundTrip(&Request{Op: OpFindByID, Node: 0, Collection: "mux", DocID: muxKey(i)})
+		if err != nil || !resp.Found || resp.doc["val"] != int64(i) {
+			t.Fatalf("hit %d: err %v, response %+v", i, err, resp)
+		}
+		releaseResponse(resp)
+		if _, err := cl.roundTrip(&Request{Op: OpFindByID, Node: 7, Collection: "mux", DocID: muxKey(i)}); err == nil {
+			t.Fatal("a read at a node that does not exist succeeded")
+		}
+		resp, err = cl.roundTrip(&Request{Op: OpFindByID, Node: 0, Collection: "mux", DocID: "absent"})
+		if err != nil {
+			t.Fatalf("miss after an error response: %v", err)
+		}
+		if resp.Found || resp.doc != nil {
+			t.Fatalf("miss after a hit carries found=%v doc=%v", resp.Found, resp.doc)
+		}
+		releaseResponse(resp)
+	}
+	snap, err := cl.FetchMetrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := snap.CounterValue(obs.Name("wire.dispatch", "path", "inline")); n < 9 {
+		t.Errorf("wire.dispatch{path=inline} = %d, want all 9 reads served inline", n)
 	}
 }

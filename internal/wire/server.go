@@ -91,9 +91,11 @@ type Backend interface {
 	// connection's reader may run it itself instead of spawning a
 	// goroutine for it. It is the only place that rule lives.
 	Inline(req *Request) bool
-	// Dispatch executes one non-transport request. The trace context is
-	// the server's dispatch span (zero when unsampled).
-	Dispatch(p sim.Proc, req *Request, tctx trace.Context) *Response
+	// Dispatch executes one non-transport request, filling resp (zeroed
+	// and owned by the server, which reuses it once the response is
+	// encoded). The trace context is the server's dispatch span (zero
+	// when unsampled). A returned error becomes the response's Err.
+	Dispatch(p sim.Proc, req *Request, tctx trace.Context, resp *Response) error
 }
 
 // Server exposes a Backend (a replica set, a mongos router — anything
@@ -374,8 +376,11 @@ func (s *Server) handle(conn net.Conn) {
 		w.send(resp, held)
 	}
 	// req is decoded into afresh each frame; inline requests use it in
-	// place and spawned ones take a copy.
+	// place and spawned ones take a copy. resp is the reader's response,
+	// refilled for each request it answers itself: reply encodes it
+	// before the reader moves on.
 	var req Request
+	var resp Response
 	for {
 		if held && !fr.buffered() {
 			w.flush()
@@ -445,18 +450,19 @@ func (s *Server) handle(conn net.Conn) {
 				<-sem
 			}
 			s.shedCount.Inc(1)
-			reply(&Response{ID: req.ID, Err: "wire: server overloaded", Code: CodeOverloaded})
+			resp = Response{ID: req.ID, Err: "wire: server overloaded", Code: CodeOverloaded}
+			reply(&resp)
 			continue
 		}
 		inService.Add(1)
 		s.inflightG.Add(1)
 		if s.backend.Inline(&req) {
 			s.dispatchInline.Inc(1)
-			resp := s.execute(proc, &req, arrive, release)
-			if resp == nil {
+			resp = Response{}
+			if !s.execute(proc, &req, &resp, arrive, release) {
 				break // the environment shut down
 			}
-			reply(resp)
+			reply(&resp)
 			continue
 		}
 		s.dispatchSpawned.Inc(1)
@@ -464,7 +470,8 @@ func (s *Server) handle(conn net.Conn) {
 		r := req
 		go func() {
 			defer inflight.Done()
-			if resp := s.execute(s.env.Adhoc(procName), &r, arrive, release); resp != nil {
+			resp := &Response{}
+			if s.execute(s.env.Adhoc(procName), &r, resp, arrive, release) {
 				w.send(resp, false)
 			}
 		}()
@@ -474,11 +481,11 @@ func (s *Server) handle(conn net.Conn) {
 	inflight.Wait()
 }
 
-// execute serves one admitted request — admission span, dispatch,
-// instruments, slow-op log — then hands its admission slots back
-// through release. It returns nil when the environment shut down while
-// the request was in service.
-func (s *Server) execute(proc sim.Proc, r *Request, arrive time.Duration, release func()) (resp *Response) {
+// execute serves one admitted request into resp — admission span,
+// dispatch, instruments, slow-op log — then hands its admission slots
+// back through release. It returns false when the environment shut
+// down while the request was in service.
+func (s *Server) execute(proc sim.Proc, r *Request, resp *Response, arrive time.Duration, release func()) (served bool) {
 	defer func() {
 		release()
 		// The environment may shut down while a request is in flight;
@@ -514,7 +521,7 @@ func (s *Server) execute(proc sim.Proc, r *Request, arrive time.Duration, releas
 	// the tree reads admission → dispatch → exec.
 	child := tctx
 	child.SpanID = dispatchID
-	resp = s.dispatch(proc, r, child)
+	s.dispatch(proc, r, child, resp)
 	if s.curOps != nil {
 		s.curOps.Done(opID)
 	}
@@ -549,7 +556,7 @@ func (s *Server) execute(proc sim.Proc, r *Request, arrive time.Duration, releas
 			trace.IDString(tctx.TraceID), routeString(r.Trace))
 	}
 	resp.ID = r.ID
-	return resp
+	return true
 }
 
 // connWriter is a connection's response path, shared by its reader and
@@ -688,14 +695,15 @@ func (s *Server) CurrentOps() []trace.OpInfo {
 	return s.curOps.Snapshot(s.env.Now())
 }
 
-// dispatch executes one request: the transport-owned export ops
-// (metrics, trace, current_op and their push counterparts) are served
-// here against the server's own state, everything else goes to the
-// backend. Backends route read results through cluster.EncodedReadView
-// when the serving view offers it, so responses carry each document's
-// stored BSON-lite encoding (rawDoc/rawDocs) and the write loop splices
-// bytes instead of re-serializing.
-func (s *Server) dispatch(p sim.Proc, req *Request, tctx trace.Context) *Response {
+// dispatch executes one request into resp: the transport-owned export
+// ops (metrics, trace, current_op and their push counterparts) are
+// served here against the server's own state, everything else goes to
+// the backend. Backends route read results through
+// cluster.EncodedReadView when the serving view offers it, so
+// responses carry each document's stored BSON-lite encoding
+// (rawDoc/rawDocs) and the write loop splices bytes instead of
+// re-serializing.
+func (s *Server) dispatch(p sim.Proc, req *Request, tctx trace.Context, resp *Response) {
 	switch req.Op {
 	case OpMetrics:
 		snap := s.backend.Metrics().Snapshot()
@@ -706,7 +714,7 @@ func (s *Server) dispatch(p sim.Proc, req *Request, tctx trace.Context) *Respons
 		}
 		s.mu.Unlock()
 		merged := snap.Merge(others...)
-		return &Response{Metrics: &merged}
+		resp.Metrics = &merged
 	case OpTrace:
 		// Export spans from the recorder: a hex trace id in DocID
 		// selects one trace (ring spans plus any pinned copies); no id
@@ -715,26 +723,28 @@ func (s *Server) dispatch(p sim.Proc, req *Request, tctx trace.Context) *Respons
 		if req.DocID != "" {
 			id, err := trace.ParseID(req.DocID)
 			if err != nil {
-				return &Response{Err: fmt.Sprintf("wire: bad trace id %q", req.DocID)}
+				resp.Err = fmt.Sprintf("wire: bad trace id %q", req.DocID)
+				return
 			}
-			return &Response{Spans: s.tracer.TraceSpans(id)}
+			resp.Spans = s.tracer.TraceSpans(id)
+			return
 		}
 		limit := req.Limit
 		if limit <= 0 || limit > 1024 {
 			limit = 256
 		}
-		return &Response{Spans: s.tracer.Recent(limit)}
+		resp.Spans = s.tracer.Recent(limit)
 	case OpCurrentOp:
-		return &Response{Ops: s.CurrentOps()}
+		resp.Ops = s.CurrentOps()
 	case OpTracePush:
 		// Clients fold their locally recorded spans (driver/session
 		// hops run client-side) into the server's recorder so a trace
 		// export shows the whole causal tree.
 		s.tracer.Import(req.Spans)
-		return &Response{}
 	case OpMetricsPush:
 		if req.Snapshot == nil {
-			return &Response{Err: "wire: metrics_push without a snapshot"}
+			resp.Err = "wire: metrics_push without a snapshot"
+			return
 		}
 		src := req.Source
 		if src == "" {
@@ -743,8 +753,15 @@ func (s *Server) dispatch(p sim.Proc, req *Request, tctx trace.Context) *Respons
 		s.mu.Lock()
 		s.pushed[src] = req.Snapshot.Prefixed(src + ".")
 		s.mu.Unlock()
-		return &Response{}
 	default:
-		return s.backend.Dispatch(p, req, tctx)
+		if err := s.backend.Dispatch(p, req, tctx, resp); err != nil {
+			resp.Err = err.Error()
+			// A lease rejection is a typed retryable error: code it so
+			// the remote driver falls back to the primary exactly like
+			// the in-process one (the reason rides in the message).
+			if _, ok := cluster.LeaseReject(err); ok {
+				resp.Code = CodeNotLeased
+			}
+		}
 	}
 }

@@ -65,7 +65,9 @@ func StockID(w, i int) string       { return fmt.Sprintf("s_%d_%d", w, i) }
 func OrderID(w, d, o int) string    { return fmt.Sprintf("o_%d_%d_%d", w, d, o) }
 func NewOrderID(w, d, o int) string { return fmt.Sprintf("no_%d_%d_%d", w, d, o) }
 
-// Load bootstraps the full population and indexes onto every node.
+// Load bootstraps the full population and indexes onto every node. It
+// generates them once, into the primary's store; the other members
+// start from a copy of it (see cluster.ReplicaSet.Bootstrap).
 func Load(rs *cluster.ReplicaSet, sc Scale, seed int64) error {
 	return rs.Bootstrap(func(s *storage.Store) error {
 		rng := rand.New(rand.NewSource(seed))

@@ -81,10 +81,17 @@ func (NopObserver) ObserveWrite(time.Duration, time.Duration, string)           
 // RandString fills a deterministic alphanumeric string of length n —
 // YCSB field payloads and TPC-C data strings. It draws 10 characters
 // per 64-bit random word (6 bits each), keeping payload generation off
-// the benchmark's critical path.
+// the benchmark's critical path. Up to 256 characters are generated on
+// the stack, so the string is the call's one allocation.
 func RandString(rng *rand.Rand, n int) string {
 	const alphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_"
-	b := make([]byte, n)
+	var stack [256]byte
+	var b []byte
+	if n <= len(stack) {
+		b = stack[:n]
+	} else {
+		b = make([]byte, n)
+	}
 	var word uint64
 	var bits int
 	for i := range b {

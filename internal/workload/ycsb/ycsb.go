@@ -3,6 +3,7 @@ package ycsb
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,19 +102,31 @@ func WorkloadF() Spec {
 }
 
 // KeyName formats the _id for item i, as YCSB does ("user<i>").
-func KeyName(i int64) string { return fmt.Sprintf("user%d", i) }
+func KeyName(i int64) string {
+	var buf [24]byte
+	return string(strconv.AppendInt(append(buf[:0], "user"...), i, 10))
+}
 
-// Load bootstraps RecordCount documents onto every node of the
-// replica set (pre-existing data, outside the oplog) and creates no
-// secondary indexes — YCSB is a pure key-value workload.
+// Load bootstraps RecordCount documents onto the replica set
+// (pre-existing data, outside the oplog) and creates no secondary
+// indexes — YCSB is a pure key-value workload. The records are
+// generated once, into the primary's store; the other members start
+// from a copy of it (see cluster.ReplicaSet.Bootstrap).
 func Load(rs *cluster.ReplicaSet, spec Spec, seed int64) error {
+	names := make([]string, spec.FieldCount)
+	for f := range names {
+		names[f] = fmt.Sprintf("field%d", f)
+	}
 	return rs.Bootstrap(func(s *storage.Store) error {
 		rng := rand.New(rand.NewSource(seed))
 		c := s.C(Table)
+		// Insert keeps only the record's encoding, so one map serves
+		// every record.
+		doc := make(storage.D, spec.FieldCount+1)
 		for i := int64(0); i < spec.RecordCount; i++ {
-			doc := storage.D{"_id": KeyName(i)}
-			for f := 0; f < spec.FieldCount; f++ {
-				doc[fmt.Sprintf("field%d", f)] = workload.RandString(rng, spec.FieldLength)
+			doc["_id"] = KeyName(i)
+			for _, name := range names {
+				doc[name] = workload.RandString(rng, spec.FieldLength)
 			}
 			if err := c.Insert(doc); err != nil {
 				return err
