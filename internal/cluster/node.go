@@ -483,6 +483,8 @@ func (n *Node) wakeAckWaitersLocked() {
 // Every document an in-process view returns is decoded from committed
 // state for this call. Results are read-only by contract all the same:
 // layers above (the driver's read cache) share them between callers.
+// A body must not keep its view past its return: in-process views are
+// recycled.
 type ReadView interface {
 	// FindByID looks up one document by _id. The result is read-only
 	// for the caller.
@@ -530,6 +532,11 @@ type localReadView struct {
 	node      *Node
 	readUnits int
 }
+
+// readViews recycles execRead's views. A body receives its view as an
+// interface, so a view made per read would escape to the heap on every
+// read.
+var readViews = sync.Pool{New: func() any { return new(localReadView) }}
 
 // FindByID looks up one document (1 read unit), decoding it from its
 // stored form.
@@ -626,7 +633,7 @@ const (
 // mutation is one staged operation. Normalization and oplog payload
 // encoding happen at staging time — on the writer's own service time,
 // outside any lock — so the commit critical section is reduced to
-// timestamp minting, byte splices and the ring append.
+// timestamp minting, byte splices and the oplog append.
 type mutation struct {
 	kind       mutKind
 	collection string

@@ -185,7 +185,8 @@ func (n *Node) execRead(p sim.Proc, fn func(v ReadView) (any, error)) (any, erro
 	defer n.cpu.Release()
 	n.obsQueueWait.Observe(p.Now() - qstart)
 	n.obsReads.Inc(1)
-	v := &localReadView{node: n}
+	v := readViews.Get().(*localReadView)
+	v.node = n
 	// Read lock only: concurrent reads on this node run in parallel
 	// (bounded by the CPU slots acquired above); they are excluded only
 	// by a committing write or an oplog batch apply, which guarantees a
@@ -195,6 +196,8 @@ func (n *Node) execRead(p sim.Proc, fn func(v ReadView) (any, error)) (any, erro
 	n.mu.RUnlock()
 	n.stats.reads.Add(1)
 	units := v.readUnits
+	*v = localReadView{}
+	readViews.Put(v)
 	if units < 1 {
 		units = 1
 	}

@@ -319,7 +319,7 @@ func (n *Node) serveGetMore(p sim.Proc, from int, after oplog.OpTime) ([]oplog.E
 // grow the primary's memory without bound. OplogHardCap bounds the log
 // even against live-but-slow fetchers; anyone cut off detects the gap
 // on its next fetch and resyncs from a snapshot. Caller holds n.mu.
-// The ring truncates in O(dropped), so the 25% hysteresis only batches
+// The log truncates in O(dropped), so the 25% hysteresis only batches
 // the cutoff bookkeeping, not a suffix copy.
 func (n *Node) truncatePrimaryLocked() {
 	cap := n.rs.cfg.OplogCap

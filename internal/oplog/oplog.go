@@ -283,17 +283,34 @@ func ApplyBatch(s *storage.Store, batch []Entry) (applied, failed int, firstErr 
 	return applied, failed, firstErr
 }
 
+// Segment geometry: a Log stores its entries in segments of segLen
+// slots (80 KB each), so a slot's segment and offset are a shift and a
+// mask of its position. A log keeps up to maxSpares emptied segments
+// for reuse: a round that appends up to one segment's worth of entries
+// and then truncates back to a cap crosses at most two segment
+// boundaries at the tail before the head releases any, so two spares
+// keep that steady state free of allocation.
+const (
+	segShift  = 10
+	segLen    = 1 << segShift
+	segMask   = segLen - 1
+	maxSpares = 2
+)
+
 // Log is an append-only sequence of entries ordered by OpTime, stored
-// in a ring buffer. Appends are amortized O(1); truncation releases
-// only the dropped slots (O(dropped)) instead of copying the retained
-// suffix (O(len)) as a flat slice would — the difference between a
-// capped oplog whose steady-state maintenance is free and one that
-// re-copies ~cap entries on every cut. The Log carries no lock of its
-// own; callers (the cluster node) synchronize access.
+// in fixed-size segments. An append fills the newest segment and adds
+// a segment when it is full; truncation zeroes the dropped slots and
+// releases every segment it empties. No entry is ever copied inside
+// the log, and the memory held follows the entries kept: at most one
+// partly filled segment at each end plus the spares, which the next
+// segments added reuse, so a capped log's steady state allocates
+// nothing. The Log carries no lock of its own; callers (the cluster
+// node) synchronize access.
 type Log struct {
-	buf   []Entry // ring storage; empty slots are zeroed so payloads free
-	head  int     // index of the oldest entry in buf
-	count int     // live entries
+	segs   [][]Entry // segLen-slot segments, oldest first; unused slots are zero
+	head   int       // slot of the oldest entry in segs[0]
+	count  int       // live entries
+	spares [][]Entry // up to maxSpares emptied (all-zero) segments
 
 	lastTS  OpTime
 	nextInc uint32
@@ -323,39 +340,56 @@ func (l *Log) notify() {
 	}
 }
 
-// slot maps the logical index i (0 = oldest) to a ring position.
-func (l *Log) slot(i int) int { return (l.head + i) % len(l.buf) }
+// slot returns the slot of the i-th oldest entry (i may be count, the
+// next free slot, once ensure has made room for it).
+func (l *Log) slot(i int) *Entry {
+	i += l.head
+	return &l.segs[i>>segShift][i&segMask]
+}
 
-// at returns the i-th oldest entry.
-func (l *Log) at(i int) Entry { return l.buf[l.slot(i)] }
+// span calls fn on the slots of entries [i, j) one segment at a time.
+func (l *Log) span(i, j int, fn func(slots []Entry)) {
+	for i < j {
+		k := l.head + i
+		slots := l.segs[k>>segShift][k&segMask:]
+		slots = slots[:min(len(slots), j-i)]
+		fn(slots)
+		i += len(slots)
+	}
+}
 
-// ensure grows the ring so it can hold n more entries, unwrapping the
-// ring into the front of the new buffer.
+// ensure adds segments, spares first, until n more entries fit.
 func (l *Log) ensure(n int) {
-	need := l.count + n
-	if need <= len(l.buf) {
-		return
+	for len(l.segs)<<segShift < l.head+l.count+n {
+		var seg []Entry
+		if k := len(l.spares) - 1; k >= 0 {
+			seg = l.spares[k]
+			l.spares[k] = nil
+			l.spares = l.spares[:k]
+		} else {
+			seg = make([]Entry, segLen)
+		}
+		l.segs = append(l.segs, seg)
 	}
-	newCap := len(l.buf) * 2
-	if newCap < 16 {
-		newCap = 16
-	}
-	for newCap < need {
-		newCap *= 2
-	}
-	buf := make([]Entry, newCap)
-	if l.count > 0 {
-		tail := copy(buf, l.buf[l.head:])
-		if tail < l.count {
-			copy(buf[tail:], l.buf[:l.count-tail])
+}
+
+// release discards the k oldest segments, which hold no live entry,
+// keeping up to maxSpares of them. The rest shift down in place, so
+// segs keeps its backing array.
+func (l *Log) release(k int) {
+	for _, seg := range l.segs[:k] {
+		if len(l.spares) < maxSpares {
+			l.spares = append(l.spares, seg)
 		}
 	}
-	l.buf = buf
-	l.head = 0
+	n := copy(l.segs, l.segs[k:])
+	clear(l.segs[n:])
+	l.segs = l.segs[:n]
 }
 
 // dropFirst discards the n oldest entries, zeroing their slots so the
-// payloads are collectable, and records the newest dropped TS.
+// payloads are collectable, releases the segments that emptied (all of
+// them when the log empties), and records the newest dropped TS.
 func (l *Log) dropFirst(n int) int {
 	if n <= 0 {
 		return 0
@@ -363,15 +397,17 @@ func (l *Log) dropFirst(n int) int {
 	if n > l.count {
 		n = l.count
 	}
-	l.truncatedTo = l.at(n - 1).TS
-	for i := 0; i < n; i++ {
-		l.buf[l.slot(i)] = Entry{}
-	}
-	l.head = l.slot(n)
+	l.truncatedTo = l.slot(n - 1).TS
+	l.span(0, n, func(slots []Entry) { clear(slots) })
+	l.head += n
 	l.count -= n
 	if l.count == 0 {
+		l.release(len(l.segs))
 		l.head = 0
+		return n
 	}
+	l.release(l.head >> segShift)
+	l.head &= segMask
 	return n
 }
 
@@ -402,7 +438,7 @@ func (l *Log) Append(e Entry) error {
 		return fmt.Errorf("oplog: append out of order: %s after %s", e.TS, l.lastTS)
 	}
 	l.ensure(1)
-	l.buf[l.slot(l.count)] = e
+	*l.slot(l.count) = e
 	l.count++
 	l.lastTS = e.TS
 	l.notify()
@@ -425,7 +461,7 @@ func (l *Log) AppendBatch(entries []Entry) error {
 	}
 	l.ensure(len(entries))
 	for _, e := range entries {
-		l.buf[l.slot(l.count)] = e
+		*l.slot(l.count) = e
 		l.count++
 	}
 	l.lastTS = last
@@ -441,7 +477,7 @@ func (l *Log) First() OpTime {
 	if l.count == 0 {
 		return Zero
 	}
-	return l.at(0).TS
+	return l.slot(0).TS
 }
 
 // TruncatedTo returns the TS of the newest entry ever discarded (Zero
@@ -456,7 +492,7 @@ func (l *Log) Len() int { return l.count }
 // pred, or count if none does (entries are TS-ordered).
 func (l *Log) search(pred func(OpTime) bool) int {
 	return sort.Search(l.count, func(i int) bool {
-		return pred(l.at(i).TS)
+		return pred(l.slot(i).TS)
 	})
 }
 
@@ -470,12 +506,8 @@ func (l *Log) ScanAfter(after OpTime, max int) []Entry {
 	if max > 0 && i+max < end {
 		end = i + max
 	}
-	out := make([]Entry, end-i)
-	start := l.slot(i)
-	tail := copy(out, l.buf[start:min(start+(end-i), len(l.buf))])
-	if tail < len(out) {
-		copy(out[tail:], l.buf[:len(out)-tail])
-	}
+	out := make([]Entry, 0, end-i)
+	l.span(i, end, func(slots []Entry) { out = append(out, slots...) })
 	return out
 }
 
@@ -502,10 +534,7 @@ func (l *Log) TruncateToLast(n int) int {
 // history is gone (TruncatedTo reports ts), and the next append must
 // follow ts.
 func (l *Log) ResetTo(ts OpTime) {
-	for i := 0; i < l.count; i++ {
-		l.buf[l.slot(i)] = Entry{}
-	}
-	l.head, l.count = 0, 0
+	l.dropFirst(l.count)
 	l.lastTS = ts
 	l.lastSec = ts.Secs
 	l.nextInc = ts.Inc

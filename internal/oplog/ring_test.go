@@ -1,9 +1,11 @@
 package oplog
 
-// Tests for the ring-buffer Log representation introduced with the
-// write-path pipeline: wraparound correctness against a flat-slice
-// reference model, gap tracking for fetchers that fall off the log,
-// batch append, tail notification and the checked batch apply path.
+// Tests for the segmented Log: every operation cross-checked against a
+// flat-slice reference model across many segment boundaries (randomly
+// and as a native fuzz target), the memory held bounded by the entries
+// kept, a capped log's steady state free of allocation, gap tracking
+// for fetchers that fall off the log, batch append, tail notification
+// and the checked batch apply path.
 
 import (
 	"bytes"
@@ -13,94 +15,292 @@ import (
 	"decongestant/internal/storage"
 )
 
-// TestRingAgainstReferenceModel drives the ring through randomized
-// append/scan/truncate traffic and cross-checks every observable
-// against a plain-slice model. This is what proves the modular-index
-// arithmetic right across many wraparounds.
-func TestRingAgainstReferenceModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	l := NewLog()
-	var ref []Entry
-	var next int64
-	for step := 0; step < 5000; step++ {
-		switch rng.Intn(10) {
-		case 0, 1, 2, 3, 4: // append
-			next++
-			e := NewNoop(OpTime{next, 1})
-			if err := l.Append(e); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-			ref = append(ref, e)
-		case 5: // batch append
-			batch := make([]Entry, rng.Intn(7))
-			for i := range batch {
-				next++
-				batch[i] = NewNoop(OpTime{next, 1})
-			}
-			if err := l.AppendBatch(batch); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-			ref = append(ref, batch...)
-		case 6: // truncate to last n
-			n := rng.Intn(20)
-			want := 0
-			if len(ref) > n {
-				want = len(ref) - n
-			}
-			if got := l.TruncateToLast(n); got != want {
-				t.Fatalf("step %d: TruncateToLast dropped %d, want %d", step, got, want)
-			}
-			ref = ref[len(ref)-min(n, len(ref)):]
-		case 7: // truncate before a random retained cutoff
-			if len(ref) == 0 {
-				continue
-			}
-			cut := ref[rng.Intn(len(ref))].TS
-			i := 0
-			for i < len(ref) && ref[i].TS.Before(cut) {
-				i++
-			}
-			if got := l.TruncateBefore(cut); got != i {
-				t.Fatalf("step %d: TruncateBefore dropped %d, want %d", step, got, i)
-			}
-			ref = ref[i:]
-		case 8: // scan from a random position
-			var after OpTime
-			if len(ref) > 0 && rng.Intn(2) == 0 {
-				after = ref[rng.Intn(len(ref))].TS
-			}
-			max := rng.Intn(10)
-			got := l.ScanAfter(after, max)
-			var want []Entry
-			for _, e := range ref {
-				if after.Before(e.TS) {
-					want = append(want, e)
-					if max > 0 && len(want) == max {
-						break
-					}
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("step %d: scan len %d, want %d", step, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].TS != want[i].TS {
-					t.Fatalf("step %d: scan[%d]=%v, want %v", step, i, got[i].TS, want[i].TS)
-				}
-			}
-		case 9: // invariants
-			if l.Len() != len(ref) {
-				t.Fatalf("step %d: Len=%d, want %d", step, l.Len(), len(ref))
-			}
-			if len(ref) > 0 {
-				if l.First() != ref[0].TS {
-					t.Fatalf("step %d: First=%v, want %v", step, l.First(), ref[0].TS)
-				}
-				if l.Last() != ref[len(ref)-1].TS {
-					t.Fatalf("step %d: Last=%v, want %v", step, l.Last(), ref[len(ref)-1].TS)
-				}
+// logModel runs operations on a Log and on a plain-slice model of it
+// side by side, failing at the first observable difference.
+type logModel struct {
+	t     testing.TB
+	l     *Log
+	ref   []Entry
+	last  OpTime // newest appended or reset TS
+	trunc OpTime // newest dropped or reset TS
+	next  int64  // Secs of the newest minted TS
+}
+
+func newLogModel(t testing.TB) *logModel { return &logModel{t: t, l: NewLog()} }
+
+func (m *logModel) mint() OpTime {
+	m.next++
+	return OpTime{m.next, 1}
+}
+
+func (m *logModel) appendOne() {
+	e := NewDelete(m.mint(), "c", "d")
+	if err := m.l.Append(e); err != nil {
+		m.t.Fatal(err)
+	}
+	m.ref = append(m.ref, e)
+	m.last = e.TS
+}
+
+func (m *logModel) appendBatch(n int) {
+	batch := make([]Entry, n)
+	for i := range batch {
+		batch[i] = NewDelete(m.mint(), "c", "d")
+	}
+	if err := m.l.AppendBatch(batch); err != nil {
+		m.t.Fatal(err)
+	}
+	m.ref = append(m.ref, batch...)
+	if n > 0 {
+		m.last = batch[n-1].TS
+	}
+}
+
+func (m *logModel) drop(n int) {
+	if n > 0 {
+		m.trunc = m.ref[n-1].TS
+		m.ref = m.ref[n:]
+	}
+}
+
+func (m *logModel) truncateToLast(n int) {
+	want := max(0, len(m.ref)-n)
+	if got := m.l.TruncateToLast(n); got != want {
+		m.t.Fatalf("TruncateToLast(%d) dropped %d, want %d", n, got, want)
+	}
+	m.drop(want)
+}
+
+func (m *logModel) truncateBefore(cut OpTime) {
+	want := 0
+	for want < len(m.ref) && m.ref[want].TS.Before(cut) {
+		want++
+	}
+	if got := m.l.TruncateBefore(cut); got != want {
+		m.t.Fatalf("TruncateBefore(%v) dropped %d, want %d", cut, got, want)
+	}
+	m.drop(want)
+}
+
+// truncateToSegment cuts the oldest entries up to the end of the first
+// segment, so the head lands exactly on a segment boundary.
+func (m *logModel) truncateToSegment() {
+	if drop := segLen - m.l.head; drop <= len(m.ref) {
+		m.truncateToLast(len(m.ref) - drop)
+		if m.l.head != 0 {
+			m.t.Fatalf("head at %d after a cut to a segment boundary", m.l.head)
+		}
+	}
+}
+
+func (m *logModel) scan(after OpTime, max int) {
+	got := m.l.ScanAfter(after, max)
+	var want []Entry
+	for _, e := range m.ref {
+		if after.Before(e.TS) {
+			want = append(want, e)
+			if max > 0 && len(want) == max {
+				break
 			}
 		}
+	}
+	if len(got) != len(want) {
+		m.t.Fatalf("ScanAfter(%v, %d) returned %d entries, want %d", after, max, len(got), len(want))
+	}
+	for i := range got {
+		if got[i].TS != want[i].TS || got[i].DocID != want[i].DocID {
+			m.t.Fatalf("ScanAfter(%v, %d)[%d] = %v, want %v", after, max, i, got[i].TS, want[i].TS)
+		}
+	}
+}
+
+func (m *logModel) reset() {
+	ts := m.mint()
+	m.l.ResetTo(ts)
+	m.ref = nil
+	m.last, m.trunc = ts, ts
+	if len(m.l.segs) != 0 || len(m.l.spares) > maxSpares {
+		m.t.Fatalf("ResetTo kept %d segments and %d spares, want 0 and at most %d",
+			len(m.l.segs), len(m.l.spares), maxSpares)
+	}
+}
+
+// pick returns the TS at fraction frac/256 of the retained entries, or
+// Zero for frac 0 or an empty log.
+func (m *logModel) pick(frac int) OpTime {
+	if frac == 0 || len(m.ref) == 0 {
+		return Zero
+	}
+	return m.ref[frac*len(m.ref)/256].TS
+}
+
+// step runs one operation decoded from two bytes: op's low three bits
+// choose it, and arg (with op's high bits, for scans) sizes it. Batches
+// and caps run up to four segments' worth of entries.
+func (m *logModel) step(op, arg byte) {
+	switch op % 8 {
+	case 0:
+		m.appendOne()
+	case 1, 7:
+		m.appendBatch(int(arg) * 16)
+	case 2:
+		m.truncateToLast(int(arg) * 16)
+	case 3:
+		m.truncateBefore(m.pick(int(arg)))
+	case 4:
+		m.scan(m.pick(int(arg)), int(op>>3)*100)
+	case 5:
+		m.reset()
+	case 6:
+		m.truncateToSegment()
+	}
+	m.check()
+}
+
+// check compares every observable with the model, then the storage
+// itself (checkSlots).
+func (m *logModel) check() {
+	l := m.l
+	if l.Len() != len(m.ref) {
+		m.t.Fatalf("Len=%d, want %d", l.Len(), len(m.ref))
+	}
+	first := Zero
+	if len(m.ref) > 0 {
+		first = m.ref[0].TS
+	}
+	if l.First() != first || l.Last() != m.last || l.TruncatedTo() != m.trunc {
+		m.t.Fatalf("First/Last/TruncatedTo = %v/%v/%v, want %v/%v/%v",
+			l.First(), l.Last(), l.TruncatedTo(), first, m.last, m.trunc)
+	}
+	checkSlots(m.t, l, m.ref)
+}
+
+// checkSlots checks a Log's storage directly: the live slots hold ref
+// in order, every other slot held is zero (so dropped payloads are
+// collectable), and the slots held are at most count plus two
+// segments, one partly used at each end, plus maxSpares spares.
+func checkSlots(t testing.TB, l *Log, ref []Entry) {
+	t.Helper()
+	if held, limit := len(l.segs)*segLen, l.count+2*segLen; held > limit {
+		t.Fatalf("%d slots in segments for %d entries, limit %d", held, l.count, limit)
+	}
+	if len(l.spares) > maxSpares {
+		t.Fatalf("%d spare segments, limit %d", len(l.spares), maxSpares)
+	}
+	if l.head < 0 || l.head >= segLen {
+		t.Fatalf("head %d outside the first segment", l.head)
+	}
+	zero := func(e Entry) bool {
+		return e.TS == Zero && e.Kind == 0 && e.Collection == "" && e.DocID == "" && e.Payload == nil
+	}
+	i := -l.head // logical index of segs[0][0]
+	for _, seg := range l.segs {
+		if len(seg) != segLen {
+			t.Fatalf("segment of %d slots, want %d", len(seg), segLen)
+		}
+		for _, e := range seg {
+			if i >= 0 && i < len(ref) {
+				if e.TS != ref[i].TS {
+					t.Fatalf("slot of entry %d holds %v, want %v", i, e.TS, ref[i].TS)
+				}
+			} else if !zero(e) {
+				t.Fatalf("slot at logical index %d (of %d) not zeroed: %v", i, len(ref), e.TS)
+			}
+			i++
+		}
+	}
+	for _, seg := range l.spares {
+		for _, e := range seg {
+			if !zero(e) {
+				t.Fatalf("spare segment holds %v", e.TS)
+			}
+		}
+	}
+}
+
+// TestRingAgainstReferenceModel drives the Log through randomized
+// append/scan/truncate/reset traffic, with batches and caps of up to
+// four segments, and cross-checks every observable and every slot
+// against a plain-slice model after each operation. This is what
+// proves the segment arithmetic right across many boundaries.
+func TestRingAgainstReferenceModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	m := newLogModel(t)
+	segsSeen := 0
+	for step := 0; step < 5000; step++ {
+		m.step(byte(rng.Intn(256)), byte(rng.Intn(256)))
+		segsSeen = max(segsSeen, len(m.l.segs))
+	}
+	if segsSeen < 4 {
+		t.Fatalf("the log never grew past %d segments", segsSeen)
+	}
+}
+
+// FuzzLogOps decodes its input into Log operations, two bytes each
+// (logModel.step), and checks each one against the slice model.
+func FuzzLogOps(f *testing.F) {
+	f.Add([]byte{1, 255, 4, 128, 6, 0, 2, 64, 3, 100, 5, 0, 0, 0, 12, 0})
+	f.Add([]byte{7, 255, 7, 255, 6, 0, 6, 0, 2, 0, 1, 1, 5, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		m := newLogModel(t)
+		for ; len(ops) >= 2; ops = ops[2:] {
+			m.step(ops[0], ops[1])
+		}
+	})
+}
+
+// TestSlotsHeldFollowEntries checks the memory a Log holds follows the
+// entries it keeps: truncation releases the segments it empties, and a
+// reset keeps nothing but the spares, which the next appends reuse.
+func TestSlotsHeldFollowEntries(t *testing.T) {
+	m := newLogModel(t)
+	m.appendBatch(10 * segLen)
+	if len(m.l.segs) != 10 {
+		t.Fatalf("%d entries in %d segments, want 10", 10*segLen, len(m.l.segs))
+	}
+	m.truncateToLast(100)
+	m.check()
+	if len(m.l.segs) > 2 || len(m.l.spares) != maxSpares {
+		t.Fatalf("after truncating to 100 entries: %d segments and %d spares, want at most 2 and %d",
+			len(m.l.segs), len(m.l.spares), maxSpares)
+	}
+	m.reset()
+	m.check()
+	spare := m.l.spares[len(m.l.spares)-1]
+	m.appendOne()
+	if &m.l.segs[0][0] != &spare[0] {
+		t.Fatal("the first append after a reset did not reuse a spare segment")
+	}
+	m.check()
+}
+
+// TestCappedLogSteadyStateAllocatesNothing checks a capped log's
+// maintenance round — append a batch, truncate back to the cap —
+// allocates nothing once the spare segments are filled.
+func TestCappedLogSteadyStateAllocatesNothing(t *testing.T) {
+	const capEntries, batch = 3 * segLen, segLen - 24
+	l := NewLog()
+	var secs int64
+	round := func() {
+		for i := 0; i < batch; i++ {
+			secs++
+			if err := l.Append(NewNoop(OpTime{secs, 1})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.TruncateToLast(capEntries)
+	}
+	// A cycle of the head's offset within a segment is 128 rounds. A
+	// run is two cycles: AllocsPerRun truncates to whole allocations per
+	// run, and one allocation every few dozen rounds must still show.
+	cycles := func() {
+		for i := 0; i < 256; i++ {
+			round()
+		}
+	}
+	cycles()
+	if allocs := testing.AllocsPerRun(4, cycles); allocs != 0 {
+		t.Fatalf("%.0f allocations per 256 rounds, want 0", allocs)
 	}
 }
 

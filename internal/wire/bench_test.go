@@ -259,14 +259,16 @@ func BenchmarkWireFindMany(b *testing.B) {
 // Allocation ceilings for the concurrent wire benchmarks, as allocs/op
 // counted the way the benchmarks count them (the process-wide malloc
 // delta over the operations, truncated). Both were measured at 2 Ps
-// with 16 callers: 10 per point read (489 B), 165 per 16-document
-// find query (64 document maps and 64 value boxes on the client, one
-// copy of the 16 documents, and the rest of the round trip). Neither
-// end allocates a Response per request: the server's reader refills
-// one per connection and the client's demux decodes into pooled ones.
+// with 16 callers: 7 per point read, 163 per 16-document find query
+// (64 document maps and 64 value boxes on the client, one copy of the
+// 16 documents, and the rest of the round trip). Neither end allocates
+// a Response per request: the server's reader refills one per
+// connection and the client's demux decodes into pooled ones. Nor
+// does the server allocate a read's view (a node recycles them) or,
+// for a point read, its collection name and id (connDecoder).
 const (
-	maxConcurrentPointReadAllocs = 10
-	maxFindQueryAllocs           = 165
+	maxConcurrentPointReadAllocs = 7
+	maxFindQueryAllocs           = 163
 )
 
 // concurrentAllocs runs op from callers goroutines, perCaller times

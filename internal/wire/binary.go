@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"decongestant/internal/obs"
 	"decongestant/internal/obs/trace"
@@ -164,6 +165,46 @@ func getBytes(b []byte) ([]byte, []byte, error) {
 		return nil, nil, errBadFrame
 	}
 	return b[:n], b[n:], nil
+}
+
+// maxInterned bounds a connDecoder's table of collection names.
+const maxInterned = 64
+
+// connDecoder decodes the requests of one server connection without
+// allocating for the strings of a point read. A connection names the
+// same few collections again and again, so collection names are
+// interned: a known name decodes to the table's copy. A request's
+// DocID is left aliasing its frame: the reader serves an inline
+// request before it reads the next frame, and clones the DocID of a
+// request it spawns. Every other string, a mutation's DocID included,
+// is copied.
+type connDecoder struct {
+	colls map[string]string
+}
+
+func newConnDecoder() *connDecoder { return &connDecoder{colls: make(map[string]string)} }
+
+func (d *connDecoder) collection(b []byte) (string, []byte, error) {
+	raw, b, err := getBytes(b)
+	if err != nil {
+		return "", nil, err
+	}
+	if s, ok := d.colls[string(raw)]; ok {
+		return s, b, nil
+	}
+	s := string(raw)
+	if len(d.colls) < maxInterned {
+		d.colls[s] = s
+	}
+	return s, b, nil
+}
+
+func (d *connDecoder) docID(b []byte) (string, []byte, error) {
+	raw, b, err := getBytes(b)
+	if err != nil {
+		return "", nil, err
+	}
+	return unsafe.String(unsafe.SliceData(raw), len(raw)), b, nil
 }
 
 // maxRouteString bounds the route snapshot's pref/reason strings; both
@@ -350,8 +391,8 @@ func encodeRequest(dst []byte, r *Request) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeRequest parses a binary body into r.
-func decodeRequest(b []byte, r *Request) error {
+// decode parses a binary body into r.
+func (d *connDecoder) decode(b []byte, r *Request) error {
 	var err error
 	for len(b) > 0 {
 		var tag uint64
@@ -378,9 +419,9 @@ func decodeRequest(b []byte, r *Request) error {
 				r.Node = int(v)
 			}
 		case rqCollection:
-			r.Collection, b, err = getString(b)
+			r.Collection, b, err = d.collection(b)
 		case rqDocID:
-			r.DocID, b, err = getString(b)
+			r.DocID, b, err = d.docID(b)
 		case rqIDs:
 			var n uint64
 			if n, b, err = getUvarint(b); err != nil {
@@ -416,7 +457,7 @@ func decodeRequest(b []byte, r *Request) error {
 			muts := make([]Mutation, 0, n)
 			for i := uint64(0); i < n; i++ {
 				var m Mutation
-				if b, err = decodeMutation(b, &m); err != nil {
+				if b, err = d.decodeMutation(b, &m); err != nil {
 					return err
 				}
 				muts = append(muts, m)
@@ -612,7 +653,7 @@ func appendMutation(dst []byte, m *Mutation) ([]byte, error) {
 	return storage.AppendDoc(dst, doc), nil
 }
 
-func decodeMutation(b []byte, m *Mutation) ([]byte, error) {
+func (d *connDecoder) decodeMutation(b []byte, m *Mutation) ([]byte, error) {
 	code, b, err := getByte(b)
 	if err != nil {
 		return nil, err
@@ -628,7 +669,7 @@ func decodeMutation(b []byte, m *Mutation) ([]byte, error) {
 		}
 		m.Kind = name
 	}
-	if m.Collection, b, err = getString(b); err != nil {
+	if m.Collection, b, err = d.collection(b); err != nil {
 		return nil, err
 	}
 	if m.DocID, b, err = getString(b); err != nil {

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"decongestant/internal/cluster"
 	"decongestant/internal/obs"
@@ -190,12 +191,12 @@ func TestThrottledWriteDoesNotHoldBurst(t *testing.T) {
 }
 
 // Deterministic half of the wire benchmark gate: one serial FindByID
-// round trip over loopback (client and server together) measures 12
-// allocations and 1,443 B; the ceilings leave one allocation and
-// 128 B of headroom.
+// round trip over loopback (client and server together) measures 5
+// allocations and 439 B; the ceilings leave one allocation and 128 B
+// of headroom.
 const (
-	maxRoundTripAllocs = 13
-	maxRoundTripBytes  = 1571
+	maxRoundTripAllocs = 6
+	maxRoundTripBytes  = 567
 )
 
 func TestSerialFindByIDAllocs(t *testing.T) {
@@ -298,5 +299,64 @@ func TestInlineResponsesStartEmpty(t *testing.T) {
 	}
 	if n := snap.CounterValue(obs.Name("wire.dispatch", "path", "inline")); n < 9 {
 		t.Errorf("wire.dispatch{path=inline} = %d, want all 9 reads served inline", n)
+	}
+}
+
+// TestConnDecoderStrings: a server connection's decoder interns
+// collection names and leaves a point read's DocID in its frame, so
+// decoding a known point read allocates nothing, while a mutation's
+// strings, which the oplog keeps, are the request's own.
+func TestConnDecoderStrings(t *testing.T) {
+	body, err := encodeRequest(nil, &Request{ID: 1, Op: OpFindByID, Collection: "bench", DocID: "doc00001"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := newConnDecoder()
+	var first, second Request
+	if err := dec.decode(body, &first); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.decode(append([]byte(nil), body...), &second); err != nil {
+		t.Fatal(err)
+	}
+	if second.Collection != "bench" || unsafe.StringData(second.Collection) != unsafe.StringData(first.Collection) {
+		t.Fatalf("collection %q not interned", second.Collection)
+	}
+	id := unsafe.Pointer(unsafe.StringData(first.DocID))
+	if first.DocID != "doc00001" || uintptr(id) < uintptr(unsafe.Pointer(&body[0])) ||
+		uintptr(id) >= uintptr(unsafe.Pointer(&body[0]))+uintptr(len(body)) {
+		t.Fatalf("DocID %q does not alias its frame", first.DocID)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		second = Request{}
+		if err := dec.decode(body, &second); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("decoding a point read allocates %.1f times, want 0", allocs)
+	}
+
+	write, err := encodeRequest(nil, &Request{ID: 2, Op: OpWriteBatch,
+		Muts: []Mutation{{Kind: "delete", Collection: "bench", DocID: "doc00002"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w Request
+	if err := dec.decode(write, &w); err != nil {
+		t.Fatal(err)
+	}
+	clear(write)
+	if m := w.Muts[0]; m.Collection != "bench" || m.DocID != "doc00002" {
+		t.Fatalf("mutation strings changed with their frame: %q/%q", m.Collection, m.DocID)
+	}
+
+	for i := 0; i < 2*maxInterned; i++ {
+		b, _ := encodeRequest(nil, &Request{Op: OpFindByID, Collection: fmt.Sprintf("c%d", i)})
+		if err := dec.decode(b, &w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(dec.colls) != maxInterned {
+		t.Fatalf("%d interned names, want the bound %d", len(dec.colls), maxInterned)
 	}
 }

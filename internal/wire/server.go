@@ -7,6 +7,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,7 +90,9 @@ type Backend interface {
 	// Inline reports whether a request can be served without waiting —
 	// no sleep, no wait on replication or a remote round trip — so the
 	// connection's reader may run it itself instead of spawning a
-	// goroutine for it. It is the only place that rule lives.
+	// goroutine for it. It is the only place that rule lives. An inline
+	// request's DocID aliases the frame it came in: Dispatch must not
+	// keep it.
 	Inline(req *Request) bool
 	// Dispatch executes one non-transport request, filling resp (zeroed
 	// and owned by the server, which reuses it once the response is
@@ -381,6 +384,7 @@ func (s *Server) handle(conn net.Conn) {
 	// before the reader moves on.
 	var req Request
 	var resp Response
+	dec := newConnDecoder()
 	for {
 		if held && !fr.buffered() {
 			w.flush()
@@ -413,7 +417,7 @@ func (s *Server) handle(conn net.Conn) {
 		s.framesIn.Inc(1)
 		s.bytesIn.Inc(uint64(4 + len(body)))
 		req = Request{}
-		if err := decodeRequest(body, &req); err != nil {
+		if err := dec.decode(body, &req); err != nil {
 			// A frame that doesn't decode means a broken or hostile
 			// peer; the stream has no trustworthy continuation.
 			s.decodeErrs.Inc(1)
@@ -468,6 +472,7 @@ func (s *Server) handle(conn net.Conn) {
 		s.dispatchSpawned.Inc(1)
 		inflight.Add(1)
 		r := req
+		r.DocID = strings.Clone(r.DocID) // the frame is reused
 		go func() {
 			defer inflight.Done()
 			resp := &Response{}

@@ -32,6 +32,9 @@ func dialRaw(t *testing.T, addr string) net.Conn {
 	return conn
 }
 
+// decodeRequest decodes one request body as a server connection does.
+func decodeRequest(b []byte, r *Request) error { return newConnDecoder().decode(b, r) }
+
 // appendRequestFrame appends req to dst as one length-prefixed frame.
 func appendRequestFrame(t *testing.T, dst []byte, req *Request) []byte {
 	t.Helper()
