@@ -2,11 +2,11 @@
 // a primary that applies writes and logs them to an oplog, secondaries
 // that pull oplog batches via getMore requests serviced by the primary,
 // per-node lastAppliedOpTime tracking gossiped through heartbeats and
-// progress reports, serverStatus with the same conservative-staleness
-// error model the paper exploits (§2.3), WiredTiger-style periodic
-// checkpoints that stall getMore servicing (producing the paper's
-// gradual-rise/fast-drop staleness sawtooth, §4.5), and flow control
-// that throttles writes under replication lag.
+// carried on each getMore, serverStatus with the same
+// conservative-staleness error model the paper exploits (§2.3),
+// WiredTiger-style periodic checkpoints that stall getMore servicing
+// (producing the paper's gradual-rise/fast-drop staleness sawtooth,
+// §4.5), and flow control that throttles writes under replication lag.
 //
 // Every node is modeled as a CPU resource with a fixed number of
 // service slots; closed-loop clients queueing on those slots produce
@@ -48,7 +48,9 @@ type Config struct {
 
 	// BatchMax is the maximum oplog entries per getMore batch.
 	BatchMax int
-	// ReplIdlePoll is how long a secondary waits before re-polling an
+	// ReplIdlePoll bounds how long an awaitData getMore waits at the
+	// primary for the next append before it returns empty; with
+	// DisableTailWake it is the secondary's sleep between polls of an
 	// empty oplog tail.
 	ReplIdlePoll time.Duration
 	// HeartbeatInterval is how often every node gossips its
@@ -98,9 +100,10 @@ type Config struct {
 	OplogHardCap int
 
 	// DisableTailWake reverts secondaries to pure sleep-polling of the
-	// primary's oplog tail every ReplIdlePoll instead of waking on the
-	// append notification. Used by tests that assert poll-driven
-	// replication timing.
+	// primary's oplog tail: the primary answers an empty getMore at
+	// once instead of waiting for the next append, and the secondary
+	// sleeps ReplIdlePoll before it asks again. Used by tests that
+	// assert poll-driven replication timing.
 	DisableTailWake bool
 
 	// LinearizableLeases enables the lease subsystem: a leader lease

@@ -33,8 +33,10 @@ type Node struct {
 	// afterClusterTime reads waiting for causal consistency.
 	applyGate sim.Gate
 	// tailGate broadcasts whenever this node's oplog grows (wired to
-	// the log's append hook), waking idle pullers the instant new
-	// entries exist instead of after a ReplIdlePoll sleep.
+	// the log's append hook), releasing the awaitData getMores parked
+	// on a caught-up tail the instant new entries exist. Failover
+	// broadcasts it too, so getMores parked at a deposed primary
+	// return.
 	tailGate sim.Gate
 
 	// applyMu serializes every path that mutates the store: primary
@@ -178,7 +180,7 @@ func newNode(rs *ReplicaSet, id int, zone string) *Node {
 		fetchPos:  make([]oplog.OpTime, rs.cfg.Nodes),
 	}
 	// Tail-signaled fetch: every append (batched or single) wakes the
-	// pullers parked on this node's oplog tail. The hook runs under
+	// getMores parked on this node's oplog tail. The hook runs under
 	// whatever lock the appender holds and must not block; a gate
 	// broadcast only schedules wakeups.
 	if !rs.cfg.DisableTailWake {
@@ -218,10 +220,10 @@ func (n *Node) LastApplied() oplog.OpTime {
 }
 
 // setKnown records that member `id` had applied up to ts, as learned
-// from a heartbeat or progress report. Knowledge never moves backward.
-// When progress advances, only the write-concern waiters whose OpTime
-// the new majority point covers are woken — gossip with no waiters
-// costs one lock round, not a broadcast.
+// from a heartbeat or the progress a getMore carries. Knowledge never
+// moves backward. When progress advances, only the write-concern
+// waiters whose OpTime the new majority point covers are woken —
+// gossip with no waiters costs one lock round, not a broadcast.
 func (n *Node) setKnown(id int, ts oplog.OpTime) {
 	n.mu.Lock()
 	if n.known[id].Before(ts) {

@@ -479,6 +479,10 @@ func (rs *ReplicaSet) Failover(p sim.Proc) int {
 	}
 	rs.primaryID.Store(int32(best))
 	rs.leases.endTransfer(oldID)
+	// Release the awaitData getMores parked at the deposed primary:
+	// their pullers re-target the new one instead of waiting out
+	// ReplIdlePoll against a log that no longer grows.
+	old.tailGate.Broadcast()
 	return best
 }
 

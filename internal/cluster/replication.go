@@ -33,24 +33,29 @@ func (rs *ReplicaSet) startBackground() {
 }
 
 // pullerLoop is the secondary's replication fetcher: it issues getMore
-// requests against the primary's oplog and applies the returned batches
-// locally, then reports progress. When the primary is saturated or
+// requests against the primary's oplog and applies the returned
+// batches locally. Each getMore carries the member's lastApplied, so
+// the primary learns of an applied batch when the next getMore arrives,
+// one network traversal after the apply — the conservative
+// over-estimate of §2.3. The getMore is MongoDB's awaitData kind: at a
+// caught-up tail it waits at the primary for the next append (or for
+// ReplIdlePoll), so the puller sends it straight after every batch and
+// never polls an empty tail. When the primary is saturated or
 // checkpointing, the getMore stalls and local lastApplied freezes —
 // staleness rises gradually. Once a large batch finally arrives, the
-// (uncongested) secondary applies it quickly and catches up — staleness
-// collapses. This is the sawtooth of §4.5.
+// (uncongested) secondary applies it quickly and catches up —
+// staleness collapses. This is the sawtooth of §4.5.
 func (n *Node) pullerLoop(p sim.Proc) {
 	rs := n.rs
-	progressName := fmt.Sprintf("repl/progress-%d", n.ID)
 	for {
 		if rs.PrimaryID() == n.ID || n.Down() {
 			p.Sleep(rs.cfg.ReplIdlePoll)
 			continue
 		}
 		prim := rs.Primary()
-		after := n.OplogLast()
+		after, applied := n.fetchPoint()
 		rs.net.Travel(p, n.Zone, prim.Zone)
-		batch, gapped := prim.serveGetMore(p, n.ID, after)
+		batch, gapped := prim.serveGetMore(p, n.ID, after, applied)
 		rs.net.Travel(p, prim.Zone, n.Zone)
 		n.obsOplogLag.Set(prim.OplogLast().LagSeconds(n.LastApplied()))
 		if gapped {
@@ -60,40 +65,25 @@ func (n *Node) pullerLoop(p sim.Proc) {
 			continue
 		}
 		if len(batch) == 0 {
-			n.waitForTail(p, prim, after)
+			// An awaitData getMore already waited at the primary; with
+			// DisableTailWake the primary answers at once, and the
+			// puller polls.
+			if rs.cfg.DisableTailWake {
+				p.Sleep(rs.cfg.ReplIdlePoll)
+			}
 			continue
 		}
 		n.applyBatch(p, batch)
-		// Report replication progress to the primary; it arrives one
-		// network traversal later, so the primary's knowledge lags —
-		// the conservative over-estimate of §2.3.
-		ts := n.LastApplied()
-		from, to := n, prim
-		rs.env.Spawn(progressName, func(q sim.Proc) {
-			rs.net.Travel(q, from.Zone, to.Zone)
-			to.setKnown(from.ID, ts)
-		})
 	}
 }
 
-// waitForTail parks an idle puller until the primary appends — its
-// oplog's tail-notification hook broadcasts the gate — or until the
-// poll interval elapses. The signal is an optimization, not a
-// correctness dependency: a wakeup missed between the emptiness check
-// and the wait degrades to the old ReplIdlePoll latency, never a hang.
-// It also guards the post-failover case where this node's log is ahead
-// of the new primary's: there is nothing to fetch and nothing to wake
-// on, so only the timed wait prevents a hot fetch loop.
-func (n *Node) waitForTail(p sim.Proc, prim *Node, after oplog.OpTime) {
-	rs := n.rs
-	if rs.cfg.DisableTailWake {
-		p.Sleep(rs.cfg.ReplIdlePoll)
-		return
-	}
-	if after.Before(prim.OplogLast()) {
-		return // the tail moved while the empty batch was in flight
-	}
-	prim.tailGate.WaitTimeout(p, rs.cfg.ReplIdlePoll)
+// fetchPoint returns the member's newest oplog entry, where its next
+// getMore resumes, and its lastApplied, the progress that getMore
+// reports.
+func (n *Node) fetchPoint() (after, applied oplog.OpTime) {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.log.Last(), n.lastApplied
 }
 
 // applyBatch applies one fetched oplog batch: check every payload
@@ -272,14 +262,25 @@ func (n *Node) resyncFrom(p sim.Proc, prim *Node) {
 	n.obsResyncs.Inc(1)
 }
 
-// serveGetMore services one oplog fetch at the primary. It stalls
-// behind an in-progress checkpoint and then competes for a CPU slot
-// with client operations, so a congested primary delivers the oplog
-// late. The scan itself runs under the read lock — fetches no longer
-// serialize behind commits — and the fetch-position update takes only
-// fetchMu. The second result is true when `after` has been truncated
-// away and the caller must resync.
-func (n *Node) serveGetMore(p sim.Proc, from int, after oplog.OpTime) ([]oplog.Entry, bool) {
+// serveGetMore services one oplog fetch at the primary for member
+// `from`, which reports it has applied up to `applied`. It records that
+// progress on arrival. A getMore that finds nothing after `after` is
+// MongoDB's awaitData: it parks on the tail gate until the next append
+// or for ReplIdlePoll. The check and the wait are not atomic on the
+// real clock, so an append between them costs that one fetch the poll
+// interval, never a hang; the timeout also bounds a member whose log
+// is ahead of a new primary's. Only then does the getMore stall behind
+// an in-progress checkpoint and compete for a CPU slot with client
+// operations, so a congested primary still delivers the oplog late.
+// The scan runs under the read lock — fetches never serialize behind
+// commits — and the fetch-position update takes only fetchMu. The
+// second result is true when `after` has been truncated away and the
+// caller must resync.
+func (n *Node) serveGetMore(p sim.Proc, from int, after, applied oplog.OpTime) ([]oplog.Entry, bool) {
+	n.setKnown(from, applied)
+	if !n.rs.cfg.DisableTailWake && !after.Before(n.OplogLast()) {
+		n.tailGate.WaitTimeout(p, n.rs.cfg.ReplIdlePoll)
+	}
 	start := p.Now()
 	defer func() { n.obsGetMore.Observe(p.Now() - start) }()
 	for n.Checkpointing() {

@@ -34,7 +34,7 @@ func (w WriteConcern) String() string {
 // requested write concern is satisfied, returning the commit OpTime.
 // With WMajority the caller parks on a per-OpTime waiter at the
 // primary and is woken exactly when the majority commit point — which
-// the primary learns via progress reports and heartbeats — crosses the
+// the primary learns from getMores and heartbeats — crosses the
 // commit, instead of rescanning the known table on every gossip
 // message.
 func (rs *ReplicaSet) ExecWriteConcern(p sim.Proc, wc WriteConcern, fn func(tx WriteTxn) (any, error)) (any, oplog.OpTime, error) {

@@ -67,7 +67,7 @@ func benchWriteReplicaSet(b *testing.B, slots int) (*sim.RealtimeEnv, *ReplicaSe
 // BenchmarkReplicatedWrites hammers the primary with concurrent
 // w:majority updates — each operation is a full replication round
 // trip: primary commit, oplog fetch by the secondaries, batch apply,
-// progress report, and the write-concern wakeup. Sustained replicated
+// the progress the next getMore carries, and the write-concern wakeup. Sustained replicated
 // writes/s is the headline PR 4 number.
 func BenchmarkReplicatedWrites(b *testing.B) {
 	env, rs := benchWriteReplicaSet(b, 8)

@@ -27,9 +27,13 @@ func NewRealtimeEnv(seed int64) *RealtimeEnv {
 // Now returns the wall-clock time since the environment started.
 func (e *RealtimeEnv) Now() time.Duration { return time.Since(e.start) }
 
+// rproc is one real-clock process. A Proc is used by one goroutine at
+// a time, so the proc owns one timer that every Sleep and gate
+// WaitTimeout re-arms instead of allocating a fresh one per wait.
 type rproc struct {
-	env  *RealtimeEnv
-	name string
+	env   *RealtimeEnv
+	name  string
+	timer *time.Timer // nil until the first timed wait
 }
 
 func (p *rproc) Env() Env           { return p.env }
@@ -39,12 +43,43 @@ func (p *rproc) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-p.env.done:
-		panic(stoppedError{})
+	p.wait(nil, d)
+}
+
+// wait blocks until ch is closed (a nil ch never is) or d elapses, and
+// reports whether ch won. The module's go version keeps the pre-1.23
+// timer semantics: Stop does not drain a tick that already fired, so a
+// wait that ch ended may leave one buffered in the proc's timer
+// channel. Each wait therefore takes its own deadline and discards any
+// tick that arrives before it.
+func (p *rproc) wait(ch <-chan struct{}, d time.Duration) bool {
+	deadline := time.Now().Add(d)
+	t := p.timer
+	if t == nil {
+		t = time.NewTimer(d)
+		p.timer = t
+	} else {
+		t.Reset(d)
+	}
+	for {
+		select {
+		case <-ch:
+			if !t.Stop() {
+				select { // drain a tick that fired while ch won
+				case <-t.C:
+				default:
+				}
+			}
+			return true
+		case now := <-t.C:
+			if now.Before(deadline) {
+				continue // a stale tick from an earlier wait
+			}
+			return false
+		case <-p.env.done:
+			t.Stop()
+			panic(stoppedError{})
+		}
 	}
 }
 
@@ -166,32 +201,36 @@ func (s *rsem) Waiting() int {
 
 // ---- Gate ----
 
+// rgate is a broadcast condition over a channel that Broadcast closes.
+// The channel is made only when a waiter arrives, so a Broadcast that
+// finds no waiter (an oplog append nobody is tailing, say) allocates
+// nothing.
 type rgate struct {
 	env *RealtimeEnv
 	mu  sync.Mutex
-	ch  chan struct{}
+	ch  chan struct{} // nil while no waiter is parked
 }
 
 // NewGate creates a broadcast condition.
 func (e *RealtimeEnv) NewGate() Gate {
-	return &rgate{env: e, ch: make(chan struct{})}
+	return &rgate{env: e}
 }
 
-func (g *rgate) Wait(p Proc) {
+// waitCh returns the channel the next Broadcast closes.
+func (g *rgate) waitCh() chan struct{} {
 	g.mu.Lock()
+	if g.ch == nil {
+		g.ch = make(chan struct{})
+	}
 	ch := g.ch
 	g.mu.Unlock()
-	select {
-	case <-ch:
-	case <-g.env.done:
-		panic(stoppedError{})
-	}
+	return ch
 }
+
+func (g *rgate) Wait(p Proc) { g.WaitTimeout(p, 0) }
 
 func (g *rgate) WaitTimeout(p Proc, d time.Duration) bool {
-	g.mu.Lock()
-	ch := g.ch
-	g.mu.Unlock()
+	ch := g.waitCh()
 	if d <= 0 {
 		select {
 		case <-ch:
@@ -200,22 +239,20 @@ func (g *rgate) WaitTimeout(p Proc, d time.Duration) bool {
 			panic(stoppedError{})
 		}
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ch:
-		return true
-	case <-t.C:
-		return false
-	case <-g.env.done:
-		panic(stoppedError{})
+	rp, ok := p.(*rproc)
+	if !ok {
+		// A wrapped or nil proc has no timer to reuse.
+		rp = &rproc{env: g.env}
 	}
+	return rp.wait(ch, d)
 }
 
 func (g *rgate) Broadcast() {
 	g.mu.Lock()
-	close(g.ch)
-	g.ch = make(chan struct{})
+	if g.ch != nil {
+		close(g.ch)
+		g.ch = nil
+	}
 	g.mu.Unlock()
 }
 

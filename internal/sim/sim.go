@@ -71,14 +71,21 @@ type Semaphore interface {
 }
 
 // Gate is a broadcast condition: Wait blocks until the next Broadcast.
+// A Broadcast wakes only the processes already waiting; it is not
+// remembered for later ones.
 type Gate interface {
 	Wait(p Proc)
 	// WaitTimeout blocks until the next Broadcast or until d elapses,
 	// whichever comes first, and reports whether it was woken by a
 	// Broadcast. Non-positive d waits without a timeout (like Wait).
-	// Oplog tail waiters use the timeout as a liveness backstop so a
-	// missed signal degrades to the old poll interval, never a hang.
+	// An awaitData getMore parked on an oplog tail uses the timeout as
+	// a liveness backstop, so a missed signal costs one poll interval,
+	// never a hang.
 	WaitTimeout(p Proc, d time.Duration) bool
+	// Broadcast wakes every waiter. It never blocks, so it may run
+	// under a lock (the oplog's append hook does). On the real clock a
+	// Broadcast with no waiter allocates nothing, and timed waits reuse
+	// their proc's timer.
 	Broadcast()
 }
 
