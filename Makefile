@@ -10,11 +10,14 @@ build:
 test:
 	$(GO) test ./...
 
-# race runs the same two commands as the CI race steps: under the race
+# race runs the same commands as the CI race steps: the cluster's
+# stress and failover tests repeat five times, since real-clock writers
+# contend on the primary's applyMu directly, and under the race
 # detector internal/experiments alone runs for about 17 minutes, past
 # go test's default 10-minute timeout, so it runs on its own.
 race:
 	$(GO) test -race $$($(GO) list ./internal/... | grep -v '/internal/experiments$$')
+	$(GO) test -race -count=5 -run 'Stress|Failover' ./internal/cluster
 	$(GO) test -race -timeout 40m ./internal/experiments
 
 vet:

@@ -47,9 +47,6 @@ type Node struct {
 	// lastApplied/bookkeeping flip.
 	applyMu sync.Mutex
 
-	// gc coordinates the primary's group commit (real-time env only).
-	gc groupCommit
-
 	// mu guards all fields below with a reader-writer scheme: read
 	// operations (execRead bodies, status snapshots, progress
 	// accessors) hold the read lock and run in parallel on the
@@ -93,17 +90,16 @@ type Node struct {
 	// Registry instruments, labeled with this node's id. Counters and
 	// gauges are atomic; the histograms carry their own mutex — none
 	// of these require n.mu.
-	obsReads      *obs.Counter
-	obsWrites     *obs.Counter
-	obsQueueWait  *obs.Histogram // time spent waiting for a CPU slot
-	obsGetMore    *obs.Histogram // getMore service latency (primary side)
-	obsCkpts      *obs.Counter
-	obsCkptDur    *obs.Histogram
-	obsOplogLag   *obs.Gauge     // seconds behind the primary (secondary side)
-	obsCommitLat  *obs.Histogram // group-commit critical-section latency
-	obsCommitTxns *obs.Histogram // transactions per group commit (raw count)
-	obsApplyErrs  *obs.Counter   // replication apply/append failures
-	obsResyncs    *obs.Counter   // snapshot resyncs after falling off the oplog
+	obsReads     *obs.Counter
+	obsWrites    *obs.Counter
+	obsQueueWait *obs.Histogram // time spent waiting for a CPU slot
+	obsGetMore   *obs.Histogram // getMore service latency (primary side)
+	obsCkpts     *obs.Counter
+	obsCkptDur   *obs.Histogram
+	obsOplogLag  *obs.Gauge     // seconds behind the primary (secondary side)
+	obsCommitLat *obs.Histogram // commit critical-section latency
+	obsApplyErrs *obs.Counter   // replication apply/append failures
+	obsResyncs   *obs.Counter   // snapshot resyncs after falling off the oplog
 }
 
 // ackWaiter is one parked write-concern waiter: the commit OpTime it
@@ -111,26 +107,6 @@ type Node struct {
 type ackWaiter struct {
 	ts oplog.OpTime
 	mb sim.Mailbox
-}
-
-// groupCommit batches concurrent commits on the real-time env: the
-// first writer to arrive becomes the leader and drains everything
-// staged while it held the store, so N concurrent transactions pay one
-// lock acquisition, one oplog batch append and one round of wakeups
-// instead of N.
-type groupCommit struct {
-	mu      sync.Mutex
-	pending []*commitReq
-	leading bool
-}
-
-// commitReq is one transaction staged for group commit.
-type commitReq struct {
-	muts []mutation
-	now  time.Duration
-	done chan struct{} // closed by the leader once last/err are set
-	last oplog.OpTime
-	err  error
 }
 
 // NodeStats is a point-in-time snapshot of the operations a node has
@@ -143,8 +119,8 @@ type NodeStats struct {
 	Applied        int64
 	Checkpoints    int64
 	Statuses       int64
-	GroupCommits   int64 // group-commit batches led at this node
-	GroupedTxns    int64 // transactions committed through those batches
+	GroupCommits   int64 // commits at this node, one per transaction
+	GroupedTxns    int64 // transactions those commits carried (= GroupCommits)
 	ApplyErrors    int64 // replication apply/append failures (were silent)
 	Resyncs        int64 // snapshot resyncs after falling off the oplog
 }
@@ -158,8 +134,7 @@ type nodeCounters struct {
 	applied        atomic.Int64
 	checkpoints    atomic.Int64
 	statuses       atomic.Int64
-	groupCommits   atomic.Int64
-	groupedTxns    atomic.Int64
+	commits        atomic.Int64
 	applyErrors    atomic.Int64
 	resyncs        atomic.Int64
 }
@@ -196,7 +171,6 @@ func newNode(rs *ReplicaSet, id int, zone string) *Node {
 	n.obsCkptDur = reg.Histogram(obs.Name("cluster.checkpoint_duration", "node", node))
 	n.obsOplogLag = reg.Gauge(obs.Name("cluster.oplog_lag_secs", "node", node))
 	n.obsCommitLat = reg.Histogram(obs.Name("cluster.commit_latency", "node", node))
-	n.obsCommitTxns = reg.Histogram(obs.Name("cluster.commit_batch_txns", "node", node))
 	n.obsApplyErrs = reg.Counter(obs.Name("cluster.apply_errors", "node", node))
 	n.obsResyncs = reg.Counter(obs.Name("cluster.resyncs", "node", node))
 	return n
@@ -254,6 +228,7 @@ func (n *Node) OplogLast() oplog.OpTime {
 // counters are atomics, so the snapshot needs no lock and never
 // contends with the node's operation paths.
 func (n *Node) Stats() NodeStats {
+	commits := n.stats.commits.Load()
 	return NodeStats{
 		Reads:          n.stats.reads.Load(),
 		Writes:         n.stats.writes.Load(),
@@ -262,8 +237,8 @@ func (n *Node) Stats() NodeStats {
 		Applied:        n.stats.applied.Load(),
 		Checkpoints:    n.stats.checkpoints.Load(),
 		Statuses:       n.stats.statuses.Load(),
-		GroupCommits:   n.stats.groupCommits.Load(),
-		GroupedTxns:    n.stats.groupedTxns.Load(),
+		GroupCommits:   commits,
+		GroupedTxns:    commits,
 		ApplyErrors:    n.stats.applyErrors.Load(),
 		Resyncs:        n.stats.resyncs.Load(),
 	}
@@ -272,141 +247,115 @@ func (n *Node) Stats() NodeStats {
 // QueueDepth returns the number of operations waiting for a CPU slot.
 func (n *Node) QueueDepth() int { return n.cpu.Waiting() }
 
-// commitMutationsLocked commits one transaction's staged mutations:
-// mints timestamps, applies the oplog payloads encoded at staging time
-// to the store (an insert's payload is stored as it is, a set's is
-// spliced into the stored document — nothing is serialized inside the
-// critical section), and appends the oplog entries in one batch
-// (one tail notification per transaction). Caller holds applyMu and
-// the n.mu write lock; gate broadcasts and waiter wakeups are the
-// caller's job so a group-commit leader pays them once per batch.
-func (n *Node) commitMutationsLocked(now time.Duration, muts []mutation) (oplog.OpTime, error) {
-	entries := make([]oplog.Entry, 0, len(muts))
-	var dirty int64
-	var firstErr error
-	for _, m := range muts {
-		ts := n.log.NextTS(now)
-		var e oplog.Entry
-		switch m.kind {
-		case mutInsert:
-			e = oplog.Entry{TS: ts, Kind: oplog.KindInsert, Collection: m.collection, DocID: m.docID, Payload: m.payload}
-			if err := n.store.C(m.collection).UpsertEncoded(m.payload); err != nil {
-				firstErr = err
-			}
-		case mutSet:
-			e = oplog.Entry{TS: ts, Kind: oplog.KindSet, Collection: m.collection, DocID: m.docID, Payload: m.payload}
-			if _, err := n.store.C(m.collection).ApplySetEncoded(m.docID, m.payload); err != nil {
-				firstErr = err
-			}
-		case mutDelete:
-			e = oplog.Entry{TS: ts, Kind: oplog.KindDelete, Collection: m.collection, DocID: m.docID}
-			n.store.C(m.collection).Delete(m.docID)
-		case mutNoop:
-			e = oplog.NewNoop(ts)
-		}
-		if firstErr != nil {
-			break // the failed mutation is neither applied nor logged
-		}
-		if e.Kind != oplog.KindNoop {
-			dirty += entryBytes(e)
-		}
-		entries = append(entries, e)
-	}
-	if len(entries) == 0 {
-		return oplog.Zero, firstErr
-	}
-	if err := n.log.AppendBatch(entries); err != nil {
-		return oplog.Zero, err
-	}
-	last := entries[len(entries)-1].TS
-	n.lastApplied = last
-	n.known[n.ID] = last
-	n.dirtyBytes += dirty
-	return last, firstErr
-}
-
-// finishCommitLocked runs the once-per-batch tail of a commit: release
-// any write-concern waiters the new lastApplied satisfies and enforce
-// the oplog cap. Caller holds applyMu and the n.mu write lock.
-func (n *Node) finishCommitLocked() {
-	n.wakeAckWaitersLocked()
-	n.truncatePrimaryLocked()
-}
-
-// commitStaged commits a transaction's staged mutations and returns
-// the OpTime of its last entry.
-//
-// On the virtual-time env processes run one at a time, so there is
-// never a second writer to batch with: commit directly, keeping the
-// event schedule (and thus simulation results) bit-identical to the
-// pre-group-commit engine.
-//
-// On the real-time env this is a group commit: writers stage their
-// request and the first one in becomes the leader, draining everything
-// that queued up while it held the store. N concurrent transactions
-// pay one applyMu/n.mu acquisition, one oplog append batch per
-// transaction under that single hold, and one applyGate broadcast —
-// instead of N of each.
-func (n *Node) commitStaged(p sim.Proc, muts []mutation) (oplog.OpTime, error) {
+// commitStaged commits a transaction's staged mutations at the primary
+// and returns the OpTime of its last entry. Both clocks run this one
+// commit: the transaction takes applyMu and the n.mu write lock once,
+// lands its mutations in the store, appends them to the oplog, releases
+// the write-concern waiters its commit satisfies and enforces the oplog
+// cap. A commit that fails changes nothing (see commitLocked).
+func (n *Node) commitStaged(p sim.Proc, muts []oplog.Entry) (oplog.OpTime, error) {
 	if len(muts) == 0 {
 		return oplog.Zero, nil
 	}
-	if !n.rs.realtime {
-		n.applyMu.Lock()
-		n.mu.Lock()
-		last, err := n.commitMutationsLocked(p.Now(), muts)
-		n.finishCommitLocked()
-		n.mu.Unlock()
-		n.applyMu.Unlock()
-		n.applyGate.Broadcast()
-		return last, err
+	start := p.Now()
+	n.applyMu.Lock()
+	n.mu.Lock()
+	last, err := n.commitLocked(start, muts)
+	if err == nil {
+		n.wakeAckWaitersLocked()
+		n.truncatePrimaryLocked()
 	}
-	req := &commitReq{muts: muts, now: p.Now(), done: make(chan struct{})}
-	gc := &n.gc
-	gc.mu.Lock()
-	gc.pending = append(gc.pending, req)
-	if gc.leading {
-		gc.mu.Unlock()
-		// A leader is draining the queue; it will commit this request
-		// and close done. The leader never blocks on an environment
-		// primitive while leading, so this wait is bounded by its
-		// critical sections only.
-		<-req.done
-		return req.last, req.err
+	n.mu.Unlock()
+	n.applyMu.Unlock()
+	if err != nil {
+		return oplog.Zero, err
 	}
-	gc.leading = true
-	gc.mu.Unlock()
-	for {
-		gc.mu.Lock()
-		batch := gc.pending
-		gc.pending = nil
-		if len(batch) == 0 {
-			gc.leading = false
-			gc.mu.Unlock()
-			break
+	n.applyGate.Broadcast()
+	n.obsCommitLat.Observe(p.Now() - start)
+	n.stats.commits.Add(1)
+	return last, nil
+}
+
+// commitLocked lands one transaction's staged mutations in the store,
+// then mints their timestamps and appends them to the oplog in one
+// batch (one tail notification per transaction). The payloads were
+// encoded at staging time: an insert's is stored as it is and a set's
+// is spliced into the stored document, so nothing is serialized inside
+// the critical section. An insert fails if a commit since its staging
+// stored a document with its _id. When any mutation fails, the ones
+// before it are undone from their pre-images and no timestamp is
+// minted, so the store, the oplog and lastApplied are as they were and
+// nothing replicates. Caller holds applyMu and the n.mu write lock.
+func (n *Node) commitLocked(now time.Duration, muts []oplog.Entry) (oplog.OpTime, error) {
+	var undo []preImage
+	for i, m := range muts {
+		if m.Kind == oplog.KindNoop {
+			continue
 		}
-		gc.mu.Unlock()
-		start := n.rs.env.Now()
-		n.applyMu.Lock()
-		n.mu.Lock()
-		for _, r := range batch {
-			r.last, r.err = n.commitMutationsLocked(r.now, r.muts)
-		}
-		n.finishCommitLocked()
-		n.mu.Unlock()
-		n.applyMu.Unlock()
-		n.applyGate.Broadcast()
-		n.obsCommitLat.Observe(n.rs.env.Now() - start)
-		n.obsCommitTxns.ObserveN(int64(len(batch)))
-		n.stats.groupCommits.Add(1)
-		n.stats.groupedTxns.Add(int64(len(batch)))
-		for _, r := range batch {
-			if r != req {
-				close(r.done)
+		c := n.store.C(m.Collection)
+		old, exists := c.FindByIDEncoded(m.DocID)
+		var err error
+		switch m.Kind {
+		case oplog.KindInsert:
+			if exists {
+				err = fmt.Errorf("cluster: duplicate _id %q in %s", m.DocID, m.Collection)
+			} else {
+				err = c.UpsertEncoded(m.Payload)
 			}
+		case oplog.KindSet:
+			_, err = c.ApplySetEncoded(m.DocID, m.Payload)
+		case oplog.KindDelete:
+			c.Delete(m.DocID)
+		}
+		if err != nil {
+			restore(undo)
+			return oplog.Zero, err
+		}
+		// A failed mutation changes nothing itself, so the last one
+		// never needs undoing: a one-mutation commit keeps no undo log.
+		if i < len(muts)-1 {
+			undo = append(undo, preImage{c: c, id: m.DocID, doc: old})
 		}
 	}
-	return req.last, req.err
+	var dirty int64
+	for i := range muts {
+		muts[i].TS = n.log.NextTS(now)
+		if muts[i].Kind != oplog.KindNoop {
+			dirty += entryBytes(muts[i])
+		}
+	}
+	if err := n.log.AppendBatch(muts); err != nil {
+		// NextTS mints above the log's last entry, so the batch is in
+		// order; the store already holds the transaction.
+		panic(fmt.Sprintf("cluster: commit append: %v", err))
+	}
+	last := muts[len(muts)-1].TS
+	n.lastApplied = last
+	n.known[n.ID] = last
+	n.dirtyBytes += dirty
+	return last, nil
+}
+
+// preImage is a document as it stood before a commit mutated it (nil
+// when it was absent).
+type preImage struct {
+	c   *storage.Collection
+	id  string
+	doc *storage.EncodedDoc
+}
+
+// restore puts pre-images back, newest first. Each step returns its
+// collection to a state it held before, which its indexes accepted, so
+// a restore cannot fail.
+func restore(undo []preImage) {
+	for i := len(undo) - 1; i >= 0; i-- {
+		u := undo[i]
+		if u.doc == nil {
+			u.c.Delete(u.id)
+		} else if err := u.c.UpsertEncoded(u.doc.Bytes()); err != nil {
+			panic(fmt.Sprintf("cluster: restoring %q after a failed commit: %v", u.id, err))
+		}
+	}
 }
 
 // commitNoop appends one no-op entry if this node is still a live
@@ -417,7 +366,7 @@ func (n *Node) commitNoop(p sim.Proc) {
 	if n.Down() || n.rs.PrimaryID() != n.ID {
 		return
 	}
-	_, _ = n.commitStaged(p, []mutation{{kind: mutNoop}})
+	_, _ = n.commitStaged(p, []oplog.Entry{{Kind: oplog.KindNoop}})
 }
 
 // noteApplyErrors counts replication apply/append failures in the
@@ -620,32 +569,19 @@ func (v *localReadView) FindEncoded(collection string, f storage.Filter, limit i
 // workloads in this repository never do).
 type localWriteTxn struct {
 	localReadView
-	muts []mutation
+	// muts are the oplog entries the commit appends, staged without
+	// timestamps. Normalization and payload encoding happen at staging
+	// time, on the writer's own service time and outside any lock, so
+	// the commit critical section is reduced to byte splices, timestamp
+	// minting and the oplog append. An insert's payload becomes the
+	// stored document.
+	muts []oplog.Entry
 }
 
-type mutKind int
-
-const (
-	mutInsert mutKind = iota
-	mutSet
-	mutDelete
-	mutNoop
-)
-
-// mutation is one staged operation. Normalization and oplog payload
-// encoding happen at staging time — on the writer's own service time,
-// outside any lock — so the commit critical section is reduced to
-// timestamp minting, byte splices and the oplog append.
-type mutation struct {
-	kind       mutKind
-	collection string
-	docID      string
-	payload    []byte // oplog payload; an insert's becomes the stored document
-}
-
-// Insert adds a new document at commit time. Duplicate-_id detection
-// happens against the pre-transaction state plus this transaction's
-// own buffered inserts.
+// Insert adds a new document at commit time. A duplicate _id is caught
+// when the insert is staged, against the pre-transaction state and this
+// transaction's own buffered inserts, and again at commit, against
+// whatever committed in between.
 func (t *localWriteTxn) Insert(collection string, doc storage.Document) error {
 	norm, err := doc.Canonicalized()
 	if err != nil {
@@ -659,11 +595,11 @@ func (t *localWriteTxn) Insert(collection string, doc storage.Document) error {
 		return fmt.Errorf("cluster: duplicate _id %q in %s", id, collection)
 	}
 	for _, m := range t.muts {
-		if m.kind == mutInsert && m.collection == collection && m.docID == id {
+		if m.Kind == oplog.KindInsert && m.Collection == collection && m.DocID == id {
 			return fmt.Errorf("cluster: duplicate _id %q in %s (within transaction)", id, collection)
 		}
 	}
-	t.muts = append(t.muts, mutation{kind: mutInsert, collection: collection, docID: id, payload: storage.EncodeDoc(norm)})
+	t.muts = append(t.muts, oplog.Entry{Kind: oplog.KindInsert, Collection: collection, DocID: id, Payload: storage.EncodeDoc(norm)})
 	return nil
 }
 
@@ -674,13 +610,13 @@ func (t *localWriteTxn) Set(collection, id string, fields storage.Document) erro
 	if err != nil {
 		return err
 	}
-	t.muts = append(t.muts, mutation{kind: mutSet, collection: collection, docID: id, payload: storage.EncodeDoc(norm)})
+	t.muts = append(t.muts, oplog.Entry{Kind: oplog.KindSet, Collection: collection, DocID: id, Payload: storage.EncodeDoc(norm)})
 	return nil
 }
 
 // Delete removes the identified document at commit, if present.
 func (t *localWriteTxn) Delete(collection, id string) error {
-	t.muts = append(t.muts, mutation{kind: mutDelete, collection: collection, docID: id})
+	t.muts = append(t.muts, oplog.Entry{Kind: oplog.KindDelete, Collection: collection, DocID: id})
 	return nil
 }
 

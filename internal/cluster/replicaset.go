@@ -22,14 +22,9 @@ type ReplicaSet struct {
 	net     *Network
 	nodes   []*Node
 	metrics *obs.Registry
-	// realtime selects the concurrent fast paths (group commit,
-	// parallel batch appliers). The virtual-time env runs one process
-	// at a time, where those paths would only perturb the event
-	// schedule — it keeps the direct, deterministic code.
-	realtime bool
-	tracer   *trace.Recorder
-	audit    *freshnessAuditor
-	leases   *leaseManager
+	tracer  *trace.Recorder
+	audit   *freshnessAuditor
+	leases  *leaseManager
 
 	// primaryID is atomic rather than mutexed because the read hot
 	// path now consults it on every operation (the freshness auditor
@@ -41,8 +36,7 @@ type ReplicaSet struct {
 // defaults. Node 0 starts as primary.
 func New(env sim.Env, cfg Config) *ReplicaSet {
 	cfg = cfg.withDefaults()
-	_, realtime := env.(*sim.RealtimeEnv)
-	rs := &ReplicaSet{env: env, cfg: cfg, net: newNetwork(env, cfg), metrics: obs.NewRegistry(), realtime: realtime}
+	rs := &ReplicaSet{env: env, cfg: cfg, net: newNetwork(env, cfg), metrics: obs.NewRegistry()}
 	// Ring 0 holds client/server-side spans (Node -1), rings 1..N the
 	// per-node exec spans.
 	rs.tracer = trace.NewRecorder(env.NewRand("trace"), trace.Config{Rings: cfg.Nodes + 1})
@@ -251,8 +245,8 @@ func (n *Node) execWrite(p sim.Proc, fn func(tx WriteTxn) (any, error)) (any, op
 	}
 	p.Sleep(n.jitterCost(cost))
 	// Commit at the end of the service time: this is when the write
-	// becomes durable and visible to replication. Concurrent commits
-	// group: see Node.commitStaged.
+	// becomes durable and visible to replication. A failed commit
+	// changes nothing: see Node.commitStaged.
 	if err != nil {
 		return res, oplog.Zero, err
 	}
@@ -603,9 +597,8 @@ func (n *Node) execReadAfter(p sim.Proc, after oplog.OpTime, fn func(v ReadView)
 
 // ExecWriteTracked is ExecWrite that also returns the OpTime of the
 // transaction's last committed operation (Zero for empty
-// transactions) — the session's new causal token. The token is the
-// transaction's own commit OpTime, exact even when other writers
-// group-committed alongside it.
+// transactions) — the session's new causal token: the transaction's
+// own commit OpTime.
 func (rs *ReplicaSet) ExecWriteTracked(p sim.Proc, fn func(tx WriteTxn) (any, error)) (any, oplog.OpTime, error) {
 	n := rs.Primary()
 	rs.net.Travel(p, rs.cfg.ClientZone, n.Zone)

@@ -2,9 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"decongestant/internal/oplog"
@@ -90,8 +87,9 @@ func (n *Node) fetchPoint() (after, applied oplog.OpTime) {
 // once, outside any lock, then apply chunk by chunk — paying the CPU
 // queue per chunk, mutating the store under applyMu only (reads keep
 // flowing), and taking the node write lock just for the bookkeeping
-// flip. MongoDB secondaries do the same: batch preparation, parallel
-// appliers, then a single lastApplied advance.
+// flip. MongoDB secondaries do the same: batch preparation, the apply,
+// then a single lastApplied advance (MongoDB fans the apply out over
+// writer threads; here one applier lands each chunk in oplog order).
 func (n *Node) applyBatch(p sim.Proc, batch []oplog.Entry) {
 	rs := n.rs
 	batch, dropped, cerr := oplog.CheckBatch(batch)
@@ -119,14 +117,14 @@ func (n *Node) applyBatch(p sim.Proc, batch []oplog.Entry) {
 	}
 }
 
-// applyChunk applies one checked chunk. Store mutation happens under
+// applyChunk applies one checked chunk: one oplog.ApplyBatch under
 // applyMu (serialized against commits, catch-up and resync, but NOT
 // against readers); the node write lock is held only to append the
 // oplog entries and flip lastApplied.
 func (n *Node) applyChunk(entries []oplog.Entry) {
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
-	if failed, err := n.applyChunkToStore(entries); failed > 0 {
+	if _, failed, err := oplog.ApplyBatch(n.store, entries); failed > 0 {
 		n.noteApplyErrors(failed, err)
 	}
 	n.mu.Lock()
@@ -164,72 +162,6 @@ func (n *Node) applyChunk(entries []oplog.Entry) {
 	n.wakeAckWaitersLocked()
 	n.truncateSecondaryLocked()
 	n.mu.Unlock()
-}
-
-// parallelApplyMin is the chunk size below which fanning out to
-// appliers costs more than it saves.
-const parallelApplyMin = 64
-
-// parallelAppliers is the secondary's applier pool width, as MongoDB's
-// replWriterThreadCount bounds its batch appliers.
-var parallelAppliers = min(4, runtime.GOMAXPROCS(0))
-
-// applyChunkToStore lands a checked chunk's documents in the store.
-// Caller holds applyMu. On the real-time env, large chunks fan out
-// across appliers partitioned by (collection, docID) hash: every entry
-// for a given document lands in the same partition, preserving per-
-// document ordering, while distinct documents apply in parallel. The
-// virtual-time env always applies sequentially — parallelism there
-// would change the event schedule and break run-for-run determinism.
-func (n *Node) applyChunkToStore(chunk []oplog.Entry) (int, error) {
-	workers := parallelAppliers
-	if !n.rs.realtime || workers < 2 || len(chunk) < parallelApplyMin {
-		_, failed, err := oplog.ApplyBatch(n.store, chunk)
-		return failed, err
-	}
-	parts := make([][]oplog.Entry, workers)
-	for _, e := range chunk {
-		w := applierHash(e.Collection, e.DocID) % uint32(workers)
-		parts[w] = append(parts[w], e)
-	}
-	var wg sync.WaitGroup
-	var failed atomic.Int64
-	errs := make([]error, workers)
-	for i, part := range parts {
-		if len(part) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, part []oplog.Entry) {
-			defer wg.Done()
-			_, f, err := oplog.ApplyBatch(n.store, part)
-			failed.Add(int64(f))
-			errs[i] = err
-		}(i, part)
-	}
-	wg.Wait()
-	var first error
-	for _, err := range errs {
-		if err != nil {
-			first = err
-			break
-		}
-	}
-	return int(failed.Load()), first
-}
-
-// applierHash is FNV-1a over collection + docID, the applier
-// partitioning key.
-func applierHash(collection, id string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(collection); i++ {
-		h = (h ^ uint32(collection[i])) * 16777619
-	}
-	h = (h ^ '/') * 16777619
-	for i := 0; i < len(id); i++ {
-		h = (h ^ uint32(id[i])) * 16777619
-	}
-	return h
 }
 
 // resyncFrom rebuilds this node from a snapshot of the primary: a

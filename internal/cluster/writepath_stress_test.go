@@ -1,13 +1,13 @@
 package cluster
 
-// Write-path stress and correctness tests for PR 4: group commit,
-// tail-signaled oplog fetch, parallel batch appliers, per-OpTime
+// Write-path stress and correctness tests: the primary's commit,
+// tail-signaled oplog fetch, batch apply at secondaries, per-OpTime
 // majority-ack waiters, down-member-aware truncation, and apply-error
 // accounting. The realtime stress test is the -race companion of
-// TestRealtimeConcurrencyStress, aimed at the new write-side
-// machinery: many concurrent w:majority writers funneling through the
-// group-commit leader, bulk transactions wide enough to trigger the
-// parallel applier path on secondaries, and failovers mid-batch.
+// TestRealtimeConcurrencyStress, aimed at the write side: many
+// concurrent w:majority writers contending on the primary's applyMu,
+// bulk transactions that fill multi-entry apply chunks on secondaries,
+// and failovers mid-batch.
 
 import (
 	"fmt"
@@ -26,16 +26,10 @@ import (
 const (
 	wpWriters = 8
 	wpIters   = 200
-	wpBulkTxn = 96 // > parallelApplyMin so secondaries fan out appliers
+	wpBulkTxn = 96 // entries per bulk transaction: one chunk applies many
 )
 
-func TestWritePathGroupCommitStress(t *testing.T) {
-	// Force the parallel applier fan-out even on single-core runners:
-	// the point here is the race coverage of concurrent appliers, not
-	// their speedup. Restored after env.Shutdown (defers run LIFO).
-	old := parallelAppliers
-	parallelAppliers = 4
-	defer func() { parallelAppliers = old }()
+func TestWritePathStress(t *testing.T) {
 	env := sim.NewRealtimeEnv(1)
 	defer env.Shutdown()
 	cfg := zeroCostConfig(8)
@@ -65,8 +59,8 @@ func TestWritePathGroupCommitStress(t *testing.T) {
 		}
 	}
 
-	// w:majority writers: every acknowledged write funnels through the
-	// group-commit leader and then parks on a per-OpTime ack waiter.
+	// w:majority writers: every acknowledged write commits under the
+	// primary's applyMu and then parks on a per-OpTime ack waiter.
 	for w := 0; w < wpWriters; w++ {
 		wg.Add(1)
 		go func(idx int) {
@@ -87,8 +81,8 @@ func TestWritePathGroupCommitStress(t *testing.T) {
 		}(w)
 	}
 
-	// Bulk writers: wide transactions whose oplog batches exceed
-	// parallelApplyMin, so secondaries partition them across appliers.
+	// Bulk writers: wide transactions whose oplog batches secondaries
+	// apply many entries per chunk while readers run.
 	for b := 0; b < 2; b++ {
 		wg.Add(1)
 		go func(idx int) {
@@ -156,22 +150,18 @@ func TestWritePathGroupCommitStress(t *testing.T) {
 	default:
 	}
 
-	// Every realtime commit goes through the group-commit leader. How
-	// often batches actually carry >1 txn depends on core count and
-	// scheduling, so that is asserted deterministically in
-	// TestGroupCommitBatchesQueuedWriters; here we just require the
-	// path was exercised and report the observed grouping.
-	var commits, grouped int64
+	// Each commit carries exactly one transaction, on every node.
+	var commits int64
 	for _, id := range rs.NodeIDs() {
 		st := rs.Node(id).Stats()
+		if st.GroupCommits != st.GroupedTxns {
+			t.Fatalf("node %d: %d commits carried %d transactions", id, st.GroupCommits, st.GroupedTxns)
+		}
 		commits += st.GroupCommits
-		grouped += st.GroupedTxns
 	}
 	if commits == 0 {
-		t.Fatal("no group commits led by any node")
+		t.Fatal("no commits at any node")
 	}
-	t.Logf("group commit: %d txns over %d batches (%.2f txns/batch)",
-		grouped, commits, float64(grouped)/float64(commits))
 
 	// Replication survived: a majority of members (primary included)
 	// reaches the primary's applied point once writers stop. (The third
@@ -225,65 +215,10 @@ func writeRaceOK(err error) bool {
 	return err == nil || err == ErrNotPrimary
 }
 
-// TestGroupCommitBatchesQueuedWriters proves the batching semantics
-// deterministically: a request already sitting in the queue when a
-// writer becomes leader is committed in the same batch, in staging
-// order, with one group commit covering both transactions.
-func TestGroupCommitBatchesQueuedWriters(t *testing.T) {
-	env := sim.NewRealtimeEnv(1)
-	defer env.Shutdown()
-	cfg := zeroCostConfig(2)
-	cfg.ReplIdlePoll = time.Millisecond
-	cfg.HeartbeatInterval = 5 * time.Millisecond
-	rs := New(env, cfg)
-	n := rs.Primary()
-
-	mkSet := func(id string, v int64) mutation {
-		return mutation{kind: mutSet, collection: "kv", docID: id,
-			payload: storage.EncodeDoc(storage.D{"v": v})}
-	}
-
-	// Stage a follower request by hand, exactly as a concurrent writer
-	// would leave it while the leader slot is free.
-	queued := &commitReq{muts: []mutation{mkSet("queued", 1)}, done: make(chan struct{})}
-	n.gc.mu.Lock()
-	n.gc.pending = append(n.gc.pending, queued)
-	n.gc.mu.Unlock()
-
-	p := env.Adhoc("gc/leader")
-	last, err := n.commitStaged(p, []mutation{mkSet("leader", 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-queued.done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("queued request never completed; leader did not drain it")
-	}
-	if queued.err != nil {
-		t.Fatal(queued.err)
-	}
-	if !queued.last.Before(last) {
-		t.Fatalf("staging order lost: queued committed at %v, leader at %v", queued.last, last)
-	}
-	st := n.Stats()
-	if st.GroupCommits != 1 || st.GroupedTxns != 2 {
-		t.Fatalf("expected 1 batch of 2 txns, got %d batches / %d txns", st.GroupCommits, st.GroupedTxns)
-	}
-	n.mu.RLock()
-	_, okQ := n.store.C("kv").FindByID("queued")
-	_, okL := n.store.C("kv").FindByID("leader")
-	n.mu.RUnlock()
-	if !okQ || !okL {
-		t.Fatalf("batched writes missing from the store: queued=%v leader=%v", okQ, okL)
-	}
-}
-
-// TestWritePathVirtualDeterminism: the virtual-time environment must
-// stay deterministic — group commit and parallel appliers are
-// realtime-only fast paths. Two runs with the same seed produce
-// byte-identical OpTime sequences on every node and identical final
-// data.
+// TestWritePathVirtualDeterminism: the virtual-time environment runs
+// the same commit and apply code as the real clock and must stay
+// deterministic. Two runs with the same seed produce byte-identical
+// OpTime sequences on every node and identical final data.
 func TestWritePathVirtualDeterminism(t *testing.T) {
 	run := func() string {
 		env := sim.NewEnv(77)

@@ -27,6 +27,9 @@ type StalenessResult struct {
 	ViolationCount int
 	// SampleCount is the total number of observed samples.
 	SampleCount int
+	// Notes are printed after the summary (e.g. the workload's
+	// transaction failure share).
+	Notes []string
 }
 
 // runStalenessScenario runs Decongestant with the S workload attached
@@ -80,9 +83,7 @@ func Fig8(seed int64, stretch float64) *StalenessResult {
 func Fig9(seed int64, stretch float64) *StalenessResult {
 	runFor := time.Duration(nz(stretch) * float64(250*time.Second))
 	params := core.DefaultParams() // StaleBound 10s
-	return runStalenessScenario(seed, params, func(setup *Setup) {
-		attachTPCC(setup, seed, 60)
-	}, runFor, "Figure 9: bounding staleness at 10s (rw-TPC-C, 60 clients)")
+	return runTPCCStaleness(seed, params, 60, runFor, "Figure 9: bounding staleness at 10s (rw-TPC-C, 60 clients)")
 }
 
 // Fig10 reproduces Figure 10: the challenging 3-second bound under
@@ -92,18 +93,22 @@ func Fig10(seed int64, stretch float64) *StalenessResult {
 	runFor := time.Duration(nz(stretch) * float64(250*time.Second))
 	params := core.DefaultParams()
 	params.StaleBound = 3
-	return runStalenessScenario(seed, params, func(setup *Setup) {
-		attachTPCC(setup, seed, 200)
-	}, runFor, "Figure 10: bounding staleness at 3s (rw-TPC-C, 200 clients)")
+	return runTPCCStaleness(seed, params, 200, runFor, "Figure 10: bounding staleness at 3s (rw-TPC-C, 200 clients)")
 }
 
-// attachTPCC loads the TPC-C population and starts a read-write-mix
-// terminal pool on the setup.
-func attachTPCC(setup *Setup, seed int64, clients int) {
-	sc := ExpTPCCScale()
-	if err := tpcc.Load(setup.RS, sc, seed); err != nil {
-		panic(fmt.Sprintf("experiments: tpcc load: %v", err))
-	}
-	pool := tpcc.NewPool(setup.Env, setup.Exec, nil, sc, tpcc.ReadWriteMix())
-	pool.SetClients(clients)
+// runTPCCStaleness runs the staleness scenario over a read-write-mix
+// TPC-C terminal pool of the given size and notes the share of its
+// NewOrders that failed.
+func runTPCCStaleness(seed int64, params core.Params, clients int, runFor time.Duration, title string) *StalenessResult {
+	var pool *tpcc.Pool
+	res := runStalenessScenario(seed, params, func(setup *Setup) {
+		sc := ExpTPCCScale()
+		if err := tpcc.Load(setup.RS, sc, seed); err != nil {
+			panic(fmt.Sprintf("experiments: tpcc load: %v", err))
+		}
+		pool = tpcc.NewPool(setup.Env, setup.Exec, nil, sc, tpcc.ReadWriteMix())
+		pool.SetClients(clients)
+	}, runFor, title)
+	res.Notes = append(res.Notes, fmt.Sprintf("%.1f%% of NewOrders failed", newOrderFailPct(pool)))
+	return res
 }

@@ -20,8 +20,9 @@ func ExpTPCCScale() tpcc.Scale { return tpcc.DefaultScale() }
 
 // runTPCC executes a phased read-write TPC-C scenario against one
 // system; the collector is filtered to Stock Level transactions, which
-// is what the paper's TPC-C figures report.
-func runTPCC(kind SystemKind, seed int64, phases []tpccPhase, withS bool, window time.Duration, params core.Params) (*Collector, *Setup) {
+// is what the paper's TPC-C figures report. The third result is the
+// share of NewOrder transactions that failed, in percent.
+func runTPCC(kind SystemKind, seed int64, phases []tpccPhase, withS bool, window time.Duration, params core.Params) (*Collector, *Setup, float64) {
 	opts := Options{
 		Seed:    seed,
 		Cluster: ExpClusterConfig(),
@@ -39,7 +40,17 @@ func runTPCC(kind SystemKind, seed int64, phases []tpccPhase, withS bool, window
 		pool.SetClients(ph.clients)
 		setup.Env.Run(ph.until)
 	}
-	return col, setup
+	return col, setup, newOrderFailPct(pool)
+}
+
+// newOrderFailPct is the share of a pool's NewOrder transactions that
+// failed, in percent (0 when none ran).
+func newOrderFailPct(pool *tpcc.Pool) float64 {
+	failed, ran := pool.Failures(tpcc.KindNewOrder)
+	if ran == 0 {
+		return 0
+	}
+	return 100 * float64(failed) / float64(ran)
 }
 
 // Fig4 reproduces Figure 4: read-write TPC-C with the client count
@@ -68,7 +79,8 @@ func Fig4(seed int64, stretch float64) *TimeSeries {
 	}
 	for _, kind := range AllSystems {
 		var gateSamples []XY
-		col, setup := runTPCC(kind, seed, phases, true, window, scaledParams(stretch))
+		col, setup, failPct := runTPCC(kind, seed, phases, true, window, scaledParams(stretch))
+		ts.Notes = append(ts.Notes, fmt.Sprintf("%s: %.1f%% of NewOrders failed", kind, failPct))
 		if kind == SysDecongestant {
 			// Recover gate activity from the staleness poller's
 			// decision trail: the balancer exposes trips via stats and
@@ -113,13 +125,14 @@ func Fig7(seed int64, clients []int, stretch float64) *Sweep {
 	for _, n := range clients {
 		pt := SweepPoint{X: float64(n), Values: map[string]float64{}}
 		for _, kind := range AllSystems {
-			col, setup := runTPCC(kind, seed, []tpccPhase{{clients: n, until: runFor}}, true, 10*time.Second, scaledParams(stretch))
+			col, setup, failPct := runTPCC(kind, seed, []tpccPhase{{clients: n, until: runFor}}, true, 10*time.Second, scaledParams(stretch))
 			thr, p80, _ := col.Aggregate(warm)
 			stale := setup.SW.StalenessPercentile(0.80, warm)
 			setup.Close()
 			pt.Values[kind.String()+"/throughput"] = thr
 			pt.Values[kind.String()+"/p80_ms"] = float64(p80) / float64(time.Millisecond)
 			pt.Values[kind.String()+"/p80_staleness_s"] = stale.Seconds()
+			pt.Values[kind.String()+"/neworder_fail_pct"] = failPct
 		}
 		sw.Points = append(sw.Points, pt)
 	}
@@ -140,7 +153,7 @@ func Fig11(seed int64, clients []int, stretch float64) *Sweep {
 	for _, n := range clients {
 		pt := SweepPoint{X: float64(n), Values: map[string]float64{}}
 		for _, withS := range []bool{true, false} {
-			col, setup := runTPCC(SysPrimary, seed, []tpccPhase{{clients: n, until: runFor}}, withS, 10*time.Second, core.DefaultParams())
+			col, setup, failPct := runTPCC(SysPrimary, seed, []tpccPhase{{clients: n, until: runFor}}, withS, 10*time.Second, core.DefaultParams())
 			thr, _, _ := col.Aggregate(warm)
 			setup.Close()
 			label := "no_s"
@@ -148,6 +161,7 @@ func Fig11(seed int64, clients []int, stretch float64) *Sweep {
 				label = "with_s"
 			}
 			pt.Values[label+"/throughput"] = thr
+			pt.Values[label+"/neworder_fail_pct"] = failPct
 		}
 		sw.Points = append(sw.Points, pt)
 	}

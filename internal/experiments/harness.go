@@ -253,6 +253,9 @@ type TimeSeries struct {
 	// Extra carries per-system auxiliary series (staleness, gate
 	// trips) keyed by a label.
 	Extra map[string][]XY
+	// Notes are printed after the rows (e.g. each system's transaction
+	// failure share).
+	Notes []string
 }
 
 // XY is one point of an auxiliary series.

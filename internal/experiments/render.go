@@ -67,6 +67,9 @@ func RenderTimeSeries(w io.Writer, ts *TimeSeries) {
 				strings.Join(gatedAt, " "))
 		}
 	}
+	for _, note := range ts.Notes {
+		fmt.Fprintf(w, "   %s\n", note)
+	}
 }
 
 func systemOrder(name string) int {
@@ -149,6 +152,9 @@ func RenderStaleness(w io.Writer, res *StalenessResult) {
 	}
 	fmt.Fprintf(w, "   samples=%d violations(above bound)=%d gated_seconds=%d\n",
 		res.SampleCount, res.ViolationCount, res.GatedSeconds)
+	for _, note := range res.Notes {
+		fmt.Fprintf(w, "   %s\n", note)
+	}
 }
 
 // SummarizeTimeSeries reduces a TimeSeries to per-system steady-state

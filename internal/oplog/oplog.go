@@ -446,8 +446,9 @@ func (l *Log) Append(e Entry) error {
 }
 
 // AppendBatch adds entries (each TS exceeding the previous) with one
-// capacity check and one tail notification for the whole batch — the
-// group-commit append. On an ordering error nothing is appended.
+// capacity check and one tail notification for the whole batch: a
+// transaction's commit at the primary, or an applied chunk at a
+// secondary. On an ordering error nothing is appended.
 func (l *Log) AppendBatch(entries []Entry) error {
 	last := l.lastTS
 	for _, e := range entries {

@@ -42,7 +42,7 @@ func (b *rsBackend) Tracer() *trace.Recorder { return b.rs.Tracer() }
 // flow control would stall it now: on the wire it is always w:1, so it
 // waits only on bounded critical sections — a CPU slot (no slot holder
 // ever waits, since causal and linearizable waits come before the
-// slot) and, as a group-commit follower, the leader's locked commit.
+// slot) and the primary's locked commit.
 // The flow-control check and execWrite's own are two steps, so a write
 // classified just before the lag crosses FlowControlLagSecs still
 // sleeps one FlowControlDelay on the reader (DESIGN.md §8 accepts

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"decongestant/internal/driver"
 	"decongestant/internal/sim"
 	"decongestant/internal/workload"
 )
@@ -65,6 +66,8 @@ type Pool struct {
 	mix     Mix
 	active  int
 	spawned int
+	ran     map[string]int // transactions run, per kind
+	failed  map[string]int // of those, the ones that returned an error
 }
 
 // NewPool creates a TPC-C terminal pool; call SetClients to start.
@@ -72,7 +75,8 @@ func NewPool(env sim.Env, exec workload.Executor, obs workload.Observer, scale S
 	if obs == nil {
 		obs = workload.NopObserver{}
 	}
-	return &Pool{env: env, exec: exec, obs: obs, scale: scale, mix: mix}
+	return &Pool{env: env, exec: exec, obs: obs, scale: scale, mix: mix,
+		ran: map[string]int{}, failed: map[string]int{}}
 }
 
 // SetClients adjusts the number of active closed-loop terminals.
@@ -87,6 +91,15 @@ func (pl *Pool) SetClients(n int) {
 			pl.terminalLoop(p, id)
 		})
 	}
+}
+
+// Failures returns how many transactions of the given kind failed and
+// how many ran. A failed transaction is not reported to the Observer;
+// an intentional NewOrder rollback counts as run, not failed.
+func (pl *Pool) Failures(kind string) (failed, ran int) {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	return pl.failed[kind], pl.ran[kind]
 }
 
 // Active returns the number of active terminals.
@@ -113,28 +126,38 @@ func (pl *Pool) terminalLoop(p sim.Proc, id int) {
 
 func (pl *Pool) doOne(p sim.Proc, rng *rand.Rand, mix Mix) {
 	kind := mix.pick(rng)
+	var (
+		pref driver.ReadPref
+		lat  time.Duration
+		err  error
+	)
+	read := false
 	switch kind {
 	case KindStockLevel:
-		pref, lat, err := StockLevel(p, pl.exec, pl.scale, rng)
-		if err == nil {
-			pl.obs.ObserveRead(p.Now(), pref, lat, kind)
-		}
+		pref, lat, err = StockLevel(p, pl.exec, pl.scale, rng)
+		read = true
 	case KindOrderStatus:
-		pref, lat, err := OrderStatus(p, pl.exec, pl.scale, rng)
-		if err == nil {
-			pl.obs.ObserveRead(p.Now(), pref, lat, kind)
-		}
+		pref, lat, err = OrderStatus(p, pl.exec, pl.scale, rng)
+		read = true
 	case KindDelivery:
-		if lat, err := Delivery(p, pl.exec, pl.scale, rng); err == nil {
-			pl.obs.ObserveWrite(p.Now(), lat, kind)
-		}
+		lat, err = Delivery(p, pl.exec, pl.scale, rng)
 	case KindPayment:
-		if lat, err := Payment(p, pl.exec, pl.scale, rng); err == nil {
-			pl.obs.ObserveWrite(p.Now(), lat, kind)
-		}
+		lat, err = Payment(p, pl.exec, pl.scale, rng)
 	default:
-		if lat, err := NewOrder(p, pl.exec, pl.scale, rng); err == nil {
-			pl.obs.ObserveWrite(p.Now(), lat, kind)
-		}
+		lat, err = NewOrder(p, pl.exec, pl.scale, rng)
+	}
+	pl.mu.Lock()
+	pl.ran[kind]++
+	if err != nil {
+		pl.failed[kind]++
+	}
+	pl.mu.Unlock()
+	switch {
+	case err != nil:
+		return
+	case read:
+		pl.obs.ObserveRead(p.Now(), pref, lat, kind)
+	default:
+		pl.obs.ObserveWrite(p.Now(), lat, kind)
 	}
 }

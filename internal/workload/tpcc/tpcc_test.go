@@ -305,3 +305,42 @@ func TestIDHelpersDistinct(t *testing.T) {
 	}
 	_ = fmt.Sprintf
 }
+
+// TestConcurrentNewOrdersNeverWedgeDistrict: NewOrders that read the
+// same next_o_id race to insert the same order. The later commit must
+// fail as a whole, so no district's counter ever names an order that
+// already exists (which would fail every later NewOrder there).
+func TestConcurrentNewOrdersNeverWedgeDistrict(t *testing.T) {
+	sc := tinyScale()
+	env, rs, cl := newTestCluster(t, 7, sc)
+	defer env.Shutdown()
+	pool := NewPool(env, workload.FixedPref{Client: cl, Pref: driver.Primary}, nil, sc, ReadWriteMix())
+	pool.SetClients(100)
+	env.Run(10 * time.Second)
+	pool.SetClients(0)
+	env.Run(11 * time.Second)
+	failed, ran := pool.Failures(KindNewOrder)
+	if ran-failed < 50 {
+		t.Fatalf("only %d of %d NewOrders completed", ran-failed, ran)
+	}
+	var wedged []string
+	env.Spawn("check", func(p sim.Proc) {
+		cl.Conn().ExecRead(p, rs.PrimaryID(), func(v cluster.ReadView) (any, error) {
+			for w := 1; w <= sc.Warehouses; w++ {
+				for d := 1; d <= sc.DistrictsPerWH; d++ {
+					dist, _ := v.FindByID(CollDistrict, DistrictID(w, d))
+					next := int(dist.Int("next_o_id"))
+					if _, taken := v.FindByID(CollOrders, OrderID(w, d, next)); taken {
+						wedged = append(wedged, fmt.Sprintf("%s at next_o_id %d", DistrictID(w, d), next))
+					}
+				}
+			}
+			return nil, nil
+		})
+	})
+	env.Run(12 * time.Second)
+	if len(wedged) > 0 {
+		t.Fatalf("districts whose next_o_id names an existing order: %v (NewOrder: %d of %d failed)", wedged, failed, ran)
+	}
+	t.Logf("NewOrder: %d of %d failed", failed, ran)
+}
