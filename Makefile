@@ -12,12 +12,15 @@ test:
 
 # race runs the same commands as the CI race steps: the cluster's
 # stress and failover tests repeat five times, since real-clock writers
-# contend on the primary's applyMu directly, and under the race
-# detector internal/experiments alone runs for about 17 minutes, past
-# go test's default 10-minute timeout, so it runs on its own.
+# contend on the primary's applyMu directly; the sharding tests that
+# migrate, split, scatter and cache repeat three times, since every
+# routed op takes and releases a chunk-authority lease; and under the
+# race detector internal/experiments alone runs for about 17 minutes,
+# past go test's default 10-minute timeout, so it runs on its own.
 race:
 	$(GO) test -race $$($(GO) list ./internal/... | grep -v '/internal/experiments$$')
 	$(GO) test -race -count=5 -run 'Stress|Failover' ./internal/cluster
+	$(GO) test -race -count=3 -run 'Migrate|Scatter|Mongos|Split|Cache' ./internal/sharding
 	$(GO) test -race -timeout 40m ./internal/experiments
 
 vet:

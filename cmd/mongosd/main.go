@@ -1,6 +1,6 @@
 // Command mongosd serves a sharded cluster's query router over TCP
 // using the wire protocol. It dials every shard's replsetd, builds a
-// chunk- or hash-routed sharding.Router over those connections (one
+// chunk-routed sharding.Router over those connections (one
 // Decongestant system per shard), and answers the same op set a
 // single replica set does — plus the topology ops list_shards and
 // chunk_map, and the admin op move_chunk for live chunk migration.
@@ -9,12 +9,13 @@
 //
 //	replsetd -listen 127.0.0.1:27101 &
 //	replsetd -listen 127.0.0.1:27102 &
-//	mongosd -listen 127.0.0.1:27100 -shards 127.0.0.1:27101,127.0.0.1:27102
+//	mongosd -listen 127.0.0.1:27100 -shards 127.0.0.1:27101,127.0.0.1:27102 -split doc500
 //
-// Without -split the router hash-partitions by _id (chunks disabled).
-// With -split (comma-separated shard-key split points) it builds a
-// chunk table over the key ranges, assigned round-robin, and chunks
-// can then be split and live-migrated while serving traffic.
+// -split (comma-separated shard-key split points) cuts the _id key
+// space into chunks, assigned to the shards round-robin; chunks can
+// then be split and live-migrated while serving traffic. It is
+// required with more than one shard; a single shard owns the whole
+// key space without it.
 //
 // The -http observability surface and the admission-control flags
 // mirror replsetd's.
@@ -23,6 +24,7 @@ package main
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -46,7 +48,8 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:27100", "address to listen on")
 	httpAddr := flag.String("http", "", "address for the HTTP observability endpoint (empty disables)")
 	shards := flag.String("shards", "", "comma-separated shard server addresses (required)")
-	splits := flag.String("split", "", "comma-separated shard-key split points enabling chunk routing (empty = hash mode)")
+	splits := flag.String("split", "",
+		"comma-separated shard-key split points; the chunks between them go to the shards round-robin (required with more than one shard)")
 	seed := flag.Int64("seed", 1, "environment seed")
 	cacheOn := flag.Bool("cache", false,
 		"enable the router-side freshness-priced read cache: bounded point reads spend the client's staleness budget locally before touching a shard")
@@ -69,6 +72,12 @@ func main() {
 	if len(addrs) == 0 {
 		logger.Fatalf("need at least one shard address (-shards host:port,host:port,...)")
 	}
+	sp, err := splitPoints(len(addrs), *splits)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mongosd: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	env := sim.NewRealtimeEnv(*seed)
 	conns := make([]driver.Conn, len(addrs))
@@ -81,11 +90,8 @@ func main() {
 		conns[i] = c
 	}
 
-	var opts sharding.RouterOptions
-	if sp := splitList(*splits); len(sp) > 0 {
-		opts.Authority = sharding.NewChunkAuthority(env, sharding.NewChunkMap(sp, len(conns)))
-	}
-	mongos := sharding.NewMongos(env, conns, addrs, core.DefaultParams(), opts)
+	auth := sharding.NewChunkAuthority(env, sharding.NewChunkMap(sp, len(conns)))
+	mongos := sharding.NewMongos(env, conns, addrs, auth, core.DefaultParams(), sharding.RouterOptions{})
 	if *cacheOn {
 		rc := mongos.Router().EnableCache(cache.Config{MaxBytes: *cacheBytes, GuardBandSecs: *cacheGuard})
 		eff := rc.EffectiveConfig()
@@ -104,12 +110,8 @@ func main() {
 	if err != nil {
 		logger.Fatalf("listen: %v", err)
 	}
-	mode := "hash"
-	if opts.Authority != nil {
-		mode = "chunk"
-		logger.Printf("chunk table: %d chunks at version %d", opts.Authority.Map().NumChunks(), opts.Authority.Version())
-	}
-	logger.Printf("routing %d shards (%s mode) on %s", len(conns), mode, ln.Addr())
+	logger.Printf("routing %d shards over %d chunks (table version %d) on %s",
+		len(conns), auth.Map().NumChunks(), auth.Version(), ln.Addr())
 
 	if *httpAddr != "" {
 		reg, tr := mongos.Metrics(), mongos.Tracer()
@@ -166,11 +168,7 @@ func main() {
 			writeJSON(w, map[string]any{"inprog": ops})
 		})
 		mux.HandleFunc("/debug/chunks", func(w http.ResponseWriter, r *http.Request) {
-			if opts.Authority == nil {
-				writeJSON(w, map[string]any{"mode": "hash"})
-				return
-			}
-			writeJSON(w, map[string]any{"mode": "chunk", "map": opts.Authority.Map()})
+			writeJSON(w, map[string]any{"map": auth.Map()})
 		})
 		hln, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
@@ -204,6 +202,17 @@ func main() {
 	if err := srv.Serve(ln); err != nil {
 		logger.Fatalf("serve: %v", err)
 	}
+}
+
+// splitPoints parses the -split flag for numShards shards. More than
+// one shard needs split points: without them every key would land on
+// shard 0.
+func splitPoints(numShards int, flagValue string) ([]string, error) {
+	sp := splitList(flagValue)
+	if numShards > 1 && len(sp) == 0 {
+		return nil, fmt.Errorf("-split is required with %d shards: give the shard-key split points, e.g. -split doc500", numShards)
+	}
+	return sp, nil
 }
 
 // splitList parses a comma-separated flag value, dropping empties.

@@ -16,7 +16,7 @@ import (
 
 	"decongestant/internal/cluster"
 	"decongestant/internal/driver"
-	"decongestant/internal/metrics"
+	"decongestant/internal/obs"
 	"decongestant/internal/sim"
 	"decongestant/internal/storage"
 	"decongestant/internal/wire"
@@ -87,6 +87,6 @@ func main() {
 	}
 	fmt.Printf("samples: %d\n", len(samples))
 	for _, q := range []float64{0.50, 0.80, 0.99, 1.0} {
-		fmt.Printf("P%-3.0f staleness: %v\n", q*100, metrics.PercentileOf(samples, q))
+		fmt.Printf("P%-3.0f staleness: %v\n", q*100, obs.PercentileOf(samples, q))
 	}
 }

@@ -26,16 +26,17 @@ func main() {
 	cfg := cluster.DefaultConfig()
 	cfg.CPUSlots = 8
 	cfg.ReadCost = 3 * time.Millisecond
-	shards := sharding.New(env, 2, cfg)
+	// Two chunks of the doc0000..doc9999 key space, one per shard.
+	shards := sharding.New(env, 2, []string{"doc5000"}, cfg)
 	params := core.DefaultParams()
 	params.Period = 5 * time.Second
 	router := sharding.NewRouter(env, shards, params)
 
 	// One hot key on shard 0, one cold key on shard 1.
-	hot, cold := pickKey(shards, 0, "hot"), pickKey(shards, 1, "cold")
+	hot, cold := "doc0042", "doc7042"
 	if err := shards.Bootstrap(func(shard int, s *storage.Store) error {
 		for _, k := range []string{hot, cold} {
-			if shards.ShardFor(k) == shard {
+			if shards.Owner(k) == shard {
 				if err := s.C("kv").Insert(storage.D{"_id": k, "v": 0}); err != nil {
 					return err
 				}
@@ -64,7 +65,7 @@ func main() {
 	}
 
 	fmt.Printf("hot key %q -> shard %d, cold key %q -> shard %d\n\n",
-		hot, shards.ShardFor(hot), cold, shards.ShardFor(cold))
+		hot, shards.Owner(hot), cold, shards.Owner(cold))
 	fmt.Println("t(s)   shard0-balance%   shard1-balance%")
 	for t := 10 * time.Second; t <= 90*time.Second; t += 10 * time.Second {
 		env.Run(t)
@@ -72,14 +73,4 @@ func main() {
 		fmt.Printf("%4.0f   %15d   %15d\n", t.Seconds(), fr[0], fr[1])
 	}
 	fmt.Println("\nOnly the congested shard shifted its reads to secondaries.")
-}
-
-// pickKey finds a key with the given prefix owned by the target shard.
-func pickKey(c *sharding.Cluster, shard int, prefix string) string {
-	for i := 0; ; i++ {
-		k := fmt.Sprintf("%s%d", prefix, i)
-		if c.ShardFor(k) == shard {
-			return k
-		}
-	}
 }

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"decongestant/internal/driver"
-	"decongestant/internal/metrics"
 	"decongestant/internal/obs"
 	"decongestant/internal/sim"
 )
@@ -587,7 +586,7 @@ func (b *Balancer) serverSideLatency(lat, rtt []time.Duration) time.Duration {
 			}
 			return sum / time.Duration(len(s))
 		}
-		return metrics.PercentileOf(s, 0.50)
+		return obs.PercentileOf(s, 0.50)
 	}
 	lss := agg(lat)
 	if !b.params.NoRTTSubtraction {

@@ -13,7 +13,6 @@ import (
 	"decongestant/internal/cluster"
 	"decongestant/internal/core"
 	"decongestant/internal/driver"
-	"decongestant/internal/metrics"
 	"decongestant/internal/obs"
 	"decongestant/internal/sim"
 	"decongestant/internal/workload"
@@ -150,21 +149,14 @@ type Collector struct {
 	kindMatch string // "" matches every read kind
 
 	mu        sync.Mutex
-	reads     *metrics.Series
-	writes    *metrics.Series
-	secPerWin []int64
-	totPerWin []int64
+	lat       []*obs.Histogram // per window: read latencies
+	secPerWin []int64          // per window: reads routed to a secondary
 }
 
 // NewCollector creates a collector with the given window width. If
 // kind is non-empty only reads of that kind are counted.
 func NewCollector(window time.Duration, kind string) *Collector {
-	return &Collector{
-		window:    window,
-		kindMatch: kind,
-		reads:     metrics.NewSeries(window),
-		writes:    metrics.NewSeries(window),
-	}
+	return &Collector{window: window, kindMatch: kind}
 }
 
 // ObserveRead implements workload.Observer.
@@ -174,24 +166,20 @@ func (c *Collector) ObserveRead(at time.Duration, pref driver.ReadPref, lat time
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.reads.Observe(at, lat)
 	idx := int(at / c.window)
-	for len(c.totPerWin) <= idx {
-		c.totPerWin = append(c.totPerWin, 0)
+	for len(c.lat) <= idx {
+		c.lat = append(c.lat, obs.NewHistogram())
 		c.secPerWin = append(c.secPerWin, 0)
 	}
-	c.totPerWin[idx]++
+	c.lat[idx].Observe(lat)
 	if pref == driver.Secondary {
 		c.secPerWin[idx]++
 	}
 }
 
-// ObserveWrite implements workload.Observer.
-func (c *Collector) ObserveWrite(at time.Duration, lat time.Duration, kind string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.writes.Observe(at, lat)
-}
+// ObserveWrite implements workload.Observer; the figures report reads
+// only.
+func (c *Collector) ObserveWrite(at time.Duration, lat time.Duration, kind string) {}
 
 // Row is one reporting window of one system's read metrics.
 type Row struct {
@@ -205,14 +193,17 @@ type Row struct {
 func (c *Collector) Rows() []Row {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	snaps := c.reads.Snapshot()
-	rows := make([]Row, len(snaps))
-	for i, w := range snaps {
-		r := Row{Start: w.Start, Throughput: w.Throughput, P80: w.P80}
-		if i < len(c.totPerWin) && c.totPerWin[i] > 0 {
-			r.PctSecondary = 100 * float64(c.secPerWin[i]) / float64(c.totPerWin[i])
+	rows := make([]Row, len(c.lat))
+	for i, h := range c.lat {
+		st := h.Stats()
+		rows[i] = Row{
+			Start:      time.Duration(i) * c.window,
+			Throughput: float64(st.Count) / c.window.Seconds(),
+			P80:        st.P80,
 		}
-		rows[i] = r
+		if st.Count > 0 {
+			rows[i].PctSecondary = 100 * float64(c.secPerWin[i]) / float64(st.Count)
+		}
 	}
 	return rows
 }
@@ -222,25 +213,25 @@ func (c *Collector) Rows() []Row {
 func (c *Collector) Aggregate(from time.Duration) (throughput float64, p80 time.Duration, pctSecondary float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	agg := c.reads.Aggregate(from)
+	agg := obs.NewHistogram()
 	var windows int
-	var sec, tot int64
-	for i := range c.totPerWin {
+	var sec int64
+	for i, h := range c.lat {
 		if time.Duration(i)*c.window < from {
 			continue
 		}
+		agg.Merge(h)
 		windows++
 		sec += c.secPerWin[i]
-		tot += c.totPerWin[i]
 	}
+	st := agg.Stats()
 	if windows > 0 {
-		throughput = float64(agg.Count()) / (float64(windows) * c.window.Seconds())
+		throughput = float64(st.Count) / (float64(windows) * c.window.Seconds())
 	}
-	p80 = agg.Percentile(0.80)
-	if tot > 0 {
-		pctSecondary = 100 * float64(sec) / float64(tot)
+	if st.Count > 0 {
+		pctSecondary = 100 * float64(sec) / float64(st.Count)
 	}
-	return throughput, p80, pctSecondary
+	return throughput, st.P80, pctSecondary
 }
 
 // TimeSeries is the result of a time-varying experiment: per-system

@@ -80,3 +80,14 @@ func BenchmarkSnapshotPrometheus(b *testing.B) {
 		b.Fatal("empty exposition")
 	}
 }
+
+// BenchmarkHistogramObserve is the hot-path cost every wire request
+// and cluster op pays: one lock and one bucket increment.
+// TestObserveZeroAllocs holds it at 0 allocs/op.
+func BenchmarkHistogramObserve(b *testing.B) {
+	h := NewRegistry().Histogram("wire.request_latency")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h.Observe(time.Duration(i&0xffff) * time.Microsecond)
+	}
+}

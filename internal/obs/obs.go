@@ -6,8 +6,11 @@
 // read in-process, logged periodically, or fetched over TCP via the
 // wire protocol's `metrics` command.
 //
-// Counters and gauges are lock-free (sync/atomic); histograms wrap
-// the single-writer metrics.Histogram in a mutex. Instruments are
+// Counters and gauges are lock-free (sync/atomic). Histogram is the
+// project's one log-bucketed latency histogram, behind one mutex; the
+// experiment harness builds its per-window series from it, and
+// PercentileOf is the exact sample percentile the Read Balancer's P50
+// signal uses. Instruments are
 // get-or-create by name, so independent components referring to the
 // same name share one instrument. Labels are encoded into the name
 // with Name, e.g. Name("cluster.reads", "node", "0") —
@@ -21,9 +24,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"decongestant/internal/metrics"
 )
 
 // Counter is a monotone event counter, safe for concurrent use.
@@ -75,68 +75,6 @@ func (g *Gauge) Value() int64 {
 		return 0
 	}
 	return g.v.Load()
-}
-
-// Histogram is a concurrency-safe wrapper over the log-bucketed
-// metrics.Histogram.
-type Histogram struct {
-	mu sync.Mutex
-	h  *metrics.Histogram
-}
-
-// Observe records one duration. A nil histogram is a no-op.
-func (h *Histogram) Observe(v time.Duration) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.h.Record(v)
-	h.mu.Unlock()
-}
-
-// ObserveN records one dimensionless value — a batch size, a queue
-// depth — in the same buckets. Snapshots report such histograms in
-// raw units rather than nanoseconds; the instrument name should make
-// the unit obvious.
-func (h *Histogram) ObserveN(v int64) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.h.Record(time.Duration(v))
-	h.mu.Unlock()
-}
-
-// Stats summarizes the observations so far.
-func (h *Histogram) Stats() HistStats {
-	if h == nil {
-		return HistStats{}
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return HistStats{
-		Count: h.h.Count(),
-		Sum:   h.h.Sum(),
-		Mean:  h.h.Mean(),
-		Min:   h.h.Min(),
-		Max:   h.h.Max(),
-		P50:   h.h.Percentile(0.50),
-		P80:   h.h.Percentile(0.80),
-		P99:   h.h.Percentile(0.99),
-	}
-}
-
-// HistStats is one histogram's summary inside a snapshot. Durations
-// serialize as nanoseconds.
-type HistStats struct {
-	Count uint64        `json:"count"`
-	Sum   time.Duration `json:"sum"`
-	Mean  time.Duration `json:"mean"`
-	Min   time.Duration `json:"min"`
-	Max   time.Duration `json:"max"`
-	P50   time.Duration `json:"p50"`
-	P80   time.Duration `json:"p80"`
-	P99   time.Duration `json:"p99"`
 }
 
 // Instrument kinds inside a snapshot.
@@ -253,7 +191,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = &Histogram{h: metrics.NewHistogram()}
+		h = NewHistogram()
 		r.hists[name] = h
 	}
 	return h
@@ -430,9 +368,9 @@ func (s Snapshot) Text() string {
 			}
 			fmt.Fprintf(&b, "%-48s histogram count=%d mean=%s p50=%s p80=%s p99=%s max=%s\n",
 				in.Name, h.Count,
-				metrics.FormatDuration(h.Mean), metrics.FormatDuration(h.P50),
-				metrics.FormatDuration(h.P80), metrics.FormatDuration(h.P99),
-				metrics.FormatDuration(h.Max))
+				formatDuration(h.Mean), formatDuration(h.P50),
+				formatDuration(h.P80), formatDuration(h.P99),
+				formatDuration(h.Max))
 		}
 	}
 	return b.String()

@@ -46,45 +46,20 @@ func benchShardConfig() cluster.Config {
 	}
 }
 
-// BenchmarkShardFor measures the inlined FNV-1a shard-key hash.
-// TestShardForZeroAllocs holds it at 0 allocs/op: routing a read must
-// not touch the heap.
-func BenchmarkShardFor(b *testing.B) {
-	env := sim.NewEnv(1)
-	defer env.Shutdown()
-	c := New(env, 4, shardConfig())
-	keys := make([]string, 64)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("user:%d:profile", i*7919)
-	}
-	sink := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink += c.ShardFor(keys[i%len(keys)])
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rt/s")
-	if sink < 0 {
-		b.Fatal("impossible shard sum")
-	}
-}
-
 const (
 	scatterBenchDocs = 240
 	scatterBenchColl = "items"
 )
 
 // scatterRouter is a 4-shard cluster with realistic read costs,
-// loaded with scatterBenchDocs documents hash-placed across the
-// shards.
+// loaded with scatterBenchDocs documents in four equal chunks.
 func scatterRouter(tb testing.TB, env sim.Env, sequential bool) *Router {
 	tb.Helper()
-	c := New(env, 4, benchShardConfig())
+	c := New(env, 4, evenSplits("item%04d", scatterBenchDocs, 4), benchShardConfig())
 	err := c.Bootstrap(func(shard int, s *storage.Store) error {
 		for i := 0; i < scatterBenchDocs; i++ {
 			id := fmt.Sprintf("item%04d", i)
-			if c.ShardFor(id) != shard {
+			if c.Owner(id) != shard {
 				continue
 			}
 			if err := s.C(scatterBenchColl).Insert(storage.D{"_id": id, "val": int64(i)}); err != nil {
@@ -100,7 +75,7 @@ func scatterRouter(tb testing.TB, env sim.Env, sequential bool) *Router {
 	for i := range conns {
 		conns[i] = driver.WrapCluster(c.Shard(i))
 	}
-	return NewConnRouter(env, conns, core.DefaultParams(), RouterOptions{SequentialScatter: sequential})
+	return NewConnRouter(env, conns, c.Authority(), core.DefaultParams(), RouterOptions{SequentialScatter: sequential})
 }
 
 // scatterOnce runs one full-collection scatter and checks it saw every
@@ -183,11 +158,11 @@ func TestShardScaling(t *testing.T) {
 	reads := func(numShards int) int {
 		env := sim.NewEnv(8)
 		defer env.Shutdown()
-		c := New(env, numShards, benchShardConfig())
+		c := New(env, numShards, evenSplits("doc%05d", docs, numShards), benchShardConfig())
 		err := c.Bootstrap(func(shard int, s *storage.Store) error {
 			for d := 0; d < docs; d++ {
 				id := fmt.Sprintf("doc%05d", d)
-				if c.ShardFor(id) != shard {
+				if c.Owner(id) != shard {
 					continue
 				}
 				if err := s.C("kv").Insert(storage.D{"_id": id, "val": int64(d)}); err != nil {
@@ -262,11 +237,7 @@ func benchMongos(b *testing.B, numShards int) (*wire.Client, func()) {
 	}
 
 	// Chunk the key space evenly so point reads spread across shards.
-	var splits []string
-	for s := 1; s < numShards; s++ {
-		splits = append(splits, fmt.Sprintf("doc%05d", s*mongosBenchDocs/numShards))
-	}
-	cm := NewChunkMap(splits, numShards)
+	cm := NewChunkMap(evenSplits("doc%05d", mongosBenchDocs, numShards), numShards)
 
 	conns := make([]driver.Conn, numShards)
 	addrs := make([]string, numShards)
@@ -307,11 +278,7 @@ func benchMongos(b *testing.B, numShards int) (*wire.Client, func()) {
 		conns[i] = cl
 	}
 
-	opts := RouterOptions{}
-	if len(splits) > 0 {
-		opts.Authority = NewChunkAuthority(env, cm)
-	}
-	mongos := NewMongos(env, conns, addrs, core.DefaultParams(), opts)
+	mongos := NewMongos(env, conns, addrs, NewChunkAuthority(env, cm), core.DefaultParams(), RouterOptions{})
 	srv := wire.NewBackendServer(env, mongos, nil, wire.ServerConfig{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

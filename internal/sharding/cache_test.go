@@ -17,8 +17,7 @@ import (
 func TestRouterCacheHitAndWriteInvalidation(t *testing.T) {
 	env := sim.NewEnv(11)
 	defer env.Shutdown()
-	c := New(env, 2, shardConfig())
-	c.EnableChunks([]string{"m"})
+	c := New(env, 2, []string{"m"}, shardConfig())
 	r := NewRouter(env, c, core.DefaultParams())
 	rc := r.EnableCache(cache.Config{})
 	if rc == nil {
@@ -78,8 +77,7 @@ func TestRouterCacheChunkMoveInvalidates(t *testing.T) {
 	defer env.Shutdown()
 	cfg := shardConfig()
 	cfg.ReplIdlePoll = 2 * time.Millisecond
-	c := New(env, 2, cfg)
-	c.EnableChunks([]string{"doc050"})
+	c := New(env, 2, []string{"doc050"}, cfg)
 	r := NewRouter(env, c, core.DefaultParams())
 	rc := r.EnableCache(cache.Config{})
 

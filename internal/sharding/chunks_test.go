@@ -2,7 +2,6 @@ package sharding
 
 import (
 	"fmt"
-	"hash/fnv"
 	"testing"
 	"time"
 
@@ -82,34 +81,34 @@ func TestChunkMapSplitAndMove(t *testing.T) {
 	}
 }
 
-// TestShardForMatchesStdlibFNV pins the inlined hash to the stdlib
-// implementation it replaced, so existing data placement is unchanged.
-func TestShardForMatchesStdlibFNV(t *testing.T) {
-	env := sim.NewEnv(1)
-	defer env.Shutdown()
-	c := New(env, 5, shardConfig())
-	for i := 0; i < 2000; i++ {
-		id := fmt.Sprintf("doc-%d-%c", i, 'a'+i%26)
-		h := fnv.New32a()
-		h.Write([]byte(id))
-		want := int(h.Sum32() % 5)
-		if got := c.ShardFor(id); got != want {
-			t.Fatalf("ShardFor(%q) = %d, stdlib fnv gives %d", id, got, want)
-		}
+// TestChunkRoutingZeroAllocs: placing a point read — the cached
+// table's Owner, the authority's Enter and the lease release — runs on
+// every routed op and allocates nothing, on either clock.
+func TestChunkRoutingZeroAllocs(t *testing.T) {
+	const id = "user:12345:profile"
+	allocs := func(env sim.Env, p sim.Proc) float64 {
+		a := NewChunkAuthority(env, NewChunkMap([]string{"user:2", "user:5", "user:8"}, 4))
+		m := a.Map()
+		return testing.AllocsPerRun(1000, func() {
+			l, err := a.Enter(p, id, m.Owner(id), false)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			l.release()
+		})
 	}
-}
 
-func TestShardForZeroAllocs(t *testing.T) {
-	env := sim.NewEnv(1)
-	defer env.Shutdown()
-	c := New(env, 4, shardConfig())
-	id := "user:12345:profile"
-	if allocs := testing.AllocsPerRun(1000, func() {
-		if c.ShardFor(id) < 0 {
-			t.Fatal("negative shard")
-		}
-	}); allocs != 0 {
-		t.Fatalf("ShardFor allocates %.1f/op, want 0", allocs)
+	venv := sim.NewEnv(1)
+	defer venv.Shutdown()
+	var virtual float64
+	venv.Spawn("client", func(p sim.Proc) { virtual = allocs(venv, p) })
+	venv.Run(time.Second)
+	renv := sim.NewRealtimeEnv(1)
+	defer renv.Shutdown()
+	real := allocs(renv, renv.Adhoc("client"))
+	if virtual != 0 || real != 0 {
+		t.Fatalf("chunk-routed placement allocates %.2f/op (virtual clock), %.2f/op (real clock); want 0", virtual, real)
 	}
 }
 

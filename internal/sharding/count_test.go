@@ -26,8 +26,7 @@ import (
 func TestScatterCountChunkModeExact(t *testing.T) {
 	env := sim.NewRealtimeEnv(71)
 	defer env.Shutdown()
-	c := New(env, 2, shardConfig())
-	c.EnableChunks([]string{"doc100", "doc200"})
+	c := New(env, 2, []string{"doc100", "doc200"}, shardConfig())
 	r := NewRouter(env, c, core.DefaultParams())
 
 	p := env.Adhoc("loader")
@@ -62,8 +61,7 @@ func TestScatterCountExactDuringMigration(t *testing.T) {
 	defer env.Shutdown()
 	cfg := shardConfig()
 	cfg.ReplIdlePoll = 2 * time.Millisecond
-	c := New(env, 2, cfg)
-	c.EnableChunks([]string{"doc200"})
+	c := New(env, 2, []string{"doc200"}, cfg)
 	r := NewRouter(env, c, core.DefaultParams())
 
 	id := func(i int) string { return fmt.Sprintf("doc%03d", i) }

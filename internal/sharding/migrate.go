@@ -55,9 +55,6 @@ const maxResyncs = 3
 // SplitChunk splits the chunk containing key at key. Ownership does
 // not change, so the split is invisible to in-flight traffic.
 func (r *Router) SplitChunk(key string) error {
-	if r.auth == nil {
-		return fmt.Errorf("sharding: chunk routing not enabled")
-	}
 	if err := r.auth.Split(key); err != nil {
 		return err
 	}
@@ -90,9 +87,6 @@ func (r *Router) SplitChunk(key string) error {
 // first (a resync's stale snapshot could otherwise resurrect
 // documents deleted on the source between attempts).
 func (r *Router) MigrateChunk(p sim.Proc, key string, to int, opts MigrateOptions) error {
-	if r.auth == nil {
-		return fmt.Errorf("sharding: chunk routing not enabled")
-	}
 	if to < 0 || to >= len(r.conns) {
 		return fmt.Errorf("sharding: no shard %d", to)
 	}

@@ -19,8 +19,8 @@ import (
 func TestSplitChunkInvisibleToTraffic(t *testing.T) {
 	env := sim.NewEnv(5)
 	defer env.Shutdown()
-	c := New(env, 2, shardConfig())
-	auth := c.EnableChunks([]string{"m"})
+	c := New(env, 2, []string{"m"}, shardConfig())
+	auth := c.Authority()
 	r := NewRouter(env, c, core.DefaultParams())
 
 	ok := false
@@ -77,8 +77,7 @@ func TestMigrateChunkUnderLoad(t *testing.T) {
 	defer env.Shutdown()
 	cfg := shardConfig()
 	cfg.ReplIdlePoll = 2 * time.Millisecond
-	c := New(env, 2, cfg)
-	c.EnableChunks([]string{splitKey})
+	c := New(env, 2, []string{splitKey}, cfg)
 	r := NewRouter(env, c, core.DefaultParams())
 
 	id := func(i int) string { return fmt.Sprintf("doc%03d", i) }
@@ -252,8 +251,7 @@ func TestMigrateChunkPurgesStaleDestinationCopy(t *testing.T) {
 	defer env.Shutdown()
 	cfg := shardConfig()
 	cfg.ReplIdlePoll = 2 * time.Millisecond
-	c := New(env, 2, cfg)
-	c.EnableChunks([]string{"doc200"})
+	c := New(env, 2, []string{"doc200"}, cfg)
 	r := NewRouter(env, c, core.DefaultParams())
 
 	p := env.Adhoc("test")
@@ -307,24 +305,16 @@ func TestMigrateChunkPurgesStaleDestinationCopy(t *testing.T) {
 func TestMigrateChunkErrors(t *testing.T) {
 	env := sim.NewRealtimeEnv(9)
 	defer env.Shutdown()
-	c := New(env, 2, shardConfig())
+	c := New(env, 2, []string{"m"}, shardConfig())
 	p := env.Adhoc("test")
-
-	hashRouter := NewRouter(env, c, core.DefaultParams())
-	if err := hashRouter.MigrateChunk(p, "x", 1, MigrateOptions{}); err == nil {
-		t.Fatal("MigrateChunk in hash mode succeeded")
+	r := NewRouter(env, c, core.DefaultParams())
+	if err := r.SplitChunk("m"); err == nil {
+		t.Fatal("SplitChunk at an existing boundary succeeded")
 	}
-	if err := hashRouter.SplitChunk("x"); err == nil {
-		t.Fatal("SplitChunk in hash mode succeeded")
-	}
-
-	c2 := New(env, 2, shardConfig())
-	c2.EnableChunks([]string{"m"})
-	r := NewRouter(env, c2, core.DefaultParams())
 	if err := r.MigrateChunk(p, "a", 5, MigrateOptions{}); err == nil {
 		t.Fatal("MigrateChunk to a bogus shard succeeded")
 	}
-	owner := c2.Owner("a")
+	owner := c.Owner("a")
 	if err := r.MigrateChunk(p, "a", owner, MigrateOptions{Collections: []string{"kv"}}); err == nil {
 		t.Fatal("MigrateChunk to the current owner succeeded")
 	}

@@ -30,11 +30,12 @@ type Mongos struct {
 	shards []wire.ShardInfo
 }
 
-// NewMongos builds a router over pre-dialed shard connections and
-// wraps it for wire serving. addrs (optional, may be nil) are the
-// shard addresses reported by the list_shards op.
-func NewMongos(env sim.Env, conns []driver.Conn, addrs []string, params core.Params, opts RouterOptions) *Mongos {
-	m := &Mongos{env: env, router: NewConnRouter(env, conns, params, opts)}
+// NewMongos builds a router over pre-dialed shard connections,
+// placing keys by auth (see NewConnRouter), and wraps it for wire
+// serving. addrs (optional, may be nil) are the shard addresses
+// reported by the list_shards op.
+func NewMongos(env sim.Env, conns []driver.Conn, addrs []string, auth *ChunkAuthority, params core.Params, opts RouterOptions) *Mongos {
+	m := &Mongos{env: env, router: NewConnRouter(env, conns, auth, params, opts)}
 	for i := range conns {
 		si := wire.ShardInfo{ID: i}
 		if i < len(addrs) {
@@ -106,14 +107,12 @@ func (m *Mongos) Dispatch(p sim.Proc, req *wire.Request, tctx trace.Context, res
 	case wire.OpListShards:
 		resp.Shards = append([]wire.ShardInfo(nil), m.shards...)
 	case wire.OpChunkMap:
-		if auth := m.router.Authority(); auth != nil {
-			cm := auth.Map()
-			body := &wire.ChunkMapBody{Version: cm.Version}
-			for _, ck := range cm.Chunks {
-				body.Chunks = append(body.Chunks, wire.ChunkInfo{Min: ck.Min, Max: ck.Max, Shard: ck.Shard})
-			}
-			resp.Chunks = body
+		cm := m.router.Authority().Map()
+		body := &wire.ChunkMapBody{Version: cm.Version}
+		for _, ck := range cm.Chunks {
+			body.Chunks = append(body.Chunks, wire.ChunkInfo{Min: ck.Min, Max: ck.Max, Shard: ck.Shard})
 		}
+		resp.Chunks = body
 	case wire.OpMoveChunk:
 		if err := m.router.MigrateChunk(p, req.DocID, req.Node, MigrateOptions{}); err != nil {
 			return err

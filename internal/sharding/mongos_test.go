@@ -65,11 +65,7 @@ func startMongosFixture(t *testing.T, splits []string) *mongosFixture {
 		conns[i] = cl
 	}
 
-	opts := RouterOptions{}
-	if len(splits) > 0 {
-		opts.Authority = NewChunkAuthority(env, NewChunkMap(splits, numShards))
-	}
-	f.mongos = NewMongos(env, conns, addrs, core.DefaultParams(), opts)
+	f.mongos = NewMongos(env, conns, addrs, NewChunkAuthority(env, NewChunkMap(splits, numShards)), core.DefaultParams(), RouterOptions{})
 	maddr := func() string {
 		srv := wire.NewBackendServer(env, f.mongos, nil, wire.ServerConfig{})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -287,7 +283,8 @@ func TestMongosNeverInline(t *testing.T) {
 	cfg := shardConfig()
 	cfg.ReadCost, cfg.CostJitter = -1, -1
 	cfg.RTTSameZone, cfg.RTTCrossZoneBase, cfg.RTTCrossZoneSpread = -1, -1, -1
-	m := NewMongos(env, []driver.Conn{driver.WrapCluster(cluster.New(env, cfg))}, nil, core.DefaultParams(), RouterOptions{})
+	m := NewMongos(env, []driver.Conn{driver.WrapCluster(cluster.New(env, cfg))}, nil,
+		NewChunkAuthority(env, NewChunkMap(nil, 1)), core.DefaultParams(), RouterOptions{})
 	for _, op := range []string{wire.OpFindByID, wire.OpFindMany, wire.OpFind, wire.OpCount, wire.OpPing, wire.OpWriteBatch} {
 		if m.Inline(&wire.Request{Op: op}) {
 			t.Errorf("Mongos.Inline(%s) = true, want false", op)

@@ -25,19 +25,17 @@ const maxStaleRetries = 4
 // shard and routes document operations by shard key. Each shard's
 // Read Balancer adapts to that shard's congestion independently.
 //
-// In hash mode the shard is a pure function of the key. In chunk mode
-// the router caches a version of the authority's ChunkMap; when a
-// migration moves a chunk, the next op planned against the stale
-// cache is rejected with a StaleChunkError, the cache refreshes, and
-// the op retries against the new owner (counted by
-// sharding.stale_chunk_retries).
+// The router caches a version of the chunk authority's ChunkMap and
+// plans every op against it. When a migration moves a chunk, the next
+// op planned against the stale cache is rejected with a
+// StaleChunkError, the cache refreshes, and the op retries against the
+// new owner (counted by sharding.stale_chunk_retries).
 type Router struct {
 	env     sim.Env
-	cluster *Cluster // nil for conn-backed routers
 	systems []*core.System
 	conns   []driver.Conn
 	params  core.Params
-	auth    *ChunkAuthority // nil in hash mode
+	auth    *ChunkAuthority
 	cached  atomic.Pointer[ChunkMap]
 
 	reg        *obs.Registry
@@ -67,8 +65,6 @@ type Router struct {
 
 // RouterOptions tunes a conn-backed router (NewConnRouter).
 type RouterOptions struct {
-	// Authority enables chunk routing; nil means hash mode.
-	Authority *ChunkAuthority
 	// Registry receives the router's counters; nil allocates a fresh
 	// one (readable via Router.Registry).
 	Registry *obs.Registry
@@ -81,35 +77,32 @@ type RouterOptions struct {
 }
 
 // NewRouter builds a router with an independent Decongestant per
-// shard (the Balancers' background processes start immediately). If
-// the cluster has chunks enabled (EnableChunks must run first), the
-// router routes by chunk.
+// shard (the Balancers' background processes start immediately),
+// routing by the cluster's chunk authority.
 func NewRouter(env sim.Env, c *Cluster, params core.Params) *Router {
 	conns := make([]driver.Conn, len(c.shards))
 	for i, rs := range c.shards {
 		conns[i] = driver.WrapCluster(rs)
 	}
-	r := newRouter(env, conns, params, RouterOptions{Authority: c.auth})
-	r.cluster = c
-	return r
+	return NewConnRouter(env, conns, c.auth, params, RouterOptions{})
 }
 
 // NewConnRouter builds a router over pre-dialed shard connections —
 // the form mongosd uses, where each conn is a wire client to a
-// remote shard server.
-func NewConnRouter(env sim.Env, conns []driver.Conn, params core.Params, opts RouterOptions) *Router {
-	return newRouter(env, conns, params, opts)
-}
-
-func newRouter(env sim.Env, conns []driver.Conn, params core.Params, opts RouterOptions) *Router {
+// remote shard server. auth places keys on the conns by index; several
+// routers may share one authority.
+func NewConnRouter(env sim.Env, conns []driver.Conn, auth *ChunkAuthority, params core.Params, opts RouterOptions) *Router {
 	if len(conns) == 0 {
 		panic("sharding: router needs at least one shard connection")
+	}
+	if auth == nil {
+		panic("sharding: router needs a chunk authority")
 	}
 	r := &Router{
 		env:        env,
 		conns:      conns,
 		params:     params,
-		auth:       opts.Authority,
+		auth:       auth,
 		reg:        opts.Registry,
 		tracer:     opts.Tracer,
 		seqScatter: opts.SequentialScatter,
@@ -128,12 +121,7 @@ func newRouter(env sim.Env, conns []driver.Conn, params core.Params, opts Router
 	r.migrationResyncs = r.reg.Counter("sharding.migration_resyncs")
 	r.chunksGauge = r.reg.Gauge("sharding.chunks")
 	r.versionGauge = r.reg.Gauge("sharding.chunk_version")
-	if r.auth != nil {
-		m := r.auth.Map()
-		r.cached.Store(m)
-		r.chunksGauge.Set(int64(m.NumChunks()))
-		r.versionGauge.Set(int64(m.Version))
-	}
+	r.refreshMap()
 	for _, conn := range conns {
 		r.systems = append(r.systems, core.NewSystem(env, conn, params))
 	}
@@ -153,32 +141,18 @@ func (r *Router) Registry() *obs.Registry { return r.reg }
 // Tracer returns the recorder carrying mongos.scatter spans.
 func (r *Router) Tracer() *trace.Recorder { return r.tracer }
 
-// Authority returns the chunk authority, or nil in hash mode.
+// Authority returns the chunk authority the router places keys by.
 func (r *Router) Authority() *ChunkAuthority { return r.auth }
 
-// ChunkVersion returns the version of the router's cached table (0 in
-// hash mode).
-func (r *Router) ChunkVersion() uint64 {
-	if m := r.cached.Load(); m != nil {
-		return m.Version
-	}
-	return 0
-}
+// ChunkVersion returns the version of the router's cached table.
+func (r *Router) ChunkVersion() uint64 { return r.cached.Load().Version }
 
 // Owner returns the shard the router would route key to right now.
-func (r *Router) Owner(key string) int {
-	if m := r.cached.Load(); m != nil {
-		return m.Owner(key)
-	}
-	return hashShard(key, uint32(len(r.systems)))
-}
+func (r *Router) Owner(key string) int { return r.cached.Load().Owner(key) }
 
 // refreshMap re-reads the authoritative table into the router's
 // cache, mirroring what a real mongos does on a stale-config error.
 func (r *Router) refreshMap() {
-	if r.auth == nil {
-		return
-	}
 	m := r.auth.Map()
 	r.cached.Store(m)
 	r.chunksGauge.Set(int64(m.NumChunks()))
@@ -207,12 +181,8 @@ func (r *Router) seenCollections() []string {
 
 // route plans key onto a shard under the cached table, validates the
 // plan with the authority, runs fn, and retries on stale-chunk
-// rejections after refreshing the cache. In hash mode it is a direct
-// call with no authority round trip.
+// rejections after refreshing the cache.
 func (r *Router) route(p sim.Proc, key string, write bool, fn func(shard int) error) error {
-	if r.auth == nil {
-		return fn(hashShard(key, uint32(len(r.systems))))
-	}
 	for attempt := 0; ; attempt++ {
 		shard := r.cached.Load().Owner(key)
 		l, err := r.auth.Enter(p, key, shard, write)

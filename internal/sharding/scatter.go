@@ -215,7 +215,7 @@ func (r *Router) ScatterCountOpts(p sim.Proc, collection string, f storage.Filte
 
 func (r *Router) scatterCount(p sim.Proc, tctx trace.Context, collection string, f storage.Filter, opts ScatterOptions) (int, error) {
 	r.noteCollection(collection)
-	// In chunk mode each shard counts only the ranges it owns under ONE
+	// Each shard counts only the ranges it owns under ONE
 	// authoritative table snapshot, so a migrating range — transiently
 	// present on both source and destination — is counted exactly once.
 	// Registration precedes the snapshot: cleanup of a just-moved range
@@ -224,21 +224,14 @@ func (r *Router) scatterCount(p sim.Proc, tctx trace.Context, collection string,
 	// chunk's range (two-sided range conditions carry the interval), so
 	// _id-constrained filters get the same exactness guarantee instead
 	// of falling back to the overcount-prone per-shard sum.
-	var table *ChunkMap
-	if r.auth != nil {
-		var guards []lease
-		table, guards = r.auth.enterScatter()
-		defer func() {
-			for _, g := range guards {
-				g.release()
-			}
-		}()
-	}
+	table, guards := r.auth.enterScatter()
+	defer func() {
+		for _, g := range guards {
+			g.release()
+		}
+	}()
 	parts := r.scatter(p, tctx, "count", func(p sim.Proc, shard int) shardPart {
 		res, _, _, err := r.systems[shard].Router.Read(p, func(v cluster.ReadView) (any, error) {
-			if table == nil {
-				return v.Count(collection, f), nil
-			}
 			n := 0
 			for _, ck := range table.Chunks {
 				if ck.Shard == shard {

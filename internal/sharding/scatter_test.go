@@ -110,11 +110,11 @@ func scatterCluster(t testing.TB, docs int) (*Cluster, *Router, *Router, sim.Pro
 	env := sim.NewRealtimeEnv(11)
 	cfg := shardConfig()
 	cfg.ReplIdlePoll = 2 * time.Millisecond
-	c := New(env, 3, cfg)
+	c := New(env, 3, evenSplits("item%04d", docs, 3), cfg)
 	err := c.Bootstrap(func(shard int, s *storage.Store) error {
 		for i := 0; i < docs; i++ {
 			id := fmt.Sprintf("item%04d", i)
-			if c.ShardFor(id) != shard {
+			if c.Owner(id) != shard {
 				continue
 			}
 			if err := s.C("items").Insert(storage.D{"_id": id, "grp": int64(i % 4), "val": int64(i)}); err != nil {
@@ -130,8 +130,8 @@ func scatterCluster(t testing.TB, docs int) (*Cluster, *Router, *Router, sim.Pro
 	for i := range conns {
 		conns[i] = driver.WrapCluster(c.Shard(i))
 	}
-	par := NewConnRouter(env, conns, core.DefaultParams(), RouterOptions{})
-	seq := NewConnRouter(env, conns, core.DefaultParams(), RouterOptions{SequentialScatter: true})
+	par := NewConnRouter(env, conns, c.Authority(), core.DefaultParams(), RouterOptions{})
+	seq := NewConnRouter(env, conns, c.Authority(), core.DefaultParams(), RouterOptions{SequentialScatter: true})
 	return c, par, seq, env.Adhoc("test"), env.Shutdown
 }
 
@@ -205,7 +205,7 @@ func TestScatterPartialFailureSemantics(t *testing.T) {
 		t.Fatalf("partial results carried %d docs, want the two live shards' share", len(docs))
 	}
 	for _, d := range docs {
-		if c.ShardFor(d.ID()) == 1 {
+		if c.Owner(d.ID()) == 1 {
 			t.Fatalf("doc %s from the down shard in partial results", d.ID())
 		}
 	}

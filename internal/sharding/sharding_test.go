@@ -20,30 +20,21 @@ func shardConfig() cluster.Config {
 	return cfg
 }
 
-func TestShardForIsStableAndBalanced(t *testing.T) {
-	env := sim.NewEnv(1)
-	defer env.Shutdown()
-	c := New(env, 4, shardConfig())
-	counts := make([]int, 4)
-	for i := 0; i < 4000; i++ {
-		id := fmt.Sprintf("doc%d", i)
-		s := c.ShardFor(id)
-		if s != c.ShardFor(id) {
-			t.Fatal("ShardFor not stable")
-		}
-		counts[s]++
+// evenSplits returns the split points that cut the keys
+// fmt.Sprintf(format, i), 0 <= i < n, into shards ranges; for a
+// zero-padded format each range holds n/shards keys.
+func evenSplits(format string, n, shards int) []string {
+	var out []string
+	for s := 1; s < shards; s++ {
+		out = append(out, fmt.Sprintf(format, s*n/shards))
 	}
-	for i, n := range counts {
-		if n < 700 || n > 1300 {
-			t.Fatalf("shard %d holds %d/4000 docs; hash badly skewed: %v", i, n, counts)
-		}
-	}
+	return out
 }
 
 func TestShardedCRUDRoutesToOwningShard(t *testing.T) {
 	env := sim.NewEnv(2)
 	defer env.Shutdown()
-	c := New(env, 3, shardConfig())
+	c := New(env, 3, evenSplits("k%d", 30, 3), shardConfig())
 	r := NewRouter(env, c, core.DefaultParams())
 
 	var readBack storage.Document
@@ -82,7 +73,7 @@ func TestShardedCRUDRoutesToOwningShard(t *testing.T) {
 			continue
 		}
 		id := fmt.Sprintf("k%d", i)
-		owner := c.ShardFor(id)
+		owner := c.Owner(id)
 		for s := 0; s < c.NumShards(); s++ {
 			var found bool
 			env.Spawn("check", func(p sim.Proc) {
@@ -103,13 +94,13 @@ func TestShardedCRUDRoutesToOwningShard(t *testing.T) {
 func TestScatterFindMergesAcrossShards(t *testing.T) {
 	env := sim.NewEnv(3)
 	defer env.Shutdown()
-	c := New(env, 3, shardConfig())
+	c := New(env, 3, evenSplits("item%02d", 60, 3), shardConfig())
 	r := NewRouter(env, c, core.DefaultParams())
 	// Load via Bootstrap so each shard holds only its own documents.
 	err := c.Bootstrap(func(shard int, s *storage.Store) error {
 		for i := 0; i < 60; i++ {
 			id := fmt.Sprintf("item%02d", i)
-			if c.ShardFor(id) != shard {
+			if c.Owner(id) != shard {
 				continue
 			}
 			if err := s.C("items").Insert(storage.D{"_id": id, "grp": i % 2}); err != nil {
@@ -157,7 +148,7 @@ func TestPerShardAdaptationIndependence(t *testing.T) {
 	cfg := shardConfig()
 	cfg.CPUSlots = 8
 	cfg.ReadCost = 3 * time.Millisecond
-	c := New(env, 2, cfg)
+	c := New(env, 2, []string{"m"}, cfg)
 	params := core.DefaultParams()
 	params.Period = 3 * time.Second
 	r := NewRouter(env, c, params)
@@ -166,13 +157,13 @@ func TestPerShardAdaptationIndependence(t *testing.T) {
 	hotKey := ""
 	for i := 0; ; i++ {
 		k := fmt.Sprintf("hot%d", i)
-		if c.ShardFor(k) == 0 {
+		if c.Owner(k) == 0 {
 			hotKey = k
 			break
 		}
 	}
 	c.Bootstrap(func(shard int, s *storage.Store) error {
-		if shard == c.ShardFor(hotKey) {
+		if shard == c.Owner(hotKey) {
 			return s.C("kv").Insert(storage.D{"_id": hotKey, "v": 0})
 		}
 		return nil
@@ -200,7 +191,7 @@ func TestPerShardAdaptationIndependence(t *testing.T) {
 func TestShardedBootstrapSyncsEachShard(t *testing.T) {
 	env := sim.NewEnv(4)
 	defer env.Shutdown()
-	c := New(env, 3, shardConfig())
+	c := New(env, 3, evenSplits("item%03d", 300, 3), shardConfig())
 	calls := make([]int, c.NumShards())
 	owned := make([]int, c.NumShards())
 	grp2 := make([]int, c.NumShards())
@@ -212,7 +203,7 @@ func TestShardedBootstrapSyncsEachShard(t *testing.T) {
 		}
 		for i := 0; i < 300; i++ {
 			id := fmt.Sprintf("item%03d", i)
-			if c.ShardFor(id) != shard {
+			if c.Owner(id) != shard {
 				continue
 			}
 			owned[shard]++

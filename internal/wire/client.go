@@ -496,9 +496,7 @@ func (cl *Client) ListShards() ([]ShardInfo, error) {
 	return resp.Shards, nil
 }
 
-// ChunkMap retrieves a mongos's versioned chunk routing table. Nil
-// with no error means the deployment is hash-sharded (no chunk
-// metadata to serve).
+// ChunkMap retrieves a mongos's versioned chunk routing table.
 func (cl *Client) ChunkMap() (*ChunkMapBody, error) {
 	resp, err := cl.roundTrip(&Request{Op: OpChunkMap})
 	if err != nil {

@@ -54,7 +54,6 @@ const (
 	// clients discover the deployment instead of linking shard addresses.
 	OpListShards = "list_shards"
 	// OpChunkMap asks a mongos for its versioned chunk routing table.
-	// Empty on hash-sharded deployments (no chunk metadata).
 	OpChunkMap = "chunk_map"
 	// OpOplogTail scans the primary's oplog after the request's
 	// AfterSecs/AfterInc OpTime, up to Limit entries — the change feed

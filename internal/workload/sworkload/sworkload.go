@@ -13,7 +13,7 @@ import (
 
 	"decongestant/internal/cluster"
 	"decongestant/internal/driver"
-	"decongestant/internal/metrics"
+	"decongestant/internal/obs"
 	"decongestant/internal/sim"
 	"decongestant/internal/storage"
 )
@@ -164,7 +164,7 @@ func (s *S) StalenessPercentile(q float64, from time.Duration) time.Duration {
 			vals = append(vals, smp.Staleness)
 		}
 	}
-	return metrics.PercentileOf(vals, q)
+	return obs.PercentileOf(vals, q)
 }
 
 // MaxStaleness returns the largest observed staleness at or after
