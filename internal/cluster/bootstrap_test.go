@@ -161,11 +161,11 @@ func TestBootstrapMembersAreIndependent(t *testing.T) {
 	// A $set that moves the order to another customer rewrites its
 	// wdco index entry on member 1 only.
 	set := storage.AppendDoc(nil, storage.D{"c_id": int64(999), "carrier": int64(7)})
-	if _, err := rs.NodeStore(1).C(tpcc.CollOrders).ApplySetEncoded(order, set); err != nil {
+	if _, _, err := rs.NodeStore(1).C(tpcc.CollOrders).ApplySetEncoded(order, set); err != nil {
 		t.Fatal(err)
 	}
 	// A delete on member 2 drops the order and its index entries there.
-	if !rs.NodeStore(2).C(tpcc.CollOrders).Delete(tpcc.OrderID(1, 2, 3)) {
+	if rs.NodeStore(2).C(tpcc.CollOrders).Delete(tpcc.OrderID(1, 2, 3)) == nil {
 		t.Fatal("delete on member 2 found nothing")
 	}
 	// An insert on member 0 adds an id the clones must not see.
@@ -206,11 +206,11 @@ func TestBootstrapMembersAreIndependent(t *testing.T) {
 	// Undo each change on its own member; all three then match the
 	// reference again, index entries included.
 	before, _ := want.C(tpcc.CollOrders).FindByIDEncoded(order)
-	if err := rs.NodeStore(1).C(tpcc.CollOrders).UpsertEncoded(bytes.Clone(before.Bytes())); err != nil {
+	if _, err := rs.NodeStore(1).C(tpcc.CollOrders).ApplyBatch([]storage.ApplyOp{{Kind: storage.ApplyUpsert, Enc: bytes.Clone(before.Bytes())}}); err != nil {
 		t.Fatal(err)
 	}
 	deleted, _ := want.C(tpcc.CollOrders).FindByIDEncoded(tpcc.OrderID(1, 2, 3))
-	if err := rs.NodeStore(2).C(tpcc.CollOrders).UpsertEncoded(bytes.Clone(deleted.Bytes())); err != nil {
+	if _, err := rs.NodeStore(2).C(tpcc.CollOrders).ApplyBatch([]storage.ApplyOp{{Kind: storage.ApplyUpsert, Enc: bytes.Clone(deleted.Bytes())}}); err != nil {
 		t.Fatal(err)
 	}
 	rs.NodeStore(0).C(tpcc.CollItem).Delete("i_new")

@@ -107,3 +107,55 @@ func TestFailedCommitChangesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedCommitRestoresVersions: a rejected commit puts back the
+// very versions its earlier mutations replaced, stamps and all, rather
+// than copies of their bytes: FindByIDEncoded returns the pointer it
+// returned before the commit, for a document the commit $set and for
+// one it deleted.
+func TestFailedCommitRestoresVersions(t *testing.T) {
+	env := sim.NewEnv(22)
+	defer env.Shutdown()
+	rs := New(env, fastConfig())
+	err := rs.Bootstrap(func(s *storage.Store) error {
+		c := s.C("kv")
+		if _, err := c.CreateIndex("by_tag", false, "tag"); err != nil {
+			return err
+		}
+		if err := c.Insert(storage.D{"_id": "a", "v": int64(1)}); err != nil {
+			return err
+		}
+		return c.Insert(storage.D{"_id": "c", "v": int64(3)})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := rs.NodeStore(rs.PrimaryID()).C("kv")
+	a0, _ := c.FindByIDEncoded("a")
+	c0, _ := c.FindByIDEncoded("c")
+	var commitErr error
+	env.Spawn("set-delete-then-bad-insert", func(p sim.Proc) {
+		_, commitErr = rs.ExecWrite(p, func(tx WriteTxn) (any, error) {
+			if err := tx.Set("kv", "a", storage.D{"v": int64(2)}); err != nil {
+				return nil, err
+			}
+			if err := tx.Delete("kv", "c"); err != nil {
+				return nil, err
+			}
+			return nil, tx.Insert("kv", storage.D{"_id": "b", "tag": []any{int64(1)}})
+		})
+	})
+	env.Run(time.Second)
+	if commitErr == nil {
+		t.Fatal("an insert with an array in an indexed field committed")
+	}
+	if a1, _ := c.FindByIDEncoded("a"); a1 != a0 {
+		t.Errorf("a is %p after the failed commit, %p before", a1, a0)
+	}
+	if c1, _ := c.FindByIDEncoded("c"); c1 != c0 {
+		t.Errorf("c is %p after the failed commit, %p before", c1, c0)
+	}
+	if a0.Stamp() == (storage.Stamp{}) || c0.Stamp() == (storage.Stamp{}) {
+		t.Error("a loaded version carries the zero stamp")
+	}
+}

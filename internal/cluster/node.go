@@ -100,6 +100,8 @@ type Node struct {
 	obsCommitLat *obs.Histogram // commit critical-section latency
 	obsApplyErrs *obs.Counter   // replication apply/append failures
 	obsResyncs   *obs.Counter   // snapshot resyncs after falling off the oplog
+	obsAdopted   *obs.Counter   // applied sets that stored the primary's version
+	obsSpliced   *obs.Counter   // applied sets that spliced their payload
 }
 
 // ackWaiter is one parked write-concern waiter: the commit OpTime it
@@ -123,6 +125,11 @@ type NodeStats struct {
 	GroupedTxns    int64 // transactions those commits carried (= GroupCommits)
 	ApplyErrors    int64 // replication apply/append failures (were silent)
 	Resyncs        int64 // snapshot resyncs after falling off the oplog
+	// AdoptedSets and SplicedSets split the set entries this member's
+	// puller applied: stored as the primary's own version, or spliced
+	// into this member's copy (a miss; see oplog.ApplyBatch).
+	AdoptedSets int64
+	SplicedSets int64
 }
 
 // nodeCounters is the live, atomically-bumped form of NodeStats.
@@ -137,6 +144,8 @@ type nodeCounters struct {
 	commits        atomic.Int64
 	applyErrors    atomic.Int64
 	resyncs        atomic.Int64
+	adoptedSets    atomic.Int64
+	splicedSets    atomic.Int64
 }
 
 func newNode(rs *ReplicaSet, id int, zone string) *Node {
@@ -173,6 +182,8 @@ func newNode(rs *ReplicaSet, id int, zone string) *Node {
 	n.obsCommitLat = reg.Histogram(obs.Name("cluster.commit_latency", "node", node))
 	n.obsApplyErrs = reg.Counter(obs.Name("cluster.apply_errors", "node", node))
 	n.obsResyncs = reg.Counter(obs.Name("cluster.resyncs", "node", node))
+	n.obsAdopted = reg.Counter(obs.Name("status.repl.set_applies", "how", "adopted", "node", node))
+	n.obsSpliced = reg.Counter(obs.Name("status.repl.set_applies", "how", "spliced", "node", node))
 	return n
 }
 
@@ -241,6 +252,8 @@ func (n *Node) Stats() NodeStats {
 		GroupedTxns:    commits,
 		ApplyErrors:    n.stats.applyErrors.Load(),
 		Resyncs:        n.stats.resyncs.Load(),
+		AdoptedSets:    n.stats.adoptedSets.Load(),
+		SplicedSets:    n.stats.splicedSets.Load(),
 	}
 }
 
@@ -277,52 +290,56 @@ func (n *Node) commitStaged(p sim.Proc, muts []oplog.Entry) (oplog.OpTime, error
 }
 
 // commitLocked lands one transaction's staged mutations in the store,
-// then mints their timestamps and appends them to the oplog in one
-// batch (one tail notification per transaction). The payloads were
-// encoded at staging time: an insert's is stored as it is and a set's
-// is spliced into the stored document, so nothing is serialized inside
-// the critical section. An insert fails if a commit since its staging
-// stored a document with its _id. When any mutation fails, the ones
-// before it are undone from their pre-images and no timestamp is
-// minted, so the store, the oplog and lastApplied are as they were and
-// nothing replicates. Caller holds applyMu and the n.mu write lock.
+// then mints their timestamps, stamps the versions it stored with them
+// and appends the entries to the oplog in one batch (one tail
+// notification per transaction). The payloads were encoded at staging
+// time: an insert's is stored as it is and a set's is spliced into the
+// stored document, so nothing is serialized inside the critical
+// section. Each mutation looks its _id up once, and returns the version
+// it replaced. An insert fails if a commit since its staging stored a
+// document with its _id. When any mutation fails, the versions before
+// it are put back, newest first, and no timestamp is minted, so the
+// store, the oplog and lastApplied are as they were and nothing
+// replicates. Caller holds applyMu and the n.mu write lock, which
+// also keeps every getMore from reading a stamp before it is set.
 func (n *Node) commitLocked(now time.Duration, muts []oplog.Entry) (oplog.OpTime, error) {
-	var undo []preImage
-	for i, m := range muts {
+	var buf [4]change
+	done := buf[:0]
+	for _, m := range muts {
 		if m.Kind == oplog.KindNoop {
 			continue
 		}
-		c := n.store.C(m.Collection)
-		old, exists := c.FindByIDEncoded(m.DocID)
+		ch := change{c: n.store.C(m.Collection), id: m.DocID}
 		var err error
 		switch m.Kind {
 		case oplog.KindInsert:
-			if exists {
-				err = fmt.Errorf("cluster: duplicate _id %q in %s", m.DocID, m.Collection)
-			} else {
-				err = c.UpsertEncoded(m.Payload)
-			}
+			ch.e, err = ch.c.InsertEncoded(m.Payload)
 		case oplog.KindSet:
-			_, err = c.ApplySetEncoded(m.DocID, m.Payload)
+			ch.old, ch.e, err = ch.c.ApplySetEncoded(m.DocID, m.Payload)
 		case oplog.KindDelete:
-			c.Delete(m.DocID)
+			ch.old = ch.c.Delete(m.DocID)
 		}
 		if err != nil {
-			restore(undo)
+			restore(done)
 			return oplog.Zero, err
 		}
-		// A failed mutation changes nothing itself, so the last one
-		// never needs undoing: a one-mutation commit keeps no undo log.
-		if i < len(muts)-1 {
-			undo = append(undo, preImage{c: c, id: m.DocID, doc: old})
-		}
+		done = append(done, ch)
 	}
 	var dirty int64
+	j := 0
 	for i := range muts {
-		muts[i].TS = n.log.NextTS(now)
-		if muts[i].Kind != oplog.KindNoop {
-			dirty += entryBytes(muts[i])
+		ts := n.log.NextTS(now)
+		muts[i].TS = ts
+		if muts[i].Kind == oplog.KindNoop {
+			continue
 		}
+		dirty += entryBytes(muts[i])
+		// Stamped in order, so a version that replaced this
+		// transaction's own earlier one records that one's OpTime.
+		if ch := done[j]; ch.e != nil {
+			ch.e.SetStamps(storage.Stamp(ts), ch.old.Stamp())
+		}
+		j++
 	}
 	if err := n.log.AppendBatch(muts); err != nil {
 		// NextTS mints above the log's last entry, so the batch is in
@@ -336,24 +353,22 @@ func (n *Node) commitLocked(now time.Duration, muts []oplog.Entry) (oplog.OpTime
 	return last, nil
 }
 
-// preImage is a document as it stood before a commit mutated it (nil
-// when it was absent).
-type preImage struct {
-	c   *storage.Collection
-	id  string
-	doc *storage.EncodedDoc
+// change is one committed mutation of document id: the version it
+// replaced and the version it stored (each nil when absent).
+type change struct {
+	c      *storage.Collection
+	id     string
+	old, e *storage.EncodedDoc
 }
 
-// restore puts pre-images back, newest first. Each step returns its
-// collection to a state it held before, which its indexes accepted, so
-// a restore cannot fail.
-func restore(undo []preImage) {
-	for i := len(undo) - 1; i >= 0; i-- {
-		u := undo[i]
-		if u.doc == nil {
-			u.c.Delete(u.id)
-		} else if err := u.c.UpsertEncoded(u.doc.Bytes()); err != nil {
-			panic(fmt.Sprintf("cluster: restoring %q after a failed commit: %v", u.id, err))
+// restore puts the replaced versions back, newest first, as the very
+// objects they were. Each step returns its collection to a state it
+// held before, which its indexes accepted, so a restore cannot fail.
+func restore(done []change) {
+	for i := len(done) - 1; i >= 0; i-- {
+		ch := done[i]
+		if err := ch.c.Restore(ch.id, ch.old); err != nil {
+			panic(fmt.Sprintf("cluster: restoring %q after a failed commit: %v", ch.id, err))
 		}
 	}
 }
@@ -381,6 +396,18 @@ func (n *Node) noteApplyErrors(count int, err error) {
 	n.obsApplyErrs.Inc(uint64(count))
 	if err != nil && n.applyErrLogged.CompareAndSwap(false, true) {
 		stdlog.Printf("cluster: node %d: first replication apply error (%d entries failed): %v", n.ID, count, err)
+	}
+}
+
+// noteSetApplies counts how a replication apply stored its sets.
+func (n *Node) noteSetApplies(got storage.ApplyCounts) {
+	if got.Adopted > 0 {
+		n.stats.adoptedSets.Add(int64(got.Adopted))
+		n.obsAdopted.Inc(uint64(got.Adopted))
+	}
+	if got.Spliced > 0 {
+		n.stats.splicedSets.Add(int64(got.Spliced))
+		n.obsSpliced.Inc(uint64(got.Spliced))
 	}
 }
 

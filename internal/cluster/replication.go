@@ -6,6 +6,7 @@ import (
 
 	"decongestant/internal/oplog"
 	"decongestant/internal/sim"
+	"decongestant/internal/storage"
 )
 
 // startBackground launches the replica set's internal processes:
@@ -52,7 +53,7 @@ func (n *Node) pullerLoop(p sim.Proc) {
 		prim := rs.Primary()
 		after, applied := n.fetchPoint()
 		rs.net.Travel(p, n.Zone, prim.Zone)
-		batch, gapped := prim.serveGetMore(p, n.ID, after, applied)
+		batch, versions, gapped := prim.serveGetMore(p, n.ID, after, applied)
 		rs.net.Travel(p, prim.Zone, n.Zone)
 		n.obsOplogLag.Set(prim.OplogLast().LagSeconds(n.LastApplied()))
 		if gapped {
@@ -70,7 +71,7 @@ func (n *Node) pullerLoop(p sim.Proc) {
 			}
 			continue
 		}
-		n.applyBatch(p, batch)
+		n.applyBatch(p, batch, versions)
 	}
 }
 
@@ -90,15 +91,19 @@ func (n *Node) fetchPoint() (after, applied oplog.OpTime) {
 // flip. MongoDB secondaries do the same: batch preparation, the apply,
 // then a single lastApplied advance (MongoDB fans the apply out over
 // writer threads; here one applier lands each chunk in oplog order).
-func (n *Node) applyBatch(p sim.Proc, batch []oplog.Entry) {
+// versions are the primary's versions of the batch's sets (see
+// serveGetMore); a batch that lost a corrupt entry splices every set.
+func (n *Node) applyBatch(p sim.Proc, batch []oplog.Entry, versions []*storage.EncodedDoc) {
 	rs := n.rs
 	batch, dropped, cerr := oplog.CheckBatch(batch)
 	if dropped > 0 {
 		n.noteApplyErrors(dropped, cerr)
+		versions = nil
 	}
 	const chunkSize = 256
 	for start := 0; start < len(batch); start += chunkSize {
-		chunk := batch[start:min(start+chunkSize, len(batch))]
+		end := min(start+chunkSize, len(batch))
+		chunk := batch[start:end]
 		work := 0
 		for _, e := range chunk {
 			if e.Kind != oplog.KindNoop {
@@ -112,21 +117,28 @@ func (n *Node) applyBatch(p sim.Proc, batch []oplog.Entry) {
 			}
 			n.cpu.Use(p, cost)
 		}
-		n.applyChunk(chunk)
+		var vers []*storage.EncodedDoc
+		if versions != nil {
+			vers = versions[start:end]
+		}
+		n.applyChunk(chunk, vers)
 		n.applyGate.Broadcast() // release afterClusterTime waiters
 	}
 }
 
 // applyChunk applies one checked chunk: one oplog.ApplyBatch under
 // applyMu (serialized against commits, catch-up and resync, but NOT
-// against readers); the node write lock is held only to append the
-// oplog entries and flip lastApplied.
-func (n *Node) applyChunk(entries []oplog.Entry) {
+// against readers), which adopts the primary's version of a set where
+// it can and splices otherwise; the node write lock is held only to
+// append the oplog entries and flip lastApplied.
+func (n *Node) applyChunk(entries []oplog.Entry, versions []*storage.EncodedDoc) {
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
-	if _, failed, err := oplog.ApplyBatch(n.store, entries); failed > 0 {
+	got, failed, err := oplog.ApplyBatch(n.store, entries, versions)
+	if failed > 0 {
 		n.noteApplyErrors(failed, err)
 	}
+	n.noteSetApplies(got)
 	n.mu.Lock()
 	// Skip any prefix already in the log: a concurrent failover
 	// catch-up can land the same entries first. Their store apply
@@ -205,10 +217,17 @@ func (n *Node) resyncFrom(p sim.Proc, prim *Node) {
 // an in-progress checkpoint and compete for a CPU slot with client
 // operations, so a congested primary still delivers the oplog late.
 // The scan runs under the read lock — fetches never serialize behind
-// commits — and the fetch-position update takes only fetchMu. The
-// second result is true when `after` has been truncated away and the
-// caller must resync.
-func (n *Node) serveGetMore(p sim.Proc, from int, after, applied oplog.OpTime) ([]oplog.Entry, bool) {
+// commits — and the fetch-position update takes only fetchMu.
+//
+// Alongside the batch it returns, parallel to it, the versions the
+// primary produced: for each set entry whose document's current
+// version here still carries the entry's TS as its stamp, that
+// immutable version (nil elsewhere, and nil altogether when there is
+// none). The members share the process, so a secondary stores it
+// instead of splicing its own copy (oplog.ApplyBatch). The last result
+// is true when `after` has been truncated away and the caller must
+// resync.
+func (n *Node) serveGetMore(p sim.Proc, from int, after, applied oplog.OpTime) ([]oplog.Entry, []*storage.EncodedDoc, bool) {
 	n.setKnown(from, applied)
 	if !n.rs.cfg.DisableTailWake && !after.Before(n.OplogLast()) {
 		n.tailGate.WaitTimeout(p, n.rs.cfg.ReplIdlePoll)
@@ -224,13 +243,15 @@ func (n *Node) serveGetMore(p sim.Proc, from int, after, applied oplog.OpTime) (
 	n.mu.RLock()
 	gapped := after.Before(n.log.TruncatedTo())
 	var batch []oplog.Entry
+	var versions []*storage.EncodedDoc
 	if !gapped {
 		batch = n.log.ScanAfter(after, n.rs.cfg.BatchMax)
+		versions = n.versionsLocked(batch)
 	}
 	n.mu.RUnlock()
 	n.stats.getMores.Add(1)
 	if gapped {
-		return nil, true
+		return nil, nil, true
 	}
 	n.stats.fetchedEntries.Add(int64(len(batch)))
 	pos := after
@@ -242,7 +263,37 @@ func (n *Node) serveGetMore(p sim.Proc, from int, after, applied oplog.OpTime) (
 		n.fetchPos[from] = pos
 	}
 	n.fetchMu.Unlock()
-	return batch, false
+	return batch, versions, false
+}
+
+// versionsLocked returns, parallel to batch, the current version of
+// each set entry's document when that version is the one the entry
+// produced (its stamp is the entry's TS), or nil if no entry's is.
+// Caller holds n.mu, under which commits stamp their versions.
+func (n *Node) versionsLocked(batch []oplog.Entry) []*storage.EncodedDoc {
+	var out []*storage.EncodedDoc
+	var c *storage.Collection
+	var coll string
+	for i, e := range batch {
+		if e.Kind != oplog.KindSet {
+			continue
+		}
+		if c == nil || e.Collection != coll {
+			coll = e.Collection
+			if c, _ = n.store.Lookup(coll); c == nil {
+				continue
+			}
+		}
+		v, ok := c.FindByIDEncoded(e.DocID)
+		if !ok || v.Stamp() != storage.Stamp(e.TS) {
+			continue
+		}
+		if out == nil {
+			out = make([]*storage.EncodedDoc, len(batch))
+		}
+		out[i] = v
+	}
+	return out
 }
 
 // truncatePrimaryLocked caps the primary's oplog (commit-side: the

@@ -150,17 +150,23 @@ func TestWritePathStress(t *testing.T) {
 	default:
 	}
 
-	// Each commit carries exactly one transaction, on every node.
-	var commits int64
+	// Each commit carries exactly one transaction, on every node, and
+	// the pullers stored the primary's versions of sets while readers
+	// read them on the secondaries.
+	var commits, adopted int64
 	for _, id := range rs.NodeIDs() {
 		st := rs.Node(id).Stats()
 		if st.GroupCommits != st.GroupedTxns {
 			t.Fatalf("node %d: %d commits carried %d transactions", id, st.GroupCommits, st.GroupedTxns)
 		}
 		commits += st.GroupCommits
+		adopted += st.AdoptedSets
 	}
 	if commits == 0 {
 		t.Fatal("no commits at any node")
+	}
+	if adopted == 0 {
+		t.Fatal("no puller adopted the primary's version of a set")
 	}
 
 	// Replication survived: a majority of members (primary included)

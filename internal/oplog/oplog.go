@@ -133,25 +133,38 @@ func NewNoop(ts OpTime) Entry { return Entry{TS: ts, Kind: KindNoop} }
 // Apply executes the entry against a store, idempotently: applying an
 // entry twice leaves the same state as applying it once. Payloads are
 // not decoded: an insert's payload becomes the stored document as it
-// is, and a set's encoded fields are spliced into the stored one. The
-// store validates both, so a corrupt payload fails without effect.
+// is, and a set's encoded fields are spliced into the stored one; the
+// version either stores carries e.TS as its stamp. The store validates
+// both, so a corrupt payload fails without effect.
 func (e Entry) Apply(s *storage.Store) error {
-	var err error
-	switch e.Kind {
-	case KindInsert:
-		err = s.C(e.Collection).UpsertEncoded(e.Payload)
-	case KindSet:
-		_, err = s.C(e.Collection).ApplySetEncoded(e.DocID, e.Payload)
-	case KindDelete:
-		s.C(e.Collection).Delete(e.DocID)
-	case KindNoop:
-	default:
+	op, ok := e.applyOp(nil)
+	if !ok {
+		if e.Kind == KindNoop {
+			return nil
+		}
 		return fmt.Errorf("oplog: unknown entry kind %d", e.Kind)
 	}
-	if err != nil {
+	if _, err := s.C(e.Collection).ApplyBatch([]storage.ApplyOp{op}); err != nil {
 		return fmt.Errorf("oplog: apply %s %s: %w", e.Kind, e.TS, err)
 	}
 	return nil
+}
+
+// applyOp is e as a store mutation stamped e.TS, offering v as the
+// primary's version of a set; false for a noop or an unknown kind.
+func (e Entry) applyOp(v *storage.EncodedDoc) (storage.ApplyOp, bool) {
+	op := storage.ApplyOp{ID: e.DocID, Enc: e.Payload, Stamp: storage.Stamp(e.TS)}
+	switch e.Kind {
+	case KindInsert:
+		op.Kind = storage.ApplyUpsert
+	case KindSet:
+		op.Kind, op.Version = storage.ApplyMerge, v
+	case KindDelete:
+		op.Kind = storage.ApplyDelete
+	default:
+		return op, false
+	}
+	return op, true
 }
 
 // Check validates e's payload without decoding it: an insert or set
@@ -233,44 +246,46 @@ func DecodeBatch(entries []Entry) ([]DecodedEntry, int, error) {
 // ApplyBatch applies an ordered run of entries to a store, grouping
 // consecutive same-collection mutations so each group takes its
 // collection's write lock once (the batch apply entry point). Like
-// Apply it hands payloads to the store undecoded. Individual failures
-// are skipped, not fatal: it returns how many entries applied, how
-// many failed, and the first error.
-func ApplyBatch(s *storage.Store, batch []Entry) (applied, failed int, firstErr error) {
-	note := func(err error) {
-		failed++
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
+// Apply it hands payloads to the store undecoded and stamps each
+// stored version with its entry's TS. versions is nil or parallel to
+// batch: versions[i], when set, is the version the primary stored for
+// set entry batch[i] (stamped batch[i].TS), which the store adopts in
+// place of a splice when it replaced the version this store holds
+// (storage.ApplyOp.Version). Individual failures are skipped, not
+// fatal: it returns what applied (noops count as applied), how many
+// entries failed, and the first error.
+func ApplyBatch(s *storage.Store, batch []Entry, versions []*storage.EncodedDoc) (n storage.ApplyCounts, failed int, firstErr error) {
 	var run []storage.ApplyOp
 	var runColl string
 	flush := func() {
 		if len(run) == 0 {
 			return
 		}
-		ok, err := s.C(runColl).ApplyBatch(run)
-		applied += ok
-		failed += len(run) - ok
+		got, err := s.C(runColl).ApplyBatch(run)
+		n.Applied += got.Applied
+		n.Adopted += got.Adopted
+		n.Spliced += got.Spliced
+		failed += len(run) - got.Applied
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 		run = run[:0]
 	}
-	for _, e := range batch {
-		var op storage.ApplyOp
-		switch e.Kind {
-		case KindNoop:
-			applied++ // advances the log without touching data
-			continue
-		case KindInsert:
-			op = storage.ApplyOp{Kind: storage.ApplyUpsert, ID: e.DocID, Enc: e.Payload}
-		case KindSet:
-			op = storage.ApplyOp{Kind: storage.ApplyMerge, ID: e.DocID, Enc: e.Payload}
-		case KindDelete:
-			op = storage.ApplyOp{Kind: storage.ApplyDelete, ID: e.DocID}
-		default:
-			note(fmt.Errorf("oplog: unknown entry kind %d", e.Kind))
+	for i, e := range batch {
+		var v *storage.EncodedDoc
+		if versions != nil {
+			v = versions[i]
+		}
+		op, ok := e.applyOp(v)
+		if !ok {
+			if e.Kind == KindNoop {
+				n.Applied++ // advances the log without touching data
+				continue
+			}
+			failed++
+			if firstErr == nil {
+				firstErr = fmt.Errorf("oplog: unknown entry kind %d", e.Kind)
+			}
 			continue
 		}
 		if e.Collection != runColl {
@@ -280,7 +295,7 @@ func ApplyBatch(s *storage.Store, batch []Entry) (applied, failed int, firstErr 
 		run = append(run, op)
 	}
 	flush()
-	return applied, failed, firstErr
+	return n, failed, firstErr
 }
 
 // Segment geometry: a Log stores its entries in segments of segLen

@@ -407,9 +407,9 @@ func TestBatchApplyMatchesByteApply(t *testing.T) {
 		t.Fatalf("CheckBatch: dropped=%d err=%v", dropped, err)
 	}
 	byBatch := storage.NewStore()
-	applied, failed, err := ApplyBatch(byBatch, checked)
-	if err != nil || failed != 0 || applied != len(entries) {
-		t.Fatalf("ApplyBatch: applied=%d failed=%d err=%v", applied, failed, err)
+	n, failed, err := ApplyBatch(byBatch, checked, nil)
+	if err != nil || failed != 0 || n.Applied != len(entries) {
+		t.Fatalf("ApplyBatch: applied=%d failed=%d err=%v", n.Applied, failed, err)
 	}
 	sameStores(t, byBytes, byBatch, "c", "d")
 }

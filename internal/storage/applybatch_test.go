@@ -1,9 +1,19 @@
 package storage
 
-// Tests for the replication apply entry points (UpsertEncoded,
-// ApplySetEncoded, ApplyBatch) and the initial-sync shallow clone.
+// Tests for the replication apply entry points (ApplySetEncoded,
+// ApplyBatch) and the initial-sync shallow clone.
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
+
+// upsert stores enc, a document in its stored form, as an oplog insert
+// does.
+func upsert(c *Collection, enc []byte) error {
+	_, err := c.ApplyBatch([]ApplyOp{{Kind: ApplyUpsert, Enc: enc}})
+	return err
+}
 
 func TestApplyBatchMixedOps(t *testing.T) {
 	c := NewStore().C("c")
@@ -17,9 +27,9 @@ func TestApplyBatchMixedOps(t *testing.T) {
 		{Kind: ApplyDelete, ID: "b"},
 		{Kind: ApplyMerge, ID: "ghost", Enc: EncodeDoc(D{"grp": int64(3)})}, // upserting merge
 	}
-	applied, err := c.ApplyBatch(ops)
-	if err != nil || applied != len(ops) {
-		t.Fatalf("applied=%d err=%v", applied, err)
+	n, err := c.ApplyBatch(ops)
+	if err != nil || n.Applied != len(ops) || n.Spliced != 2 || n.Adopted != 0 {
+		t.Fatalf("applied=%+v err=%v", n, err)
 	}
 	a, ok := c.FindByID("a")
 	if !ok || a.Int("v") != 10 || a.Int("grp") != 1 {
@@ -44,9 +54,9 @@ func TestApplyBatchSkipsBadOpAndReportsFirstError(t *testing.T) {
 		{Kind: ApplyUpsert, ID: "bad", Enc: EncodeDoc(D{"v": int64(2)})}, // no _id
 		{Kind: ApplyUpsert, ID: "b", Enc: EncodeDoc(D{"_id": "b", "v": int64(3)})},
 	}
-	applied, err := c.ApplyBatch(ops)
-	if applied != 2 || err == nil {
-		t.Fatalf("applied=%d err=%v, want 2 with error", applied, err)
+	n, err := c.ApplyBatch(ops)
+	if n.Applied != 2 || err == nil {
+		t.Fatalf("applied=%d err=%v, want 2 with error", n.Applied, err)
 	}
 	if _, ok := c.FindByID("b"); !ok {
 		t.Fatal("op after the failure was not applied")
@@ -57,21 +67,21 @@ func TestOwnedVariantsMatchPublicOnes(t *testing.T) {
 	plain := NewStore().C("c")
 	owned := NewStore().C("c")
 	doc := D{"_id": "k", "v": int64(1), "arr": []any{int64(1), int64(2)}}
-	if err := plain.UpsertEncoded(encoded(doc)); err != nil {
+	if err := upsert(plain, encoded(doc)); err != nil {
 		t.Fatal(err)
 	}
 	norm, err := doc.Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := owned.UpsertEncoded(encoded(norm)); err != nil {
+	if err := upsert(owned, encoded(norm)); err != nil {
 		t.Fatal(err)
 	}
 	fields := D{"v": int64(7), "w": int64(8)}
 	if _, err := plain.ApplySet("k", fields); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := owned.ApplySetEncoded("k", EncodeDoc(fields)); err != nil {
+	if _, _, err := owned.ApplySetEncoded("k", EncodeDoc(fields)); err != nil {
 		t.Fatal(err)
 	}
 	d1, _ := plain.FindByID("k")
@@ -111,7 +121,7 @@ func TestCloneShallowIsIndependent(t *testing.T) {
 	if _, err := cc.ApplySet("a", D{"v": int64(99)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Delete("b"); !err {
+	if c.Delete("b") == nil {
 		t.Fatal("delete in original failed")
 	}
 	if d, _ := c.FindByID("a"); d.Int("v") == 99 {
@@ -119,5 +129,53 @@ func TestCloneShallowIsIndependent(t *testing.T) {
 	}
 	if _, ok := cc.FindByID("b"); !ok {
 		t.Fatal("original delete leaked into the clone")
+	}
+}
+
+// TestApplyBatchAdoptsOnlyTheReplacedVersion: a merge that carries the
+// primary's version stores it as it is, secondary-index entries moved
+// over, when it replaced the version the collection holds, and splices
+// its payload otherwise.
+func TestApplyBatchAdoptsOnlyTheReplacedVersion(t *testing.T) {
+	prim := NewStore().C("c")
+	if _, err := prim.CreateIndex("grp", false, "grp"); err != nil {
+		t.Fatal(err)
+	}
+	if err := prim.Insert(D{"_id": "a", "grp": int64(1), "v": int64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	sec := prim.CloneShallow()
+	set := EncodeDoc(D{"grp": int64(2)})
+	old, e, err := prim.ApplySetEncoded("a", set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := Stamp{Secs: 7, Inc: 1}
+	e.SetStamps(ts, old.Stamp())
+	op := ApplyOp{Kind: ApplyMerge, ID: "a", Enc: set, Stamp: ts, Version: e}
+
+	other := sec.CloneShallow()
+	if err := upsert(other, old.Bytes()); err != nil { // same bytes, another stamp
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		c     *Collection
+		adopt bool
+	}{{"holding the replaced version", sec, true}, {"holding another version", other, false}} {
+		n, err := tc.c.ApplyBatch([]ApplyOp{op})
+		if err != nil || n.Applied != 1 || (n.Adopted == 1) != tc.adopt || n.Adopted+n.Spliced != 1 {
+			t.Fatalf("%s: %+v, %v", tc.name, n, err)
+		}
+		got, _ := tc.c.FindByIDEncoded("a")
+		if (got == e) != tc.adopt || !bytes.Equal(got.Bytes(), e.Bytes()) || got.Stamp() != ts {
+			t.Fatalf("%s: stored %p (primary's %p), stamp %v", tc.name, got, e, got.Stamp())
+		}
+		if hits := tc.c.Find(Filter{"grp": Eq(int64(2))}, 0); len(hits) != 1 {
+			t.Fatalf("%s: grp=2 indexes %d documents", tc.name, len(hits))
+		}
+		if hits := tc.c.Find(Filter{"grp": Eq(int64(1))}, 0); len(hits) != 0 {
+			t.Fatalf("%s: grp=1 still indexes %d documents", tc.name, len(hits))
+		}
 	}
 }

@@ -132,7 +132,7 @@ func (idx *Index) remove(doc *EncodedDoc, id string) {
 
 // Insert adds a document. The document must carry a string _id that is
 // not already present. It is stored as its own encoding, detached from
-// the caller's value.
+// the caller's value, under a local stamp.
 func (c *Collection) Insert(doc Document) error {
 	doc, err := doc.Canonicalized()
 	if err != nil {
@@ -142,7 +142,7 @@ func (c *Collection) Insert(doc Document) error {
 	if !ok || id == "" {
 		return fmt.Errorf("storage: insert into %s requires a string _id", c.name)
 	}
-	e := &EncodedDoc{b: EncodeDoc(doc)}
+	e := &EncodedDoc{b: EncodeDoc(doc), ver: localStamp()}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, exists := c.ids.get(id); exists {
@@ -151,25 +151,50 @@ func (c *Collection) Insert(doc Document) error {
 	return c.storeLocked(id, nil, e)
 }
 
-// UpsertEncoded inserts a document already in its stored form (an
-// oplog insert payload), or fully replaces the one with its _id. enc
-// is validated and then kept as it is: the caller hands it over.
-func (c *Collection) UpsertEncoded(enc []byte) error {
+// InsertEncoded adds a document already in its stored form (an oplog
+// insert payload) under a local stamp and returns the stored version.
+// It fails, changing nothing, if the document's _id is present. enc is
+// validated and then kept as it is: the caller hands it over.
+func (c *Collection) InsertEncoded(enc []byte) (*EncodedDoc, error) {
+	e := &EncodedDoc{b: enc, ver: localStamp()}
+	id, err := c.checkStored(e)
+	if err != nil {
+		return nil, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.upsertLocked(&EncodedDoc{b: enc})
+	if _, exists := c.ids.get(id); exists {
+		return nil, fmt.Errorf("storage: duplicate _id %q in %s", id, c.name)
+	}
+	if err := c.storeLocked(id, nil, e); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
-func (c *Collection) upsertLocked(e *EncodedDoc) error {
+// checkStored validates a version's encoding and returns its _id.
+func (c *Collection) checkStored(e *EncodedDoc) (string, error) {
 	if err := CheckDoc(e.b); err != nil {
-		return err
+		return "", err
 	}
 	v, _ := e.Get("_id")
 	id, ok := v.(string)
 	if !ok || id == "" {
-		return fmt.Errorf("storage: upsert into %s requires a string _id", c.name)
+		return "", fmt.Errorf("storage: a document stored in %s requires a string _id", c.name)
+	}
+	return id, nil
+}
+
+// upsertLocked stores e, whose ver is set, in place of the document
+// with its _id, recording that version's stamp as e's pre-image. e's
+// encoding is validated and then kept as it is.
+func (c *Collection) upsertLocked(e *EncodedDoc) error {
+	id, err := c.checkStored(e)
+	if err != nil {
+		return err
 	}
 	old, _ := c.ids.get(id)
+	e.prev = old.Stamp()
 	return c.storeLocked(id, old, e)
 }
 
@@ -184,31 +209,53 @@ func (c *Collection) ApplySet(id string, fields Document) (*EncodedDoc, error) {
 	}
 	bp := encodeScratch.Get().(*[]byte)
 	*bp = AppendDoc((*bp)[:0], fields)
-	e, err := c.ApplySetEncoded(id, *bp)
+	_, e, err := c.ApplySetEncoded(id, *bp)
 	putScratch(bp)
 	return e, err
 }
 
-// ApplySetEncoded is ApplySet for an oplog $set payload (see splice).
-// A corrupt set is rejected and changes nothing; set is never kept.
-func (c *Collection) ApplySetEncoded(id string, set []byte) (*EncodedDoc, error) {
+// ApplySetEncoded is ApplySet for an oplog $set payload (see splice):
+// it returns the version it replaced (nil if the document was absent)
+// and the spliced version, stored under a local stamp. A corrupt set
+// is rejected and changes nothing; set is never kept.
+func (c *Collection) ApplySetEncoded(id string, set []byte) (old, e *EncodedDoc, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.applySetLocked(id, set)
+	old, _ = c.ids.get(id)
+	if e, err = c.spliceLocked(id, old, set, localStamp()); err != nil {
+		return nil, nil, err
+	}
+	return old, e, nil
 }
 
-// applySetLocked is ApplySetEncoded under the held write lock.
-func (c *Collection) applySetLocked(id string, set []byte) (*EncodedDoc, error) {
-	old, _ := c.ids.get(id)
+// spliceLocked stores set's fields spliced into old, the committed
+// version of id, as a new version stamped ver. Caller holds the write
+// lock.
+func (c *Collection) spliceLocked(id string, old *EncodedDoc, set []byte, ver Stamp) (*EncodedDoc, error) {
 	enc, err := splice(old.Bytes(), set, id)
 	if err != nil {
 		return nil, err
 	}
-	e := &EncodedDoc{b: enc}
+	e := &EncodedDoc{b: enc, ver: ver, prev: old.Stamp()}
 	if err := c.storeLocked(id, old, e); err != nil {
 		return nil, err
 	}
 	return e, nil
+}
+
+// Restore makes e, a version this collection held for id before, its
+// committed version again, stamps and all (nil removes id): the undo
+// of a failed commit. Restoring a state the indexes accepted before
+// fails only if something else changed since.
+func (c *Collection) Restore(id string, e *EncodedDoc) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e == nil {
+		c.deleteLocked(id)
+		return nil
+	}
+	cur, _ := c.ids.get(id)
+	return c.storeLocked(id, cur, e)
 }
 
 // storeLocked makes e the committed version of document id, moving its
@@ -241,24 +288,25 @@ func (c *Collection) storeLocked(id string, old, e *EncodedDoc) error {
 	return nil
 }
 
-// Delete removes the document with the given _id; it reports whether a
-// document was removed.
-func (c *Collection) Delete(id string) bool {
+// Delete removes the document with the given _id and returns the
+// version it removed (nil if there was none).
+func (c *Collection) Delete(id string) *EncodedDoc {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.deleteLocked(id)
 }
 
 // deleteLocked removes a document. Caller holds the write lock.
-func (c *Collection) deleteLocked(id string) bool {
+func (c *Collection) deleteLocked(id string) *EncodedDoc {
 	old, ok := c.ids.get(id)
 	if !ok {
-		return false
+		return nil
 	}
 	for _, idx := range c.indexes {
 		idx.remove(old, id)
 	}
-	return c.ids.delete(id)
+	c.ids.delete(id)
+	return old
 }
 
 // ApplyKind selects the operation of one ApplyOp.
@@ -267,50 +315,88 @@ type ApplyKind int
 const (
 	// ApplyUpsert stores Enc (which carries its own _id) outright.
 	ApplyUpsert ApplyKind = iota
-	// ApplyMerge merges Enc's fields into the document identified by ID.
+	// ApplyMerge merges Enc's fields into the document identified by
+	// ID, or stores Version in its place.
 	ApplyMerge
 	// ApplyDelete removes the document identified by ID.
 	ApplyDelete
 )
 
 // ApplyOp is one replication mutation inside an ApplyBatch. Enc is its
-// oplog payload (see UpsertEncoded and ApplySetEncoded).
+// oplog payload, which an upsert stores as it is (the caller hands it
+// over) and a merge splices (see ApplySetEncoded), and Stamp the
+// OpTime of its oplog entry, which the version it stores carries (the
+// zero Stamp takes a local one).
+//
+// Version, when set on a merge, is the version the primary stored for
+// the same entry: stamped Stamp, immutable, and shared. The merge
+// stores it as it is, adopting it instead of splicing, when it replaced
+// a version carrying the same stamp as this collection's current one —
+// both members then held the same bytes, so the splice would rebuild
+// Version's. Otherwise the merge splices Enc.
 type ApplyOp struct {
-	Kind ApplyKind
-	ID   string
-	Enc  []byte
+	Kind    ApplyKind
+	ID      string
+	Enc     []byte
+	Stamp   Stamp
+	Version *EncodedDoc
+}
+
+// ApplyCounts tallies an ApplyBatch: the ops applied, and how many of
+// the merges among them adopted the primary's version or spliced.
+type ApplyCounts struct {
+	Applied, Adopted, Spliced int
 }
 
 // ApplyBatch applies an ordered run of replication mutations under one
 // write-lock acquisition, the secondary's batch apply entry point.
 // A failed op is skipped, not fatal (oplog application must keep
-// going); it returns how many ops applied and the first error.
-func (c *Collection) ApplyBatch(ops []ApplyOp) (int, error) {
+// going); it returns what applied and the first error.
+func (c *Collection) ApplyBatch(ops []ApplyOp) (ApplyCounts, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	applied := 0
+	var n ApplyCounts
 	var first error
 	for _, op := range ops {
-		var err error
-		switch op.Kind {
-		case ApplyUpsert:
-			err = c.upsertLocked(&EncodedDoc{b: op.Enc})
-		case ApplyMerge:
-			_, err = c.applySetLocked(op.ID, op.Enc)
-		case ApplyDelete:
-			c.deleteLocked(op.ID)
-		default:
-			err = fmt.Errorf("storage: unknown apply op kind %d", op.Kind)
+		if err := c.applyLocked(op, &n); err != nil && first == nil {
+			first = err
 		}
-		if err != nil {
-			if first == nil {
-				first = err
-			}
-			continue
-		}
-		applied++
 	}
-	return applied, first
+	return n, first
+}
+
+// applyLocked applies one op, counting it in n if it applied. Caller
+// holds the write lock.
+func (c *Collection) applyLocked(op ApplyOp, n *ApplyCounts) error {
+	ver := op.Stamp
+	if ver == (Stamp{}) {
+		ver = localStamp()
+	}
+	switch op.Kind {
+	case ApplyUpsert:
+		if err := c.upsertLocked(&EncodedDoc{b: op.Enc, ver: ver}); err != nil {
+			return err
+		}
+	case ApplyMerge:
+		old, _ := c.ids.get(op.ID)
+		if v := op.Version; v != nil && v.ver == ver && v.prev == old.Stamp() {
+			if err := c.storeLocked(op.ID, old, v); err != nil {
+				return err
+			}
+			n.Adopted++
+			break
+		}
+		if _, err := c.spliceLocked(op.ID, old, op.Enc, ver); err != nil {
+			return err
+		}
+		n.Spliced++
+	case ApplyDelete:
+		c.deleteLocked(op.ID)
+	default:
+		return fmt.Errorf("storage: unknown apply op kind %d", op.Kind)
+	}
+	n.Applied++
+	return nil
 }
 
 // CloneShallow returns a new collection sharing this collection's

@@ -31,10 +31,10 @@ func TestInsertFindDelete(t *testing.T) {
 	if !ok || d.Str("name") != "ada" || d.Int("age") != 36 {
 		t.Fatalf("FindByID: %v %v", d, ok)
 	}
-	if !c.Delete("u1") {
+	if c.Delete("u1") == nil {
 		t.Fatal("delete failed")
 	}
-	if c.Delete("u1") {
+	if c.Delete("u1") != nil {
 		t.Fatal("second delete succeeded")
 	}
 	if _, ok := c.FindByID("u1"); ok {
@@ -75,7 +75,7 @@ func TestCopyOnWriteSnapshots(t *testing.T) {
 		t.Fatalf("post-write state wrong: %v", cur)
 	}
 	// Upsert replacement likewise leaves the old snapshot untouched.
-	if err := c.UpsertEncoded(encoded(D{"_id": "x", "v": 3})); err != nil {
+	if err := upsert(c, encoded(D{"_id": "x", "v": 3})); err != nil {
 		t.Fatal(err)
 	}
 	if cur.Int("v") != 2 {
@@ -115,10 +115,10 @@ func TestApplySetMergeAndIdempotence(t *testing.T) {
 
 func TestUpsertReplaces(t *testing.T) {
 	c := NewStore().C("c")
-	if err := c.UpsertEncoded(encoded(D{"_id": "k", "a": 1, "b": 2})); err != nil {
+	if err := upsert(c, encoded(D{"_id": "k", "a": 1, "b": 2})); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.UpsertEncoded(encoded(D{"_id": "k", "a": 10})); err != nil {
+	if err := upsert(c, encoded(D{"_id": "k", "a": 10})); err != nil {
 		t.Fatal(err)
 	}
 	d, _ := c.FindByID("k")
@@ -291,7 +291,7 @@ func TestRejectedSetKeepsIndexEntries(t *testing.T) {
 
 // TestUnkeyableIndexedValueIsRejected: an array or an embedded
 // document in an indexed field has no key order. Insert, ApplySet and
-// UpsertEncoded reject it and leave the document and every index
+// an upsert reject it and leave the document and every index
 // unchanged, and a filter holding such a value skips the index and
 // scans instead.
 func TestUnkeyableIndexedValueIsRejected(t *testing.T) {
@@ -312,8 +312,8 @@ func TestUnkeyableIndexedValueIsRejected(t *testing.T) {
 		if _, err := c.ApplySet("x", D{"a": v, "b": 2}); err == nil {
 			t.Errorf("ApplySet of a: %v accepted", v)
 		}
-		if err := c.UpsertEncoded(encoded(D{"_id": "x", "a": v, "b": 3})); err == nil {
-			t.Errorf("UpsertEncoded of a: %v accepted", v)
+		if err := upsert(c, encoded(D{"_id": "x", "a": v, "b": 3})); err == nil {
+			t.Errorf("upsert of a: %v accepted", v)
 		}
 		if got := c.Find(Filter{"a": Eq(v)}, 0); len(got) != 0 {
 			t.Errorf("filter a = %v found %v", v, got)

@@ -5,16 +5,60 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
-// EncodedDoc is one committed document in its stored form, the only
-// form a collection keeps: its canonical BSON-lite encoding (names
-// sorted at every level) at exact size. It is immutable — a mutation
-// stores a new EncodedDoc in the document's slot — so readers share it
-// without copies and keep a consistent snapshot while writers move on.
+// EncodedDoc is one committed version of a document in its stored
+// form, the only form a collection keeps: its canonical BSON-lite
+// encoding (names sorted at every level) at exact size, plus two
+// stamps — the version's own and that of the version it replaced. It
+// is immutable once stored and stamped — a mutation stores a new
+// EncodedDoc in the document's slot — so readers, and the co-hosted
+// members of a replica set, share it without copies and keep a
+// consistent snapshot while writers move on.
 type EncodedDoc struct {
-	b []byte
+	b    []byte
+	ver  Stamp // this version's stamp
+	prev Stamp // the stamp of the version it replaced; zero if none
 }
+
+// Stamp names one stored version of a document. A version replication
+// produced carries the OpTime of the oplog entry that produced it: the
+// same seconds and increment, so an oplog.OpTime converts to a Stamp.
+// A version written outside the oplog (a load, a test's direct write)
+// carries a local stamp, unique in the process, whose negative seconds
+// no OpTime has. The zero Stamp names no version: the pre-image of a
+// document that did not exist. Two members whose versions of a
+// document carry the same stamp therefore hold the same bytes, which
+// is what lets a secondary store the primary's version of a $set
+// instead of splicing its own (ApplyOp.Version).
+type Stamp struct {
+	Secs int64
+	Inc  uint32
+}
+
+// localStamps counts the local stamps minted. It is one per process,
+// not per collection, because clones share versions across stores: a
+// stamp must not recur in any store a version can reach.
+var localStamps atomic.Int64
+
+// localStamp mints a stamp no other version carries.
+func localStamp() Stamp { return Stamp{Secs: -localStamps.Add(1)} }
+
+// Stamp returns the version's stamp (zero for a nil EncodedDoc).
+func (e *EncodedDoc) Stamp() Stamp {
+	if e == nil {
+		return Stamp{}
+	}
+	return e.ver
+}
+
+// SetStamps restamps a version its writer has just stored, before the
+// stamps are read by anyone else: the primary's commit stamps each
+// version it stored with the OpTime it mints for the version's oplog
+// entry, and with the stamp of the version it replaced. Every other
+// writer stamps through the store.
+func (e *EncodedDoc) SetStamps(ver, replaced Stamp) { e.ver, e.prev = ver, replaced }
 
 // Bytes returns the stored encoding (nil for a nil EncodedDoc): shared
 // and strictly read-only, spliced into wire frames as it is.

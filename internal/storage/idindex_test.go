@@ -103,7 +103,7 @@ func TestIDIndexMatchesMapModel(t *testing.T) {
 				m[id] = D{"_id": id, "grp": v % 8, "v": v}
 			}
 		case op < 4:
-			if err := c.UpsertEncoded(encoded(D{"_id": id, "v": v})); err != nil {
+			if err := upsert(c, encoded(D{"_id": id, "v": v})); err != nil {
 				t.Fatal(err)
 			}
 			m[id] = D{"_id": id, "v": v}
@@ -114,7 +114,7 @@ func TestIDIndexMatchesMapModel(t *testing.T) {
 			m.merge(id, D{"grp": v % 8, "w": v})
 		case op < 8:
 			_, present := m[id]
-			if c.Delete(id) != present {
+			if (c.Delete(id) != nil) != present {
 				t.Fatalf("step %d: Delete %s disagrees with the model", step, id)
 			}
 			delete(m, id)
@@ -134,8 +134,8 @@ func TestIDIndexMatchesMapModel(t *testing.T) {
 					delete(m, id)
 				}
 			}
-			if n, err := c.ApplyBatch(ops); err != nil || n != len(ops) {
-				t.Fatalf("step %d: ApplyBatch applied %d of %d: %v", step, n, len(ops), err)
+			if n, err := c.ApplyBatch(ops); err != nil || n.Applied != len(ops) {
+				t.Fatalf("step %d: ApplyBatch applied %d of %d: %v", step, n.Applied, len(ops), err)
 			}
 		default:
 			frozen, frozenModel = c, m.clone()
@@ -220,7 +220,7 @@ func TestIDIndexConcurrentReaders(t *testing.T) {
 		case 0:
 			_, _ = c.ApplySet(k, D{"a": v, "b": v})
 		case 1:
-			_ = c.UpsertEncoded(encoded(D{"_id": k, "a": v, "b": v}))
+			_ = upsert(c, encoded(D{"_id": k, "a": v, "b": v}))
 		case 2:
 			c.Delete(k)
 		default:

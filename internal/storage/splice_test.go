@@ -18,7 +18,7 @@ func TestSpliceAllocs(t *testing.T) {
 	}
 	set := EncodeDoc(Document{"field3": "0123456789"})
 	if n := testing.AllocsPerRun(100, func() {
-		if _, err := c.ApplySetEncoded("user0000000042", set); err != nil {
+		if _, _, err := c.ApplySetEncoded("user0000000042", set); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 2 {
@@ -69,7 +69,7 @@ func FuzzApplySet(f *testing.F) {
 		}
 		before, _ := c.FindByIDEncoded("k")
 		fields, derr := DecodeDoc(set)
-		_, err := c.ApplySetEncoded("k", set)
+		_, _, err := c.ApplySetEncoded("k", set)
 		if (err == nil) != (derr == nil) {
 			t.Fatalf("ApplySetEncoded err=%v, DecodeDoc err=%v", err, derr)
 		}
