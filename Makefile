@@ -11,17 +11,18 @@ test:
 	$(GO) test ./...
 
 # race runs the same commands as the CI race steps: the cluster's
-# stress, failover and adoption tests repeat five times, since
-# real-clock writers contend on the primary's applyMu directly and a
-# getMore hands the primary's stored versions to the secondaries'
-# appliers; the sharding tests that
-# migrate, split, scatter and cache repeat three times, since every
-# routed op takes and releases a chunk-authority lease; and under the
-# race detector internal/experiments alone runs for about 17 minutes,
-# past go test's default 10-minute timeout, so it runs on its own.
+# stress, failover, adoption and shared-entry tests repeat five times,
+# since real-clock writers contend on the primary's applyMu directly
+# and a getMore hands the primary's stored versions and its oplog
+# entries themselves to the secondaries' appliers; the sharding tests
+# that migrate, split, scatter and cache repeat three times, since
+# every routed op takes and releases a chunk-authority lease; and under
+# the race detector internal/experiments alone runs for about 17
+# minutes, past go test's default 10-minute timeout, so it runs on its
+# own.
 race:
 	$(GO) test -race $$($(GO) list ./internal/... | grep -v '/internal/experiments$$')
-	$(GO) test -race -count=5 -run 'Stress|Failover|Adopt' ./internal/cluster
+	$(GO) test -race -count=5 -run 'Stress|Failover|Adopt|Shared' ./internal/cluster
 	$(GO) test -race -count=3 -run 'Migrate|Scatter|Mongos|Split|Cache' ./internal/sharding
 	$(GO) test -race -timeout 40m ./internal/experiments
 

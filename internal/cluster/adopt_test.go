@@ -250,10 +250,7 @@ func TestAdoptRetention(t *testing.T) {
 	if held, _ := rs.NodeStore(down).C("kv").FindByIDEncoded("d"); held != first {
 		t.Fatal("the down member's version changed")
 	}
-	var logs int64
-	for _, id := range rs.NodeIDs() {
-		logs += rs.OplogBytes(id)
-	}
+	logs := rs.OplogBytes()
 	grew := int64(after) - int64(before)
 	t.Logf("live heap grew %d B over %d writes; the oplogs hold at most %d B", grew, writes, logs)
 	if grew >= logs+1<<20 {

@@ -206,3 +206,52 @@ func TestFailoverWakesParkedGetMores(t *testing.T) {
 		t.Fatalf("member %d applied the first post-failover write %v after commit, want within 100ms", bystander, lag)
 	}
 }
+
+// TestGetMoreScanAllocatesNothing: the primary side of a steady-state
+// getMore — the scan and the versions built beside it — fills the
+// batch and versions slices the puller hands back, allocating nothing,
+// and still finds the versions the batch's sets produced.
+func TestGetMoreScanAllocatesNothing(t *testing.T) {
+	env := sim.NewEnv(21)
+	defer env.Shutdown()
+	cfg := fastConfig()
+	rs := New(env, cfg)
+	env.Spawn("writer", func(p sim.Proc) {
+		for i := 0; i < 2*cfg.BatchMax; i++ {
+			if _, err := rs.ExecWrite(p, func(tx WriteTxn) (any, error) {
+				return nil, tx.Set("kv", fmt.Sprintf("d%d", i%50), storage.D{"v": int64(i)})
+			}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	env.Run(10 * time.Second)
+	prim := rs.Primary()
+	prim.mu.RLock()
+	defer prim.mu.RUnlock()
+	// A member one batch behind the tail, as a lagging puller is.
+	after := prim.log.ScanAfter(nil, oplog.Zero, 0)[cfg.BatchMax-1].TS
+	var batch []*oplog.Entry
+	var versions []*storage.EncodedDoc
+	scan := func() {
+		batch = prim.log.ScanAfter(batch[:0], after, cfg.BatchMax)
+		versions = prim.versionsLocked(versions, batch)
+	}
+	scan()
+	if allocs := testing.AllocsPerRun(100, scan); allocs != 0 {
+		t.Fatalf("%.0f allocations per getMore scan, want 0", allocs)
+	}
+	found := 0
+	for i, v := range versions {
+		if v != nil {
+			found++
+			if v.Stamp() != storage.Stamp(batch[i].TS) {
+				t.Fatalf("version %d is stamped %v, its entry %v", i, v.Stamp(), batch[i].TS)
+			}
+		}
+	}
+	if len(batch) != cfg.BatchMax || found != 50 {
+		t.Fatalf("scanned %d entries and found %d versions, want %d and 50", len(batch), found, cfg.BatchMax)
+	}
+}

@@ -90,7 +90,7 @@ func TestFailedCommitChangesNothing(t *testing.T) {
 		t.Fatalf("neither concurrent insert of x committed: %v, %v", insErr[0], insErr[1])
 	}
 	prim.mu.RLock()
-	entries := prim.log.ScanAfter(oplog.Zero, 0)
+	entries := prim.log.ScanAfter(nil, oplog.Zero, 0)
 	prim.mu.RUnlock()
 	if len(entries) != 2 {
 		t.Fatalf("primary oplog holds %d entries; want the winner's set and insert", len(entries))

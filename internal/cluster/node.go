@@ -266,7 +266,7 @@ func (n *Node) QueueDepth() int { return n.cpu.Waiting() }
 // lands its mutations in the store, appends them to the oplog, releases
 // the write-concern waiters its commit satisfies and enforces the oplog
 // cap. A commit that fails changes nothing (see commitLocked).
-func (n *Node) commitStaged(p sim.Proc, muts []oplog.Entry) (oplog.OpTime, error) {
+func (n *Node) commitStaged(p sim.Proc, muts []*oplog.Entry) (oplog.OpTime, error) {
 	if len(muts) == 0 {
 		return oplog.Zero, nil
 	}
@@ -291,18 +291,20 @@ func (n *Node) commitStaged(p sim.Proc, muts []oplog.Entry) (oplog.OpTime, error
 
 // commitLocked lands one transaction's staged mutations in the store,
 // then mints their timestamps, stamps the versions it stored with them
-// and appends the entries to the oplog in one batch (one tail
-// notification per transaction). The payloads were encoded at staging
-// time: an insert's is stored as it is and a set's is spliced into the
-// stored document, so nothing is serialized inside the critical
-// section. Each mutation looks its _id up once, and returns the version
-// it replaced. An insert fails if a commit since its staging stored a
-// document with its _id. When any mutation fails, the versions before
-// it are put back, newest first, and no timestamp is minted, so the
-// store, the oplog and lastApplied are as they were and nothing
-// replicates. Caller holds applyMu and the n.mu write lock, which
-// also keeps every getMore from reading a stamp before it is set.
-func (n *Node) commitLocked(now time.Duration, muts []oplog.Entry) (oplog.OpTime, error) {
+// and appends the staged entries themselves to the oplog in one batch
+// (one tail notification per transaction); from then on they are
+// immutable, and every member logs the same ones. The payloads were
+// encoded at staging time: an insert's is stored as it is and a set's
+// is spliced into the stored document, so nothing is serialized inside
+// the critical section. Each mutation looks its _id up once, and
+// returns the version it replaced. An insert fails if a commit since
+// its staging stored a document with its _id. When any mutation fails,
+// the versions before it are put back, newest first, and no timestamp
+// is minted, so the store, the oplog and lastApplied are as they were
+// and nothing replicates. Caller holds applyMu and the n.mu write
+// lock, which also keeps every getMore from reading a stamp before it
+// is set.
+func (n *Node) commitLocked(now time.Duration, muts []*oplog.Entry) (oplog.OpTime, error) {
 	var buf [4]change
 	done := buf[:0]
 	for _, m := range muts {
@@ -381,7 +383,7 @@ func (n *Node) commitNoop(p sim.Proc) {
 	if n.Down() || n.rs.PrimaryID() != n.ID {
 		return
 	}
-	_, _ = n.commitStaged(p, []oplog.Entry{{Kind: oplog.KindNoop}})
+	_, _ = n.commitStaged(p, []*oplog.Entry{{Kind: oplog.KindNoop}})
 }
 
 // noteApplyErrors counts replication apply/append failures in the
@@ -601,8 +603,9 @@ type localWriteTxn struct {
 	// time, on the writer's own service time and outside any lock, so
 	// the commit critical section is reduced to byte splices, timestamp
 	// minting and the oplog append. An insert's payload becomes the
-	// stored document.
-	muts []oplog.Entry
+	// stored document, and each entry, once committed, is the one every
+	// member's oplog holds.
+	muts []*oplog.Entry
 }
 
 // Insert adds a new document at commit time. A duplicate _id is caught
@@ -626,7 +629,7 @@ func (t *localWriteTxn) Insert(collection string, doc storage.Document) error {
 			return fmt.Errorf("cluster: duplicate _id %q in %s (within transaction)", id, collection)
 		}
 	}
-	t.muts = append(t.muts, oplog.Entry{Kind: oplog.KindInsert, Collection: collection, DocID: id, Payload: storage.EncodeDoc(norm)})
+	t.muts = append(t.muts, &oplog.Entry{Kind: oplog.KindInsert, Collection: collection, DocID: id, Payload: storage.EncodeDoc(norm)})
 	return nil
 }
 
@@ -637,13 +640,13 @@ func (t *localWriteTxn) Set(collection, id string, fields storage.Document) erro
 	if err != nil {
 		return err
 	}
-	t.muts = append(t.muts, oplog.Entry{Kind: oplog.KindSet, Collection: collection, DocID: id, Payload: storage.EncodeDoc(norm)})
+	t.muts = append(t.muts, &oplog.Entry{Kind: oplog.KindSet, Collection: collection, DocID: id, Payload: storage.EncodeDoc(norm)})
 	return nil
 }
 
 // Delete removes the identified document at commit, if present.
 func (t *localWriteTxn) Delete(collection, id string) error {
-	t.muts = append(t.muts, oplog.Entry{Kind: oplog.KindDelete, Collection: collection, DocID: id})
+	t.muts = append(t.muts, &oplog.Entry{Kind: oplog.KindDelete, Collection: collection, DocID: id})
 	return nil
 }
 

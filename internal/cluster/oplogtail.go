@@ -28,7 +28,7 @@ func (rs *ReplicaSet) OplogTail(p sim.Proc, after oplog.OpTime, max int) ([]oplo
 	n.cpu.Acquire(p)
 	p.Sleep(n.jitterCost(rs.cfg.StatusCost))
 	n.mu.RLock()
-	entries := n.log.ScanAfter(after, max)
+	entries := n.log.ScanAfter(nil, after, max)
 	applied := n.lastApplied
 	trunc := n.log.TruncatedTo()
 	n.mu.RUnlock()

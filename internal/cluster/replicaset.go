@@ -423,14 +423,15 @@ func (rs *ReplicaSet) Failover(p sim.Proc) int {
 	// the drain overlaps the catch-up work. No new-epoch lease can
 	// exist until endTransfer reopens grants after the primary flip.
 	drainUntil := rs.leases.beginTransfer(best)
-	// Catch-up: copy and apply the entries the winner is missing. The
-	// scan only reads the old primary's oplog, so the read lock is
+	// Catch-up: apply the entries the winner is missing, and log the
+	// old primary's entries themselves (they are immutable). The scan
+	// only reads the old primary's oplog, so the read lock is
 	// enough; reads there keep flowing during the election. The batch
 	// is checked once outside any lock, and the apply runs under the
 	// winner's applyMu so it serializes with any in-flight chunk apply
 	// from the winner's own puller.
 	old.mu.RLock()
-	missing := old.log.ScanAfter(bestTS, 0)
+	missing := old.log.ScanAfter(nil, bestTS, 0)
 	old.mu.RUnlock()
 	missing, dropped, cerr := oplog.CheckBatch(missing)
 	if dropped > 0 {

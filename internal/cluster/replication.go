@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"decongestant/internal/oplog"
@@ -42,9 +43,13 @@ func (rs *ReplicaSet) startBackground() {
 // checkpointing, the getMore stalls and local lastApplied freezes —
 // staleness rises gradually. Once a large batch finally arrives, the
 // (uncongested) secondary applies it quickly and catches up —
-// staleness collapses. This is the sawtooth of §4.5.
+// staleness collapses. This is the sawtooth of §4.5. The puller
+// reuses one batch and one versions slice across getMores: once a
+// batch is applied the log holds its entries, so the slices are free.
 func (n *Node) pullerLoop(p sim.Proc) {
 	rs := n.rs
+	var buf []*oplog.Entry
+	var vbuf []*storage.EncodedDoc
 	for {
 		if rs.PrimaryID() == n.ID || n.Down() {
 			p.Sleep(rs.cfg.ReplIdlePoll)
@@ -53,7 +58,7 @@ func (n *Node) pullerLoop(p sim.Proc) {
 		prim := rs.Primary()
 		after, applied := n.fetchPoint()
 		rs.net.Travel(p, n.Zone, prim.Zone)
-		batch, versions, gapped := prim.serveGetMore(p, n.ID, after, applied)
+		batch, versions, gapped := prim.serveGetMore(p, n.ID, after, applied, buf[:0], vbuf)
 		rs.net.Travel(p, prim.Zone, n.Zone)
 		n.obsOplogLag.Set(prim.OplogLast().LagSeconds(n.LastApplied()))
 		if gapped {
@@ -72,6 +77,12 @@ func (n *Node) pullerLoop(p sim.Proc) {
 			continue
 		}
 		n.applyBatch(p, batch, versions)
+		clear(batch) // keep no dropped entry or replaced version alive
+		clear(versions)
+		buf = batch[:0]
+		if versions != nil {
+			vbuf = versions[:0]
+		}
 	}
 }
 
@@ -93,7 +104,7 @@ func (n *Node) fetchPoint() (after, applied oplog.OpTime) {
 // writer threads; here one applier lands each chunk in oplog order).
 // versions are the primary's versions of the batch's sets (see
 // serveGetMore); a batch that lost a corrupt entry splices every set.
-func (n *Node) applyBatch(p sim.Proc, batch []oplog.Entry, versions []*storage.EncodedDoc) {
+func (n *Node) applyBatch(p sim.Proc, batch []*oplog.Entry, versions []*storage.EncodedDoc) {
 	rs := n.rs
 	batch, dropped, cerr := oplog.CheckBatch(batch)
 	if dropped > 0 {
@@ -130,8 +141,9 @@ func (n *Node) applyBatch(p sim.Proc, batch []oplog.Entry, versions []*storage.E
 // applyMu (serialized against commits, catch-up and resync, but NOT
 // against readers), which adopts the primary's version of a set where
 // it can and splices otherwise; the node write lock is held only to
-// append the oplog entries and flip lastApplied.
-func (n *Node) applyChunk(entries []oplog.Entry, versions []*storage.EncodedDoc) {
+// append the primary's entries themselves to this member's oplog and
+// flip lastApplied.
+func (n *Node) applyChunk(entries []*oplog.Entry, versions []*storage.EncodedDoc) {
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
 	got, failed, err := oplog.ApplyBatch(n.store, entries, versions)
@@ -219,15 +231,17 @@ func (n *Node) resyncFrom(p sim.Proc, prim *Node) {
 // The scan runs under the read lock — fetches never serialize behind
 // commits — and the fetch-position update takes only fetchMu.
 //
-// Alongside the batch it returns, parallel to it, the versions the
-// primary produced: for each set entry whose document's current
-// version here still carries the entry's TS as its stamp, that
-// immutable version (nil elsewhere, and nil altogether when there is
-// none). The members share the process, so a secondary stores it
-// instead of splicing its own copy (oplog.ApplyBatch). The last result
-// is true when `after` has been truncated away and the caller must
-// resync.
-func (n *Node) serveGetMore(p sim.Proc, from int, after, applied oplog.OpTime) ([]oplog.Entry, []*storage.EncodedDoc, bool) {
+// The batch is the primary's own entries, appended to the caller's
+// batch slice, which the secondary logs as they are. Alongside it, in
+// the backing array of the caller's versions slice, it returns,
+// parallel to the batch, the versions the primary produced: for each
+// set entry whose document's current version here still carries the
+// entry's TS as its stamp, that immutable version (nil elsewhere, and
+// nil altogether when there is none). The members share the process,
+// so a secondary stores it instead of splicing its own copy
+// (oplog.ApplyBatch). The last result is true when `after` has been
+// truncated away and the caller must resync.
+func (n *Node) serveGetMore(p sim.Proc, from int, after, applied oplog.OpTime, batch []*oplog.Entry, versions []*storage.EncodedDoc) ([]*oplog.Entry, []*storage.EncodedDoc, bool) {
 	n.setKnown(from, applied)
 	if !n.rs.cfg.DisableTailWake && !after.Before(n.OplogLast()) {
 		n.tailGate.WaitTimeout(p, n.rs.cfg.ReplIdlePoll)
@@ -242,11 +256,9 @@ func (n *Node) serveGetMore(p sim.Proc, from int, after, applied oplog.OpTime) (
 	n.obsQueueWait.Observe(total - cost)
 	n.mu.RLock()
 	gapped := after.Before(n.log.TruncatedTo())
-	var batch []oplog.Entry
-	var versions []*storage.EncodedDoc
 	if !gapped {
-		batch = n.log.ScanAfter(after, n.rs.cfg.BatchMax)
-		versions = n.versionsLocked(batch)
+		batch = n.log.ScanAfter(batch, after, n.rs.cfg.BatchMax)
+		versions = n.versionsLocked(versions, batch)
 	}
 	n.mu.RUnlock()
 	n.stats.getMores.Add(1)
@@ -266,11 +278,12 @@ func (n *Node) serveGetMore(p sim.Proc, from int, after, applied oplog.OpTime) (
 	return batch, versions, false
 }
 
-// versionsLocked returns, parallel to batch, the current version of
-// each set entry's document when that version is the one the entry
-// produced (its stamp is the entry's TS), or nil if no entry's is.
-// Caller holds n.mu, under which commits stamp their versions.
-func (n *Node) versionsLocked(batch []oplog.Entry) []*storage.EncodedDoc {
+// versionsLocked returns, parallel to batch and in dst's backing array
+// when it is large enough, the current version of each set entry's
+// document when that version is the one the entry produced (its stamp
+// is the entry's TS), or nil if no entry's is. Caller holds n.mu,
+// under which commits stamp their versions.
+func (n *Node) versionsLocked(dst []*storage.EncodedDoc, batch []*oplog.Entry) []*storage.EncodedDoc {
 	var out []*storage.EncodedDoc
 	var c *storage.Collection
 	var coll string
@@ -289,7 +302,8 @@ func (n *Node) versionsLocked(batch []oplog.Entry) []*storage.EncodedDoc {
 			continue
 		}
 		if out == nil {
-			out = make([]*storage.EncodedDoc, len(batch))
+			out = slices.Grow(dst[:0], len(batch))[:len(batch)]
+			clear(out)
 		}
 		out[i] = v
 	}
@@ -407,7 +421,7 @@ func (n *Node) checkpointLoop(p sim.Proc) {
 // new pages and touch every index (TPC-C's order/history inserts are
 // what made the paper's checkpoints take ~30 s, §4.5), so they weigh
 // 10x their payload; deletes touch a fixed amount of bookkeeping.
-func entryBytes(e oplog.Entry) int64 {
+func entryBytes(e *oplog.Entry) int64 {
 	const overhead = 64
 	switch e.Kind {
 	case oplog.KindInsert:

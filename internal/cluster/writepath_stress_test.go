@@ -268,7 +268,7 @@ func TestWritePathVirtualDeterminism(t *testing.T) {
 			n := rs.Node(id)
 			n.mu.RLock()
 			b = fmt.Appendf(b, "n%d last=%v log=", id, n.lastApplied)
-			for _, e := range n.log.ScanAfter(oplog.Zero, 0) {
+			for _, e := range n.log.ScanAfter(nil, oplog.Zero, 0) {
 				b = fmt.Appendf(b, "%v/%v,", e.TS, e.Kind)
 			}
 			if c, ok := n.store.Lookup("kv"); ok {
@@ -374,7 +374,7 @@ func TestApplyErrorsAreCounted(t *testing.T) {
 	// would leave it, then follow with good writes.
 	prim.mu.Lock()
 	ts := prim.log.NextTS(0)
-	err := prim.log.Append(oplog.Entry{
+	err := prim.log.Append(&oplog.Entry{
 		TS: ts, Kind: oplog.KindSet, Collection: "kv", DocID: "torn",
 		Payload: []byte{0x01}, // one field promised, zero bytes follow
 	})

@@ -90,8 +90,12 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Entry is one replicated operation. The payload is a BSON-lite
-// encoded document so replication ships bytes, never shared pointers.
+// Entry is one replicated operation, immutable once logged. A replica
+// set's members share one process, so a secondary logs the very *Entry
+// its primary logged: each entry exists once per set however many logs
+// hold it, and a log's slot is one pointer. The payload is a BSON-lite
+// encoded document, which each member's store checks and splices or
+// stores without decoding.
 type Entry struct {
 	TS         OpTime
 	Kind       Kind
@@ -102,33 +106,33 @@ type Entry struct {
 
 // NewInsert builds an insert entry for doc. The document is normalized
 // (convenience numeric widths become int64/float64) before encoding.
-func NewInsert(ts OpTime, collection string, doc storage.Document) Entry {
+func NewInsert(ts OpTime, collection string, doc storage.Document) *Entry {
 	norm, err := doc.Canonicalized()
 	if err != nil {
 		panic(err) // unencodable value: programming error at the write site
 	}
-	return Entry{TS: ts, Kind: KindInsert, Collection: collection,
+	return &Entry{TS: ts, Kind: KindInsert, Collection: collection,
 		DocID: norm.ID(), Payload: storage.EncodeDoc(norm)}
 }
 
 // NewSet builds a field-merge entry with post-image field values,
 // normalized before encoding.
-func NewSet(ts OpTime, collection, docID string, fields storage.Document) Entry {
+func NewSet(ts OpTime, collection, docID string, fields storage.Document) *Entry {
 	norm, err := fields.Canonicalized()
 	if err != nil {
 		panic(err)
 	}
-	return Entry{TS: ts, Kind: KindSet, Collection: collection,
+	return &Entry{TS: ts, Kind: KindSet, Collection: collection,
 		DocID: docID, Payload: storage.EncodeDoc(norm)}
 }
 
 // NewDelete builds a delete entry.
-func NewDelete(ts OpTime, collection, docID string) Entry {
-	return Entry{TS: ts, Kind: KindDelete, Collection: collection, DocID: docID}
+func NewDelete(ts OpTime, collection, docID string) *Entry {
+	return &Entry{TS: ts, Kind: KindDelete, Collection: collection, DocID: docID}
 }
 
 // NewNoop builds a no-op entry.
-func NewNoop(ts OpTime) Entry { return Entry{TS: ts, Kind: KindNoop} }
+func NewNoop(ts OpTime) *Entry { return &Entry{TS: ts, Kind: KindNoop} }
 
 // Apply executes the entry against a store, idempotently: applying an
 // entry twice leaves the same state as applying it once. Payloads are
@@ -136,7 +140,7 @@ func NewNoop(ts OpTime) Entry { return Entry{TS: ts, Kind: KindNoop} }
 // is, and a set's encoded fields are spliced into the stored one; the
 // version either stores carries e.TS as its stamp. The store validates
 // both, so a corrupt payload fails without effect.
-func (e Entry) Apply(s *storage.Store) error {
+func (e *Entry) Apply(s *storage.Store) error {
 	op, ok := e.applyOp(nil)
 	if !ok {
 		if e.Kind == KindNoop {
@@ -152,7 +156,7 @@ func (e Entry) Apply(s *storage.Store) error {
 
 // applyOp is e as a store mutation stamped e.TS, offering v as the
 // primary's version of a set; false for a noop or an unknown kind.
-func (e Entry) applyOp(v *storage.EncodedDoc) (storage.ApplyOp, bool) {
+func (e *Entry) applyOp(v *storage.EncodedDoc) (storage.ApplyOp, bool) {
 	op := storage.ApplyOp{ID: e.DocID, Enc: e.Payload, Stamp: storage.Stamp(e.TS)}
 	switch e.Kind {
 	case KindInsert:
@@ -169,7 +173,7 @@ func (e Entry) applyOp(v *storage.EncodedDoc) (storage.ApplyOp, bool) {
 
 // Check validates e's payload without decoding it: an insert or set
 // must carry exactly one canonical BSON-lite document.
-func (e Entry) Check() error {
+func (e *Entry) Check() error {
 	switch e.Kind {
 	case KindInsert, KindSet:
 		if err := storage.CheckDoc(e.Payload); err != nil {
@@ -183,7 +187,7 @@ func (e Entry) Check() error {
 // Check, filtering in place, so a secondary validates a batch outside
 // any lock and never logs a corrupt entry. It returns the kept
 // entries, how many were dropped, and the first error (nil if none).
-func CheckBatch(entries []Entry) ([]Entry, int, error) {
+func CheckBatch(entries []*Entry) ([]*Entry, int, error) {
 	out := entries[:0]
 	var first error
 	for _, e := range entries {
@@ -198,9 +202,9 @@ func CheckBatch(entries []Entry) ([]Entry, int, error) {
 	return out, len(entries) - len(out), first
 }
 
-// DecodedEntry is an Entry with its payload decoded, for consumers
-// outside a store: chunk migration replays it as writes, and the wire
-// ships it in oplog_tail responses.
+// DecodedEntry is a copy of an Entry with its payload decoded, for
+// consumers outside a store: chunk migration replays it as writes, and
+// the wire ships it in oplog_tail responses.
 type DecodedEntry struct {
 	Entry
 	// Doc is the decoded payload: the full document for an insert, the
@@ -209,8 +213,8 @@ type DecodedEntry struct {
 }
 
 // Decode parses e's payload once.
-func (e Entry) Decode() (DecodedEntry, error) {
-	d := DecodedEntry{Entry: e}
+func (e *Entry) Decode() (DecodedEntry, error) {
+	d := DecodedEntry{Entry: *e}
 	switch e.Kind {
 	case KindInsert, KindSet:
 		doc, err := storage.DecodeDoc(e.Payload)
@@ -225,7 +229,7 @@ func (e Entry) Decode() (DecodedEntry, error) {
 // DecodeBatch decodes every entry of a fetched batch, dropping
 // undecodable ones. It returns the decoded batch, how many entries
 // were dropped, and the first decode error (nil if none).
-func DecodeBatch(entries []Entry) ([]DecodedEntry, int, error) {
+func DecodeBatch(entries []*Entry) ([]DecodedEntry, int, error) {
 	out := make([]DecodedEntry, 0, len(entries))
 	dropped := 0
 	var first error
@@ -254,7 +258,7 @@ func DecodeBatch(entries []Entry) ([]DecodedEntry, int, error) {
 // (storage.ApplyOp.Version). Individual failures are skipped, not
 // fatal: it returns what applied (noops count as applied), how many
 // entries failed, and the first error.
-func ApplyBatch(s *storage.Store, batch []Entry, versions []*storage.EncodedDoc) (n storage.ApplyCounts, failed int, firstErr error) {
+func ApplyBatch(s *storage.Store, batch []*Entry, versions []*storage.EncodedDoc) (n storage.ApplyCounts, failed int, firstErr error) {
 	var run []storage.ApplyOp
 	var runColl string
 	flush := func() {
@@ -298,11 +302,11 @@ func ApplyBatch(s *storage.Store, batch []Entry, versions []*storage.EncodedDoc)
 	return n, failed, firstErr
 }
 
-// Segment geometry: a Log stores its entries in segments of segLen
-// slots (80 KB each), so a slot's segment and offset are a shift and a
-// mask of its position. A log keeps up to maxSpares emptied segments
-// for reuse: a round that appends up to one segment's worth of entries
-// and then truncates back to a cap crosses at most two segment
+// Segment geometry: a Log stores pointers to its entries in segments
+// of segLen slots (8 KB each), so a slot's segment and offset are a
+// shift and a mask of its position. A log keeps up to maxSpares emptied
+// segments for reuse: a round that appends up to one segment's worth of
+// entries and then truncates back to a cap crosses at most two segment
 // boundaries at the tail before the head releases any, so two spares
 // keep that steady state free of allocation.
 const (
@@ -313,19 +317,21 @@ const (
 )
 
 // Log is an append-only sequence of entries ordered by OpTime, stored
-// in fixed-size segments. An append fills the newest segment and adds
-// a segment when it is full; truncation zeroes the dropped slots and
-// releases every segment it empties. No entry is ever copied inside
-// the log, and the memory held follows the entries kept: at most one
-// partly filled segment at each end plus the spares, which the next
-// segments added reuse, so a capped log's steady state allocates
-// nothing. The Log carries no lock of its own; callers (the cluster
-// node) synchronize access.
+// as pointers in fixed-size segments. The entries are immutable and
+// may be shared: a secondary's log holds the very entries its
+// primary's does, while its head, truncation and reset stay its own.
+// An append fills the newest segment and adds a segment when it is
+// full; truncation clears the dropped slots and releases every segment
+// it empties. No entry is ever copied, and the memory held follows the
+// entries kept: at most one partly filled segment at each end plus the
+// spares, which the next segments added reuse, so a capped log's
+// steady state allocates nothing. The Log carries no lock of its own;
+// callers (the cluster node) synchronize access.
 type Log struct {
-	segs   [][]Entry // segLen-slot segments, oldest first; unused slots are zero
-	head   int       // slot of the oldest entry in segs[0]
-	count  int       // live entries
-	spares [][]Entry // up to maxSpares emptied (all-zero) segments
+	segs   [][]*Entry // segLen-slot segments, oldest first; unused slots are nil
+	head   int        // slot of the oldest entry in segs[0]
+	count  int        // live entries
+	spares [][]*Entry // up to maxSpares emptied (all-nil) segments
 
 	lastTS  OpTime
 	nextInc uint32
@@ -355,15 +361,21 @@ func (l *Log) notify() {
 	}
 }
 
-// slot returns the slot of the i-th oldest entry (i may be count, the
-// next free slot, once ensure has made room for it).
-func (l *Log) slot(i int) *Entry {
+// at returns the i-th oldest entry.
+func (l *Log) at(i int) *Entry {
 	i += l.head
-	return &l.segs[i>>segShift][i&segMask]
+	return l.segs[i>>segShift][i&segMask]
+}
+
+// put stores e in the next free slot, which ensure has made room for.
+func (l *Log) put(e *Entry) {
+	i := l.head + l.count
+	l.segs[i>>segShift][i&segMask] = e
+	l.count++
 }
 
 // span calls fn on the slots of entries [i, j) one segment at a time.
-func (l *Log) span(i, j int, fn func(slots []Entry)) {
+func (l *Log) span(i, j int, fn func(slots []*Entry)) {
 	for i < j {
 		k := l.head + i
 		slots := l.segs[k>>segShift][k&segMask:]
@@ -376,13 +388,13 @@ func (l *Log) span(i, j int, fn func(slots []Entry)) {
 // ensure adds segments, spares first, until n more entries fit.
 func (l *Log) ensure(n int) {
 	for len(l.segs)<<segShift < l.head+l.count+n {
-		var seg []Entry
+		var seg []*Entry
 		if k := len(l.spares) - 1; k >= 0 {
 			seg = l.spares[k]
 			l.spares[k] = nil
 			l.spares = l.spares[:k]
 		} else {
-			seg = make([]Entry, segLen)
+			seg = make([]*Entry, segLen)
 		}
 		l.segs = append(l.segs, seg)
 	}
@@ -402,9 +414,10 @@ func (l *Log) release(k int) {
 	l.segs = l.segs[:n]
 }
 
-// dropFirst discards the n oldest entries, zeroing their slots so the
-// payloads are collectable, releases the segments that emptied (all of
-// them when the log empties), and records the newest dropped TS.
+// dropFirst discards the n oldest entries, clearing their slots so an
+// entry no other log holds is collectable, releases the segments that
+// emptied (all of them when the log empties), and records the newest
+// dropped TS.
 func (l *Log) dropFirst(n int) int {
 	if n <= 0 {
 		return 0
@@ -412,8 +425,8 @@ func (l *Log) dropFirst(n int) int {
 	if n > l.count {
 		n = l.count
 	}
-	l.truncatedTo = l.slot(n - 1).TS
-	l.span(0, n, func(slots []Entry) { clear(slots) })
+	l.truncatedTo = l.at(n - 1).TS
+	l.span(0, n, func(slots []*Entry) { clear(slots) })
 	l.head += n
 	l.count -= n
 	if l.count == 0 {
@@ -447,14 +460,14 @@ func (l *Log) NextTS(now time.Duration) OpTime {
 	return ts
 }
 
-// Append adds an entry; its TS must exceed the last appended TS.
-func (l *Log) Append(e Entry) error {
+// Append adds an entry; its TS must exceed the last appended TS. The
+// log holds e itself, which must not change from here on.
+func (l *Log) Append(e *Entry) error {
 	if !l.lastTS.Before(e.TS) {
 		return fmt.Errorf("oplog: append out of order: %s after %s", e.TS, l.lastTS)
 	}
 	l.ensure(1)
-	*l.slot(l.count) = e
-	l.count++
+	l.put(e)
 	l.lastTS = e.TS
 	l.notify()
 	return nil
@@ -463,8 +476,9 @@ func (l *Log) Append(e Entry) error {
 // AppendBatch adds entries (each TS exceeding the previous) with one
 // capacity check and one tail notification for the whole batch: a
 // transaction's commit at the primary, or an applied chunk at a
-// secondary. On an ordering error nothing is appended.
-func (l *Log) AppendBatch(entries []Entry) error {
+// secondary. The log holds the entries themselves, not copies; the
+// caller may reuse the slice. On an ordering error nothing is appended.
+func (l *Log) AppendBatch(entries []*Entry) error {
 	last := l.lastTS
 	for _, e := range entries {
 		if !last.Before(e.TS) {
@@ -477,8 +491,7 @@ func (l *Log) AppendBatch(entries []Entry) error {
 	}
 	l.ensure(len(entries))
 	for _, e := range entries {
-		*l.slot(l.count) = e
-		l.count++
+		l.put(e)
 	}
 	l.lastTS = last
 	l.notify()
@@ -493,7 +506,7 @@ func (l *Log) First() OpTime {
 	if l.count == 0 {
 		return Zero
 	}
-	return l.slot(0).TS
+	return l.at(0).TS
 }
 
 // TruncatedTo returns the TS of the newest entry ever discarded (Zero
@@ -504,27 +517,40 @@ func (l *Log) TruncatedTo() OpTime { return l.truncatedTo }
 // Len returns the number of entries retained.
 func (l *Log) Len() int { return l.count }
 
-// search returns the smallest logical index whose entry satisfies
-// pred, or count if none does (entries are TS-ordered).
+// search returns the smallest logical index whose entry's TS
+// satisfies pred, or count if none does; pred must hold from some
+// index on and nowhere before it (entries are TS-ordered). Fetch
+// positions and truncation cutoffs sit near the tail, so search
+// gallops back from the newest entry, probing 1, 2, 4, … entries back,
+// and binary-searches only the span it crossed last: an answer d
+// entries from the tail costs O(log d) probes, and a caught-up
+// fetcher's costs one.
 func (l *Log) search(pred func(OpTime) bool) int {
-	return sort.Search(l.count, func(i int) bool {
-		return pred(l.slot(i).TS)
-	})
+	hi := l.count // pred holds from hi on
+	for step := 1; hi > 0; step <<= 1 {
+		lo := max(hi-step, 0)
+		if !pred(l.at(lo).TS) {
+			return lo + 1 + sort.Search(hi-lo-1, func(k int) bool {
+				return pred(l.at(lo + 1 + k).TS)
+			})
+		}
+		hi = lo
+	}
+	return 0
 }
 
-// ScanAfter returns up to max entries with TS strictly after `after`.
-func (l *Log) ScanAfter(after OpTime, max int) []Entry {
+// ScanAfter appends to dst up to max entries (all if max <= 0) with
+// TS strictly after `after`, and returns the extended slice. The
+// entries are the log's own, shared and immutable; a caller that
+// passes its previous batch back as dst[:0] scans without allocating.
+func (l *Log) ScanAfter(dst []*Entry, after OpTime, max int) []*Entry {
 	i := l.search(after.Before)
-	if i >= l.count {
-		return nil
-	}
 	end := l.count
 	if max > 0 && i+max < end {
 		end = i + max
 	}
-	out := make([]Entry, 0, end-i)
-	l.span(i, end, func(slots []Entry) { out = append(out, slots...) })
-	return out
+	l.span(i, end, func(slots []*Entry) { dst = append(dst, slots...) })
+	return dst
 }
 
 // TruncateBefore discards entries with TS before the cutoff, bounding

@@ -79,19 +79,19 @@ func TestScanAfter(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := l.ScanAfter(OpTime{3, 1}, 0)
+	got := l.ScanAfter(nil, OpTime{3, 1}, 0)
 	if len(got) != 7 || got[0].TS.Secs != 4 {
 		t.Fatalf("ScanAfter: %d entries starting %v", len(got), got[0].TS)
 	}
-	got = l.ScanAfter(OpTime{3, 0}, 0) // strictly-after semantics
+	got = l.ScanAfter(nil, OpTime{3, 0}, 0) // strictly-after semantics
 	if len(got) != 8 || got[0].TS.Secs != 3 {
 		t.Fatalf("ScanAfter(3,0): %d entries", len(got))
 	}
-	got = l.ScanAfter(Zero, 4)
+	got = l.ScanAfter(nil, Zero, 4)
 	if len(got) != 4 {
 		t.Fatalf("max ignored: %d", len(got))
 	}
-	if got := l.ScanAfter(OpTime{10, 1}, 0); got != nil {
+	if got := l.ScanAfter(nil, OpTime{10, 1}, 0); got != nil {
 		t.Fatalf("scan past end: %v", got)
 	}
 }
@@ -107,7 +107,7 @@ func TestTruncateBefore(t *testing.T) {
 	if l.Len() != 6 {
 		t.Fatalf("Len=%d", l.Len())
 	}
-	if got := l.ScanAfter(Zero, 1); got[0].TS.Secs != 5 {
+	if got := l.ScanAfter(nil, Zero, 1); got[0].TS.Secs != 5 {
 		t.Fatalf("first entry %v", got[0].TS)
 	}
 	if l.Last() != (OpTime{10, 1}) {
@@ -144,7 +144,7 @@ func TestApplyInsertSetDelete(t *testing.T) {
 // Applying a suffix of the log twice must be a no-op — the property
 // MongoDB's oplog application relies on after restarts.
 func TestApplyIdempotent(t *testing.T) {
-	entries := []Entry{
+	entries := []*Entry{
 		NewInsert(OpTime{1, 1}, "c", storage.D{"_id": "a", "v": 1}),
 		NewSet(OpTime{1, 2}, "c", "a", storage.D{"v": 5}),
 		NewInsert(OpTime{1, 3}, "c", storage.D{"_id": "b", "v": 2}),
@@ -190,10 +190,10 @@ func TestApplyCorruptPayload(t *testing.T) {
 func TestQuickPrefixReplayEquivalence(t *testing.T) {
 	f := func(vals []uint8, split uint8) bool {
 		l := NewLog()
-		var entries []Entry
+		var entries []*Entry
 		for i, v := range vals {
 			ts := OpTime{int64(i + 1), 1}
-			var e Entry
+			var e *Entry
 			switch v % 3 {
 			case 0:
 				e = NewInsert(ts, "c", storage.D{"_id": "k" + string(rune('a'+v%7)), "v": int64(v)})
@@ -225,7 +225,7 @@ func TestQuickPrefixReplayEquivalence(t *testing.T) {
 				return false
 			}
 		}
-		for _, e := range l.ScanAfter(prefixLastTS(entries, k), 0) {
+		for _, e := range l.ScanAfter(nil, prefixLastTS(entries, k), 0) {
 			if err := e.Apply(parts); err != nil {
 				return false
 			}
@@ -247,7 +247,7 @@ func TestQuickPrefixReplayEquivalence(t *testing.T) {
 	}
 }
 
-func prefixLastTS(entries []Entry, k int) OpTime {
+func prefixLastTS(entries []*Entry, k int) OpTime {
 	if k == 0 {
 		return Zero
 	}
@@ -265,7 +265,7 @@ func TestTruncateToLast(t *testing.T) {
 	if l.Len() != 4 {
 		t.Fatalf("Len=%d", l.Len())
 	}
-	if got := l.ScanAfter(Zero, 1); got[0].TS.Secs != 7 {
+	if got := l.ScanAfter(nil, Zero, 1); got[0].TS.Secs != 7 {
 		t.Fatalf("first entry %v, want secs=7", got[0].TS)
 	}
 	if n := l.TruncateToLast(100); n != 0 {

@@ -2,101 +2,150 @@ package oplog
 
 // Tests for the segmented Log: every operation cross-checked against a
 // flat-slice reference model across many segment boundaries (randomly
-// and as a native fuzz target), the memory held bounded by the entries
-// kept, a capped log's steady state free of allocation, gap tracking
-// for fetchers that fall off the log, batch append, tail notification
-// and the checked batch apply path.
+// and as a native fuzz target), with a second log that shares the
+// first one's entries as a secondary does, the memory held bounded by
+// the entries kept, scans and a capped log's steady state free of
+// allocation, gap tracking for fetchers that fall off the log, batch
+// append, tail notification and the checked batch apply path.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
 	"decongestant/internal/storage"
 )
 
-// logModel runs operations on a Log and on a plain-slice model of it
-// side by side, failing at the first observable difference.
-type logModel struct {
-	t     testing.TB
+// modelLog is one Log and a plain-slice model of it.
+type modelLog struct {
 	l     *Log
-	ref   []Entry
+	ref   []*Entry
 	last  OpTime // newest appended or reset TS
 	trunc OpTime // newest dropped or reset TS
-	next  int64  // Secs of the newest minted TS
 }
 
-func newLogModel(t testing.TB) *logModel { return &logModel{t: t, l: NewLog()} }
+// logModel runs operations on two Logs that share entries, as a
+// replica set's members do, and on a model of each side by side,
+// failing at the first observable difference. The leader mints and
+// appends entries; the follower appends the very entries it scans from
+// the leader, and truncates and resets on its own.
+type logModel struct {
+	t        testing.TB
+	leader   modelLog
+	follower modelLog
+	batch    []*Entry // the follower's fetch batch, reused like a puller's
+	next     int64    // Secs of the newest minted TS
+}
+
+func newLogModel(t testing.TB) *logModel {
+	return &logModel{t: t, leader: modelLog{l: NewLog()}, follower: modelLog{l: NewLog()}}
+}
 
 func (m *logModel) mint() OpTime {
 	m.next++
 	return OpTime{m.next, 1}
 }
 
+// entry mints a set entry whose fields all follow from its TS, so
+// intact can tell whether anything changed it since.
+func (m *logModel) entry() *Entry {
+	ts := m.mint()
+	return &Entry{TS: ts, Kind: KindSet, Collection: "c", DocID: "d",
+		Payload: binary.BigEndian.AppendUint64(nil, uint64(ts.Secs))}
+}
+
+// intact reports whether e still holds what entry gave it.
+func intact(e *Entry) bool {
+	return e.TS.Inc == 1 && e.Kind == KindSet && e.Collection == "c" && e.DocID == "d" &&
+		len(e.Payload) == 8 && binary.BigEndian.Uint64(e.Payload) == uint64(e.TS.Secs)
+}
+
 func (m *logModel) appendOne() {
-	e := NewDelete(m.mint(), "c", "d")
-	if err := m.l.Append(e); err != nil {
+	e := m.entry()
+	if err := m.leader.l.Append(e); err != nil {
 		m.t.Fatal(err)
 	}
-	m.ref = append(m.ref, e)
-	m.last = e.TS
+	m.leader.ref = append(m.leader.ref, e)
+	m.leader.last = e.TS
 }
 
 func (m *logModel) appendBatch(n int) {
-	batch := make([]Entry, n)
+	batch := make([]*Entry, n)
 	for i := range batch {
-		batch[i] = NewDelete(m.mint(), "c", "d")
+		batch[i] = m.entry()
 	}
-	if err := m.l.AppendBatch(batch); err != nil {
+	if err := m.leader.l.AppendBatch(batch); err != nil {
 		m.t.Fatal(err)
 	}
-	m.ref = append(m.ref, batch...)
+	m.leader.ref = append(m.leader.ref, batch...)
 	if n > 0 {
-		m.last = batch[n-1].TS
+		m.leader.last = batch[n-1].TS
 	}
 }
 
-func (m *logModel) drop(n int) {
-	if n > 0 {
-		m.trunc = m.ref[n-1].TS
-		m.ref = m.ref[n:]
+// follow is one fetch and apply at the follower: scan the leader after
+// the follower's newest entry into the reused batch, and append those
+// very entries (max <= 0 takes all). A follower whose position fell
+// off the leader's log resyncs to the leader's newest entry instead.
+func (m *logModel) follow(max int) {
+	f := &m.follower
+	if f.last.Before(m.leader.l.TruncatedTo()) {
+		m.reset(f, m.leader.last)
+		return
+	}
+	m.batch = m.leader.l.ScanAfter(m.batch[:0], f.last, max)
+	if err := f.l.AppendBatch(m.batch); err != nil {
+		m.t.Fatal(err)
+	}
+	f.ref = append(f.ref, m.batch...)
+	if n := len(m.batch); n > 0 {
+		f.last = m.batch[n-1].TS
 	}
 }
 
-func (m *logModel) truncateToLast(n int) {
-	want := max(0, len(m.ref)-n)
-	if got := m.l.TruncateToLast(n); got != want {
+// drop removes the n oldest entries from the model.
+func (s *modelLog) drop(n int) {
+	if n > 0 {
+		s.trunc = s.ref[n-1].TS
+		s.ref = s.ref[n:]
+	}
+}
+
+func (m *logModel) truncateToLast(s *modelLog, n int) {
+	want := max(0, len(s.ref)-n)
+	if got := s.l.TruncateToLast(n); got != want {
 		m.t.Fatalf("TruncateToLast(%d) dropped %d, want %d", n, got, want)
 	}
-	m.drop(want)
+	s.drop(want)
 }
 
-func (m *logModel) truncateBefore(cut OpTime) {
+func (m *logModel) truncateBefore(s *modelLog, cut OpTime) {
 	want := 0
-	for want < len(m.ref) && m.ref[want].TS.Before(cut) {
+	for want < len(s.ref) && s.ref[want].TS.Before(cut) {
 		want++
 	}
-	if got := m.l.TruncateBefore(cut); got != want {
+	if got := s.l.TruncateBefore(cut); got != want {
 		m.t.Fatalf("TruncateBefore(%v) dropped %d, want %d", cut, got, want)
 	}
-	m.drop(want)
+	s.drop(want)
 }
 
 // truncateToSegment cuts the oldest entries up to the end of the first
 // segment, so the head lands exactly on a segment boundary.
-func (m *logModel) truncateToSegment() {
-	if drop := segLen - m.l.head; drop <= len(m.ref) {
-		m.truncateToLast(len(m.ref) - drop)
-		if m.l.head != 0 {
-			m.t.Fatalf("head at %d after a cut to a segment boundary", m.l.head)
+func (m *logModel) truncateToSegment(s *modelLog) {
+	if drop := segLen - s.l.head; drop <= len(s.ref) {
+		m.truncateToLast(s, len(s.ref)-drop)
+		if s.l.head != 0 {
+			m.t.Fatalf("head at %d after a cut to a segment boundary", s.l.head)
 		}
 	}
 }
 
-func (m *logModel) scan(after OpTime, max int) {
-	got := m.l.ScanAfter(after, max)
-	var want []Entry
-	for _, e := range m.ref {
+func (m *logModel) scan(s *modelLog, after OpTime, max int) {
+	got := s.l.ScanAfter(nil, after, max)
+	var want []*Entry
+	for _, e := range s.ref {
 		if after.Before(e.TS) {
 			want = append(want, e)
 			if max > 0 && len(want) == max {
@@ -108,78 +157,92 @@ func (m *logModel) scan(after OpTime, max int) {
 		m.t.Fatalf("ScanAfter(%v, %d) returned %d entries, want %d", after, max, len(got), len(want))
 	}
 	for i := range got {
-		if got[i].TS != want[i].TS || got[i].DocID != want[i].DocID {
-			m.t.Fatalf("ScanAfter(%v, %d)[%d] = %v, want %v", after, max, i, got[i].TS, want[i].TS)
+		if got[i] != want[i] || !intact(got[i]) {
+			m.t.Fatalf("ScanAfter(%v, %d)[%d] = %+v, want the entry minted at %v", after, max, i, *got[i], want[i].TS)
 		}
 	}
 }
 
-func (m *logModel) reset() {
-	ts := m.mint()
-	m.l.ResetTo(ts)
-	m.ref = nil
-	m.last, m.trunc = ts, ts
-	if len(m.l.segs) != 0 || len(m.l.spares) > maxSpares {
+// reset restarts s at ts, as an initial sync does.
+func (m *logModel) reset(s *modelLog, ts OpTime) {
+	s.l.ResetTo(ts)
+	s.ref = nil
+	s.last, s.trunc = ts, ts
+	if len(s.l.segs) != 0 || len(s.l.spares) > maxSpares {
 		m.t.Fatalf("ResetTo kept %d segments and %d spares, want 0 and at most %d",
-			len(m.l.segs), len(m.l.spares), maxSpares)
+			len(s.l.segs), len(s.l.spares), maxSpares)
 	}
 }
 
-// pick returns the TS at fraction frac/256 of the retained entries, or
+// pick returns the TS at fraction frac/256 of s's retained entries, or
 // Zero for frac 0 or an empty log.
-func (m *logModel) pick(frac int) OpTime {
-	if frac == 0 || len(m.ref) == 0 {
+func (m *logModel) pick(s *modelLog, frac int) OpTime {
+	if frac == 0 || len(s.ref) == 0 {
 		return Zero
 	}
-	return m.ref[frac*len(m.ref)/256].TS
+	return s.ref[frac*len(s.ref)/256].TS
 }
 
-// step runs one operation decoded from two bytes: op's low three bits
-// choose it, and arg (with op's high bits, for scans) sizes it. Batches
-// and caps run up to four segments' worth of entries.
+// step runs one operation decoded from two bytes: op modulo 13 chooses
+// it, and arg (with op/13, for scans) sizes it. Batches and caps run up
+// to four segments' worth of entries.
 func (m *logModel) step(op, arg byte) {
-	switch op % 8 {
+	l, f := &m.leader, &m.follower
+	switch op % 13 {
 	case 0:
 		m.appendOne()
 	case 1, 7:
 		m.appendBatch(int(arg) * 16)
 	case 2:
-		m.truncateToLast(int(arg) * 16)
+		m.truncateToLast(l, int(arg)*16)
 	case 3:
-		m.truncateBefore(m.pick(int(arg)))
+		m.truncateBefore(l, m.pick(l, int(arg)))
 	case 4:
-		m.scan(m.pick(int(arg)), int(op>>3)*100)
+		m.scan(l, m.pick(l, int(arg)), int(op/13)*100)
 	case 5:
-		m.reset()
+		m.reset(l, m.mint())
 	case 6:
-		m.truncateToSegment()
+		m.truncateToSegment(l)
+	case 8:
+		m.follow(int(arg) * 16)
+	case 9:
+		m.truncateToLast(f, int(arg)*16)
+	case 10:
+		m.truncateBefore(f, m.pick(f, int(arg)))
+	case 11:
+		m.scan(f, m.pick(f, int(arg)), int(op/13)*100)
+	case 12:
+		m.reset(f, m.leader.last)
 	}
 	m.check()
 }
 
-// check compares every observable with the model, then the storage
-// itself (checkSlots).
+// check compares every observable of both logs with its model, then
+// their storage itself (checkSlots).
 func (m *logModel) check() {
-	l := m.l
-	if l.Len() != len(m.ref) {
-		m.t.Fatalf("Len=%d, want %d", l.Len(), len(m.ref))
+	for _, s := range []*modelLog{&m.leader, &m.follower} {
+		l := s.l
+		if l.Len() != len(s.ref) {
+			m.t.Fatalf("Len=%d, want %d", l.Len(), len(s.ref))
+		}
+		first := Zero
+		if len(s.ref) > 0 {
+			first = s.ref[0].TS
+		}
+		if l.First() != first || l.Last() != s.last || l.TruncatedTo() != s.trunc {
+			m.t.Fatalf("First/Last/TruncatedTo = %v/%v/%v, want %v/%v/%v",
+				l.First(), l.Last(), l.TruncatedTo(), first, s.last, s.trunc)
+		}
+		checkSlots(m.t, l, s.ref)
 	}
-	first := Zero
-	if len(m.ref) > 0 {
-		first = m.ref[0].TS
-	}
-	if l.First() != first || l.Last() != m.last || l.TruncatedTo() != m.trunc {
-		m.t.Fatalf("First/Last/TruncatedTo = %v/%v/%v, want %v/%v/%v",
-			l.First(), l.Last(), l.TruncatedTo(), first, m.last, m.trunc)
-	}
-	checkSlots(m.t, l, m.ref)
 }
 
 // checkSlots checks a Log's storage directly: the live slots hold ref
-// in order, every other slot held is zero (so dropped payloads are
-// collectable), and the slots held are at most count plus two
-// segments, one partly used at each end, plus maxSpares spares.
-func checkSlots(t testing.TB, l *Log, ref []Entry) {
+// in order, each entry intact, every other slot held is nil (so a
+// dropped entry no other log holds is collectable), and the slots held
+// are at most count plus two segments, one partly used at each end,
+// plus maxSpares spares.
+func checkSlots(t testing.TB, l *Log, ref []*Entry) {
 	t.Helper()
 	if held, limit := len(l.segs)*segLen, l.count+2*segLen; held > limit {
 		t.Fatalf("%d slots in segments for %d entries, limit %d", held, l.count, limit)
@@ -190,9 +253,6 @@ func checkSlots(t testing.TB, l *Log, ref []Entry) {
 	if l.head < 0 || l.head >= segLen {
 		t.Fatalf("head %d outside the first segment", l.head)
 	}
-	zero := func(e Entry) bool {
-		return e.TS == Zero && e.Kind == 0 && e.Collection == "" && e.DocID == "" && e.Payload == nil
-	}
 	i := -l.head // logical index of segs[0][0]
 	for _, seg := range l.segs {
 		if len(seg) != segLen {
@@ -200,47 +260,53 @@ func checkSlots(t testing.TB, l *Log, ref []Entry) {
 		}
 		for _, e := range seg {
 			if i >= 0 && i < len(ref) {
-				if e.TS != ref[i].TS {
-					t.Fatalf("slot of entry %d holds %v, want %v", i, e.TS, ref[i].TS)
+				if e != ref[i] || !intact(e) {
+					t.Fatalf("slot of entry %d holds %+v, want the entry minted at %v", i, e, ref[i].TS)
 				}
-			} else if !zero(e) {
-				t.Fatalf("slot at logical index %d (of %d) not zeroed: %v", i, len(ref), e.TS)
+			} else if e != nil {
+				t.Fatalf("slot at logical index %d (of %d) not cleared: %v", i, len(ref), e.TS)
 			}
 			i++
 		}
 	}
 	for _, seg := range l.spares {
 		for _, e := range seg {
-			if !zero(e) {
+			if e != nil {
 				t.Fatalf("spare segment holds %v", e.TS)
 			}
 		}
 	}
 }
 
-// TestRingAgainstReferenceModel drives the Log through randomized
-// append/scan/truncate/reset traffic, with batches and caps of up to
-// four segments, and cross-checks every observable and every slot
-// against a plain-slice model after each operation. This is what
-// proves the segment arithmetic right across many boundaries.
+// TestRingAgainstReferenceModel drives two entry-sharing Logs through
+// randomized append/follow/scan/truncate/reset traffic, with batches
+// and caps of up to four segments, and cross-checks every observable
+// and every slot against the models after each operation. This is what
+// proves the segment arithmetic right across many boundaries, and that
+// neither log's truncation or reset disturbs what the other holds.
 func TestRingAgainstReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	m := newLogModel(t)
-	segsSeen := 0
+	segsSeen, followed := 0, 0
 	for step := 0; step < 5000; step++ {
 		m.step(byte(rng.Intn(256)), byte(rng.Intn(256)))
-		segsSeen = max(segsSeen, len(m.l.segs))
+		segsSeen = max(segsSeen, len(m.leader.l.segs))
+		followed = max(followed, len(m.follower.ref))
 	}
 	if segsSeen < 4 {
 		t.Fatalf("the log never grew past %d segments", segsSeen)
 	}
+	if followed < segLen {
+		t.Fatalf("the follower never held more than %d entries", followed)
+	}
 }
 
-// FuzzLogOps decodes its input into Log operations, two bytes each
-// (logModel.step), and checks each one against the slice model.
+// FuzzLogOps decodes its input into operations on the two logs, two
+// bytes each (logModel.step), and checks each one against the models.
 func FuzzLogOps(f *testing.F) {
-	f.Add([]byte{1, 255, 4, 128, 6, 0, 2, 64, 3, 100, 5, 0, 0, 0, 12, 0})
+	f.Add([]byte{1, 255, 4, 128, 6, 0, 2, 64, 3, 100, 5, 0, 0, 0, 17, 0})
 	f.Add([]byte{7, 255, 7, 255, 6, 0, 6, 0, 2, 0, 1, 1, 5, 0})
+	f.Add([]byte{1, 200, 8, 0, 9, 10, 1, 30, 8, 4, 11, 128, 2, 5, 8, 0, 10, 200, 12, 0, 8, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		m := newLogModel(t)
 		for ; len(ops) >= 2; ops = ops[2:] {
@@ -254,24 +320,40 @@ func FuzzLogOps(f *testing.F) {
 // reset keeps nothing but the spares, which the next appends reuse.
 func TestSlotsHeldFollowEntries(t *testing.T) {
 	m := newLogModel(t)
+	l := &m.leader
 	m.appendBatch(10 * segLen)
-	if len(m.l.segs) != 10 {
-		t.Fatalf("%d entries in %d segments, want 10", 10*segLen, len(m.l.segs))
+	if len(l.l.segs) != 10 {
+		t.Fatalf("%d entries in %d segments, want 10", 10*segLen, len(l.l.segs))
 	}
-	m.truncateToLast(100)
+	m.truncateToLast(l, 100)
 	m.check()
-	if len(m.l.segs) > 2 || len(m.l.spares) != maxSpares {
+	if len(l.l.segs) > 2 || len(l.l.spares) != maxSpares {
 		t.Fatalf("after truncating to 100 entries: %d segments and %d spares, want at most 2 and %d",
-			len(m.l.segs), len(m.l.spares), maxSpares)
+			len(l.l.segs), len(l.l.spares), maxSpares)
 	}
-	m.reset()
+	m.reset(l, m.mint())
 	m.check()
-	spare := m.l.spares[len(m.l.spares)-1]
+	spare := l.l.spares[len(l.l.spares)-1]
 	m.appendOne()
-	if &m.l.segs[0][0] != &spare[0] {
+	if &l.l.segs[0][0] != &spare[0] {
 		t.Fatal("the first append after a reset did not reuse a spare segment")
 	}
 	m.check()
+}
+
+// entryRing hands out noop entries from a fixed pool, reusing each one
+// only after the log has dropped it, so a test can append without end
+// and without allocating.
+type entryRing struct {
+	pool []Entry
+	next int
+}
+
+func (r *entryRing) take(ts OpTime) *Entry {
+	e := &r.pool[r.next]
+	r.next = (r.next + 1) % len(r.pool)
+	*e = Entry{TS: ts, Kind: KindNoop}
+	return e
 }
 
 // TestCappedLogSteadyStateAllocatesNothing checks a capped log's
@@ -280,11 +362,12 @@ func TestSlotsHeldFollowEntries(t *testing.T) {
 func TestCappedLogSteadyStateAllocatesNothing(t *testing.T) {
 	const capEntries, batch = 3 * segLen, segLen - 24
 	l := NewLog()
+	ring := entryRing{pool: make([]Entry, capEntries+batch)}
 	var secs int64
 	round := func() {
 		for i := 0; i < batch; i++ {
 			secs++
-			if err := l.Append(NewNoop(OpTime{secs, 1})); err != nil {
+			if err := l.Append(ring.take(OpTime{secs, 1})); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -301,6 +384,30 @@ func TestCappedLogSteadyStateAllocatesNothing(t *testing.T) {
 	cycles()
 	if allocs := testing.AllocsPerRun(4, cycles); allocs != 0 {
 		t.Fatalf("%.0f allocations per 256 rounds, want 0", allocs)
+	}
+}
+
+// TestScanAfterIntoReusedBatchAllocatesNothing: a fetcher that hands
+// its previous batch back to ScanAfter scans without allocating,
+// caught up at the tail or a full batch behind it.
+func TestScanAfterIntoReusedBatchAllocatesNothing(t *testing.T) {
+	l := NewLog()
+	for i := 1; i <= 3*segLen; i++ {
+		if err := l.Append(NewNoop(OpTime{int64(i), 1})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const max = 500
+	batch := make([]*Entry, 0, max)
+	for _, behind := range []int64{0, 1, max, 2 * segLen} {
+		after := OpTime{int64(3*segLen) - behind, 1}
+		allocs := testing.AllocsPerRun(100, func() { batch = l.ScanAfter(batch[:0], after, max) })
+		if allocs != 0 {
+			t.Errorf("%d entries behind: %.0f allocations per scan, want 0", behind, allocs)
+		}
+		if want := min(behind, max); int64(len(batch)) != want || (want > 0 && batch[0].TS != OpTime{after.Secs + 1, 1}) {
+			t.Errorf("%d entries behind: scanned %d entries, want %d from %v", behind, len(batch), want, after.Secs+1)
+		}
 	}
 }
 
@@ -332,7 +439,7 @@ func TestTruncatedToTracksNewestDrop(t *testing.T) {
 func TestAppendBatchRejectsOutOfOrderAtomically(t *testing.T) {
 	l := NewLog()
 	l.Append(NewNoop(OpTime{5, 1}))
-	bad := []Entry{NewNoop(OpTime{6, 1}), NewNoop(OpTime{6, 1})}
+	bad := []*Entry{NewNoop(OpTime{6, 1}), NewNoop(OpTime{6, 1})}
 	if err := l.AppendBatch(bad); err == nil {
 		t.Fatal("out-of-order batch accepted")
 	}
@@ -352,7 +459,7 @@ func TestOnAppendFiresOncePerBatch(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("fired=%d after Append, want 1", fired)
 	}
-	l.AppendBatch([]Entry{NewNoop(OpTime{2, 1}), NewNoop(OpTime{2, 2}), NewNoop(OpTime{2, 3})})
+	l.AppendBatch([]*Entry{NewNoop(OpTime{2, 1}), NewNoop(OpTime{2, 2}), NewNoop(OpTime{2, 3})})
 	if fired != 2 {
 		t.Fatalf("fired=%d after AppendBatch, want 2", fired)
 	}
@@ -378,7 +485,7 @@ func TestResetToRestartsLog(t *testing.T) {
 	if err := l.Append(NewNoop(OpTime{40, 8})); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.ScanAfter(syncPoint, 0); len(got) != 1 {
+	if got := l.ScanAfter(nil, syncPoint, 0); len(got) != 1 {
 		t.Fatalf("scan after reset: %d entries, want 1", len(got))
 	}
 }
@@ -387,7 +494,7 @@ func TestResetToRestartsLog(t *testing.T) {
 // through the per-entry path and the checked batch path and requires
 // identical stored bytes.
 func TestBatchApplyMatchesByteApply(t *testing.T) {
-	entries := []Entry{
+	entries := []*Entry{
 		NewInsert(OpTime{1, 1}, "c", storage.D{"_id": "a", "v": int64(1), "nested": storage.D{"x": int64(9)}}),
 		NewSet(OpTime{1, 2}, "c", "a", storage.D{"v": int64(5)}),
 		NewInsert(OpTime{1, 3}, "d", storage.D{"_id": "b", "v": int64(2)}),
@@ -402,7 +509,7 @@ func TestBatchApplyMatchesByteApply(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	checked, dropped, err := CheckBatch(append([]Entry(nil), entries...))
+	checked, dropped, err := CheckBatch(append([]*Entry(nil), entries...))
 	if err != nil || dropped != 0 {
 		t.Fatalf("CheckBatch: dropped=%d err=%v", dropped, err)
 	}
@@ -434,7 +541,7 @@ func sameStores(t *testing.T, a, b *storage.Store, colls ...string) {
 }
 
 func TestCheckBatchDropsCorruptEntries(t *testing.T) {
-	entries := []Entry{
+	entries := []*Entry{
 		NewInsert(OpTime{1, 1}, "c", storage.D{"_id": "a", "v": int64(1)}),
 		{TS: OpTime{1, 2}, Kind: KindSet, Collection: "c", DocID: "a", Payload: []byte{0xFF, 0x01}},
 		NewNoop(OpTime{1, 3}),
@@ -452,7 +559,7 @@ func TestCheckBatchDropsCorruptEntries(t *testing.T) {
 }
 
 func TestDecodeBatchDropsCorruptEntries(t *testing.T) {
-	entries := []Entry{
+	entries := []*Entry{
 		NewInsert(OpTime{1, 1}, "c", storage.D{"_id": "a", "v": int64(1)}),
 		{TS: OpTime{1, 2}, Kind: KindSet, Collection: "c", DocID: "a", Payload: []byte{0xFF, 0x01}},
 		NewNoop(OpTime{1, 3}),

@@ -50,12 +50,12 @@ func TestStoreMatchesMapModel(t *testing.T) {
 	}
 	model := map[string]storage.Document{}
 	one, batched := storage.NewStore(), storage.NewStore()
-	var pending []Entry
+	var pending []*Entry
 	ts := OpTime{Secs: 1}
 	for step := 0; step < 4000; step++ {
 		ts.Inc++
 		id := ids[rng.Intn(len(ids))]
-		var e Entry
+		var e *Entry
 		switch op := rng.Intn(10); {
 		case op < 2:
 			doc := fields()
