@@ -19,7 +19,34 @@ import (
 	"decongestant/internal/storage"
 )
 
+// One hot key on shard 0, one cold key on shard 1.
+const hot, cold = "doc0042", "doc7042"
+
+// report is what the example prints: the shard each key lives on, and
+// each shard's Balance Fraction every 10 s.
+type report struct {
+	hotShard, coldShard int
+	rows                []row
+}
+
+type row struct {
+	t         time.Duration
+	fractions []int // per shard, in percent
+}
+
 func main() {
+	r := run()
+	fmt.Printf("hot key %q -> shard %d, cold key %q -> shard %d\n\n",
+		hot, r.hotShard, cold, r.coldShard)
+	fmt.Println("t(s)   shard0-balance%   shard1-balance%")
+	for _, w := range r.rows {
+		fmt.Printf("%4.0f   %15d   %15d\n", w.t.Seconds(), w.fractions[0], w.fractions[1])
+	}
+	fmt.Println("\nOnly the congested shard shifted its reads to secondaries.")
+}
+
+// run simulates 90 s of the two-shard deployment.
+func run() report {
 	env := sim.NewEnv(99)
 	defer env.Shutdown()
 
@@ -32,8 +59,6 @@ func main() {
 	params.Period = 5 * time.Second
 	router := sharding.NewRouter(env, shards, params)
 
-	// One hot key on shard 0, one cold key on shard 1.
-	hot, cold := "doc0042", "doc7042"
 	if err := shards.Bootstrap(func(shard int, s *storage.Store) error {
 		for _, k := range []string{hot, cold} {
 			if shards.Owner(k) == shard {
@@ -64,13 +89,10 @@ func main() {
 		})
 	}
 
-	fmt.Printf("hot key %q -> shard %d, cold key %q -> shard %d\n\n",
-		hot, shards.Owner(hot), cold, shards.Owner(cold))
-	fmt.Println("t(s)   shard0-balance%   shard1-balance%")
+	r := report{hotShard: shards.Owner(hot), coldShard: shards.Owner(cold)}
 	for t := 10 * time.Second; t <= 90*time.Second; t += 10 * time.Second {
 		env.Run(t)
-		fr := router.Fractions()
-		fmt.Printf("%4.0f   %15d   %15d\n", t.Seconds(), fr[0], fr[1])
+		r.rows = append(r.rows, row{t, router.Fractions()})
 	}
-	fmt.Println("\nOnly the congested shard shifted its reads to secondaries.")
+	return r
 }

@@ -217,7 +217,7 @@ func TestGetMoreScanAllocatesNothing(t *testing.T) {
 	cfg := fastConfig()
 	rs := New(env, cfg)
 	env.Spawn("writer", func(p sim.Proc) {
-		for i := 0; i < 2*cfg.BatchMax; i++ {
+		for i := 0; i < 2*batchMax; i++ {
 			if _, err := rs.ExecWrite(p, func(tx WriteTxn) (any, error) {
 				return nil, tx.Set("kv", fmt.Sprintf("d%d", i%50), storage.D{"v": int64(i)})
 			}); err != nil {
@@ -231,11 +231,11 @@ func TestGetMoreScanAllocatesNothing(t *testing.T) {
 	prim.mu.RLock()
 	defer prim.mu.RUnlock()
 	// A member one batch behind the tail, as a lagging puller is.
-	after := prim.log.ScanAfter(nil, oplog.Zero, 0)[cfg.BatchMax-1].TS
+	after := prim.log.ScanAfter(nil, oplog.Zero, 0)[batchMax-1].TS
 	var batch []*oplog.Entry
 	var versions []*storage.EncodedDoc
 	scan := func() {
-		batch = prim.log.ScanAfter(batch[:0], after, cfg.BatchMax)
+		batch = prim.log.ScanAfter(batch[:0], after, batchMax)
 		versions = prim.versionsLocked(versions, batch)
 	}
 	scan()
@@ -251,7 +251,7 @@ func TestGetMoreScanAllocatesNothing(t *testing.T) {
 			}
 		}
 	}
-	if len(batch) != cfg.BatchMax || found != 50 {
-		t.Fatalf("scanned %d entries and found %d versions, want %d and 50", len(batch), found, cfg.BatchMax)
+	if len(batch) != batchMax || found != 50 {
+		t.Fatalf("scanned %d entries and found %d versions, want %d and 50", len(batch), found, batchMax)
 	}
 }

@@ -15,6 +15,14 @@ package cluster
 
 import "time"
 
+const (
+	// batchMax is the maximum oplog entries per getMore batch.
+	batchMax = 2000
+	// checkpointSlowdown multiplies write/apply service times while a
+	// checkpoint saturates the node's disk.
+	checkpointSlowdown = 2.0
+)
+
 // Config describes a replica set deployment. The defaults approximate
 // the paper's 3-node, equal-capacity cluster (§4.1.1) at a scale that
 // saturates around 50-100 closed-loop clients, matching Figure 5's
@@ -46,8 +54,6 @@ type Config struct {
 	// Negative means exactly zero jitter (zero takes the default).
 	CostJitter float64
 
-	// BatchMax is the maximum oplog entries per getMore batch.
-	BatchMax int
 	// ReplIdlePoll bounds how long an awaitData getMore waits at the
 	// primary for the next append before it returns empty; with
 	// DisableTailWake it is the secondary's sleep between polls of an
@@ -70,9 +76,6 @@ type Config struct {
 	CheckpointMinDuration time.Duration
 	CheckpointPerMB       time.Duration
 	CheckpointMaxDuration time.Duration
-	// CheckpointSlowdown multiplies write/apply service times while a
-	// checkpoint saturates the node's disk.
-	CheckpointSlowdown float64
 
 	// FlowControlLagSecs enables write throttling when the primary's
 	// known replication lag reaches this many seconds (0 disables).
@@ -139,7 +142,6 @@ func DefaultConfig() Config {
 		GetMoreCost: 300 * time.Microsecond,
 		CostJitter:  0.25,
 
-		BatchMax:          2000,
 		ReplIdlePoll:      50 * time.Millisecond,
 		HeartbeatInterval: 500 * time.Millisecond,
 		NoopInterval:      10 * time.Second,
@@ -148,7 +150,6 @@ func DefaultConfig() Config {
 		CheckpointMinDuration: 500 * time.Millisecond,
 		CheckpointPerMB:       250 * time.Millisecond,
 		CheckpointMaxDuration: 30 * time.Second,
-		CheckpointSlowdown:    2.0,
 
 		FlowControlLagSecs: 15,
 		FlowControlDelay:   2 * time.Millisecond,
@@ -197,9 +198,6 @@ func (c Config) withDefaults() Config {
 	} else if c.CostJitter < 0 {
 		c.CostJitter = 0
 	}
-	if c.BatchMax == 0 {
-		c.BatchMax = d.BatchMax
-	}
 	if c.ReplIdlePoll == 0 {
 		c.ReplIdlePoll = d.ReplIdlePoll
 	}
@@ -220,9 +218,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CheckpointMaxDuration == 0 {
 		c.CheckpointMaxDuration = d.CheckpointMaxDuration
-	}
-	if c.CheckpointSlowdown == 0 {
-		c.CheckpointSlowdown = d.CheckpointSlowdown
 	}
 	if c.FlowControlDelay == 0 {
 		c.FlowControlDelay = d.FlowControlDelay

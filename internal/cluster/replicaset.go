@@ -241,7 +241,7 @@ func (n *Node) execWrite(p sim.Proc, fn func(tx WriteTxn) (any, error)) (any, op
 		cost = n.rs.cfg.WriteCost
 	}
 	if n.Checkpointing() {
-		cost = time.Duration(float64(cost) * n.rs.cfg.CheckpointSlowdown)
+		cost = time.Duration(float64(cost) * checkpointSlowdown)
 	}
 	p.Sleep(n.jitterCost(cost))
 	// Commit at the end of the service time: this is when the write

@@ -46,10 +46,12 @@ func (rs *ReplicaSet) startBackground() {
 // staleness collapses. This is the sawtooth of §4.5. The puller
 // reuses one batch and one versions slice across getMores: once a
 // batch is applied the log holds its entries, so the slices are free.
+// It also keeps one chunk's worth of apply ops for oplog.ApplyBatch.
 func (n *Node) pullerLoop(p sim.Proc) {
 	rs := n.rs
 	var buf []*oplog.Entry
 	var vbuf []*storage.EncodedDoc
+	ops := make([]storage.ApplyOp, 0, applyChunkSize)
 	for {
 		if rs.PrimaryID() == n.ID || n.Down() {
 			p.Sleep(rs.cfg.ReplIdlePoll)
@@ -76,7 +78,7 @@ func (n *Node) pullerLoop(p sim.Proc) {
 			}
 			continue
 		}
-		n.applyBatch(p, batch, versions)
+		n.applyBatch(p, batch, versions, ops)
 		clear(batch) // keep no dropped entry or replaced version alive
 		clear(versions)
 		buf = batch[:0]
@@ -95,6 +97,10 @@ func (n *Node) fetchPoint() (after, applied oplog.OpTime) {
 	return n.log.Last(), n.lastApplied
 }
 
+// applyChunkSize is the most entries applyBatch lands per CPU charge
+// and per oplog.ApplyBatch.
+const applyChunkSize = 256
+
 // applyBatch applies one fetched oplog batch: check every payload
 // once, outside any lock, then apply chunk by chunk — paying the CPU
 // queue per chunk, mutating the store under applyMu only (reads keep
@@ -104,16 +110,16 @@ func (n *Node) fetchPoint() (after, applied oplog.OpTime) {
 // writer threads; here one applier lands each chunk in oplog order).
 // versions are the primary's versions of the batch's sets (see
 // serveGetMore); a batch that lost a corrupt entry splices every set.
-func (n *Node) applyBatch(p sim.Proc, batch []*oplog.Entry, versions []*storage.EncodedDoc) {
+// ops is the puller's scratch for oplog.ApplyBatch.
+func (n *Node) applyBatch(p sim.Proc, batch []*oplog.Entry, versions []*storage.EncodedDoc, ops []storage.ApplyOp) {
 	rs := n.rs
 	batch, dropped, cerr := oplog.CheckBatch(batch)
 	if dropped > 0 {
 		n.noteApplyErrors(dropped, cerr)
 		versions = nil
 	}
-	const chunkSize = 256
-	for start := 0; start < len(batch); start += chunkSize {
-		end := min(start+chunkSize, len(batch))
+	for start := 0; start < len(batch); start += applyChunkSize {
+		end := min(start+applyChunkSize, len(batch))
 		chunk := batch[start:end]
 		work := 0
 		for _, e := range chunk {
@@ -124,7 +130,7 @@ func (n *Node) applyBatch(p sim.Proc, batch []*oplog.Entry, versions []*storage.
 		if work > 0 {
 			cost := n.jitterCost(time.Duration(work) * rs.cfg.ApplyCost)
 			if n.Checkpointing() {
-				cost = time.Duration(float64(cost) * rs.cfg.CheckpointSlowdown)
+				cost = time.Duration(float64(cost) * checkpointSlowdown)
 			}
 			n.cpu.Use(p, cost)
 		}
@@ -132,7 +138,7 @@ func (n *Node) applyBatch(p sim.Proc, batch []*oplog.Entry, versions []*storage.
 		if versions != nil {
 			vers = versions[start:end]
 		}
-		n.applyChunk(chunk, vers)
+		n.applyChunk(chunk, vers, ops)
 		n.applyGate.Broadcast() // release afterClusterTime waiters
 	}
 }
@@ -143,10 +149,10 @@ func (n *Node) applyBatch(p sim.Proc, batch []*oplog.Entry, versions []*storage.
 // it can and splices otherwise; the node write lock is held only to
 // append the primary's entries themselves to this member's oplog and
 // flip lastApplied.
-func (n *Node) applyChunk(entries []*oplog.Entry, versions []*storage.EncodedDoc) {
+func (n *Node) applyChunk(entries []*oplog.Entry, versions []*storage.EncodedDoc, ops []storage.ApplyOp) {
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
-	got, failed, err := oplog.ApplyBatch(n.store, entries, versions)
+	got, failed, err := oplog.ApplyBatch(n.store, entries, versions, ops)
 	if failed > 0 {
 		n.noteApplyErrors(failed, err)
 	}
@@ -257,7 +263,7 @@ func (n *Node) serveGetMore(p sim.Proc, from int, after, applied oplog.OpTime, b
 	n.mu.RLock()
 	gapped := after.Before(n.log.TruncatedTo())
 	if !gapped {
-		batch = n.log.ScanAfter(batch, after, n.rs.cfg.BatchMax)
+		batch = n.log.ScanAfter(batch, after, batchMax)
 		versions = n.versionsLocked(versions, batch)
 	}
 	n.mu.RUnlock()

@@ -100,14 +100,9 @@ func (rs *ReplicaSet) ExecWriteConcernMeta(p sim.Proc, wc WriteConcern, meta Rea
 	return res, commit, nil
 }
 
-// countKnownAtLeast reports how many members this node knows to have
-// applied at least ts (itself included via its own lastApplied).
-func (n *Node) countKnownAtLeast(ts oplog.OpTime) int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.countKnownAtLeastLocked(ts)
-}
-
+// countKnownAtLeastLocked reports how many members this node knows to
+// have applied at least ts (itself included via its own lastApplied).
+// The caller holds n.mu.
 func (n *Node) countKnownAtLeastLocked(ts oplog.OpTime) int {
 	count := 0
 	for id, known := range n.known {

@@ -39,7 +39,10 @@ func TestWriteConcernMajorityWaitsForReplication(t *testing.T) {
 		}
 		majLat = p.Now() - start
 		// At acknowledgment a majority must actually have the write.
-		commitOK = rs.Primary().countKnownAtLeast(commit) >= 2
+		prim := rs.Primary()
+		prim.mu.RLock()
+		commitOK = prim.countKnownAtLeastLocked(commit) >= 2
+		prim.mu.RUnlock()
 	})
 	env.Run(10 * time.Second)
 	if !commitOK {

@@ -254,8 +254,6 @@ type Balancer struct {
 	stats        Stats
 	decisions    *decisionRing
 	lastPollAt   time.Duration // env time of the last successful staleness poll; -1 before the first
-	ewmaPrimary  time.Duration // smoothed client-observed latency per role,
-	ewmaSecond   time.Duration // fed by Record; used by the SLA router
 
 	// Registry instruments (atomic/self-locking; touched without b.mu).
 	obsReasons   map[string]*obs.Counter
@@ -387,30 +385,9 @@ func (b *Balancer) Record(pref driver.ReadPref, lat time.Duration) {
 	switch pref {
 	case driver.Primary:
 		b.latPrimary.add(lat)
-		b.ewmaPrimary = ewma(b.ewmaPrimary, lat)
 	case driver.Secondary:
 		b.latSecondary.add(lat)
-		b.ewmaSecond = ewma(b.ewmaSecond, lat)
 	}
-}
-
-// ewma folds a sample into a smoothed estimate (alpha 0.1).
-func ewma(prev, sample time.Duration) time.Duration {
-	if prev == 0 {
-		return sample
-	}
-	return time.Duration(0.9*float64(prev) + 0.1*float64(sample))
-}
-
-// LatencyEstimate returns the smoothed client-observed read latency
-// for the given Read Preference (0 before any sample).
-func (b *Balancer) LatencyEstimate(pref driver.ReadPref) time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if pref == driver.Secondary {
-		return b.ewmaSecond
-	}
-	return b.ewmaPrimary
 }
 
 // rttLoop pings every node each RTTPing interval and files the sample

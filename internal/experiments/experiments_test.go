@@ -70,7 +70,7 @@ func TestFig3ShapeAdaptsDownward(t *testing.T) {
 		{spec: ycsb.WorkloadB(), clients: 180, until: 120 * time.Second},
 		{spec: ycsb.WorkloadA(), clients: 20, until: 560 * time.Second},
 	}
-	col, setup := runYCSB(SysDecongestant, 1, phases, false)
+	col, setup := runYCSBParams(SysDecongestant, 1, phases, false, core.DefaultParams())
 	defer setup.Close()
 	rows := col.Rows()
 	phase1 := avgPct(rows, 60*time.Second, 120*time.Second)

@@ -18,13 +18,9 @@ type ycsbPhase struct {
 // YCSBRecordCount is the population shared by the YCSB experiments.
 const YCSBRecordCount = 10_000
 
-// runYCSB executes a phased YCSB scenario against one system and
-// returns the collector and setup (callers Close the setup).
-func runYCSB(kind SystemKind, seed int64, phases []ycsbPhase, withS bool) (*Collector, *Setup) {
-	return runYCSBParams(kind, seed, phases, withS, core.DefaultParams())
-}
-
-// runYCSBParams is runYCSB with explicit Read Balancer parameters.
+// runYCSBParams executes a phased YCSB scenario against one system
+// with the given Read Balancer parameters and returns the collector
+// and setup (callers Close the setup).
 func runYCSBParams(kind SystemKind, seed int64, phases []ycsbPhase, withS bool, params core.Params) (*Collector, *Setup) {
 	opts := Options{
 		Seed:    seed,

@@ -257,9 +257,12 @@ func DecodeBatch(entries []*Entry) ([]DecodedEntry, int, error) {
 // place of a splice when it replaced the version this store holds
 // (storage.ApplyOp.Version). Individual failures are skipped, not
 // fatal: it returns what applied (noops count as applied), how many
-// entries failed, and the first error.
-func ApplyBatch(s *storage.Store, batch []*Entry, versions []*storage.EncodedDoc) (n storage.ApplyCounts, failed int, firstErr error) {
-	var run []storage.ApplyOp
+// entries failed, and the first error. run is scratch space for the
+// same-collection groups, nil or a slice the caller reuses: each group
+// is built in run[:0] and cleared once applied, so a run with room for
+// len(batch) ops spares the call its allocation.
+func ApplyBatch(s *storage.Store, batch []*Entry, versions []*storage.EncodedDoc, run []storage.ApplyOp) (n storage.ApplyCounts, failed int, firstErr error) {
+	run = run[:0]
 	var runColl string
 	flush := func() {
 		if len(run) == 0 {
@@ -273,6 +276,7 @@ func ApplyBatch(s *storage.Store, batch []*Entry, versions []*storage.EncodedDoc
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
+		clear(run) // hold no payload or version the log and store drop
 		run = run[:0]
 	}
 	for i, e := range batch {

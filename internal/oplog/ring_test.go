@@ -11,6 +11,7 @@ package oplog
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -514,11 +515,51 @@ func TestBatchApplyMatchesByteApply(t *testing.T) {
 		t.Fatalf("CheckBatch: dropped=%d err=%v", dropped, err)
 	}
 	byBatch := storage.NewStore()
-	n, failed, err := ApplyBatch(byBatch, checked, nil)
+	n, failed, err := ApplyBatch(byBatch, checked, nil, nil)
 	if err != nil || failed != 0 || n.Applied != len(entries) {
 		t.Fatalf("ApplyBatch: applied=%d failed=%d err=%v", n.Applied, failed, err)
 	}
 	sameStores(t, byBytes, byBatch, "c", "d")
+}
+
+// TestApplyBatchIntoReusedRunAllocatesOnlySplices: with the caller's
+// run scratch, ApplyBatch's grouping allocates nothing, so a batch of
+// deletes allocates nothing and a batch of 64 $sets allocates what 64
+// single-entry Applies do, its splices' new versions.
+func TestApplyBatchIntoReusedRunAllocatesOnlySplices(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const sets = 64
+	s := storage.NewStore()
+	var deletes, batch []*Entry
+	for i := 0; i < sets; i++ {
+		id := fmt.Sprintf("d%d", i)
+		if err := s.C("c").Insert(storage.D{"_id": id, "v": int64(0)}); err != nil {
+			t.Fatal(err)
+		}
+		deletes = append(deletes, NewDelete(OpTime{1, uint32(i + 1)}, "c", fmt.Sprintf("ghost%d", i)))
+		batch = append(batch, NewSet(OpTime{2, uint32(i + 1)}, "c", id, storage.D{"v": int64(i)}))
+	}
+	run := make([]storage.ApplyOp, 0, sets)
+	apply := func(b []*Entry) func() {
+		return func() {
+			if _, failed, err := ApplyBatch(s, b, nil, run); failed != 0 || err != nil {
+				t.Fatalf("ApplyBatch: failed=%d err=%v", failed, err)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, apply(deletes)); allocs != 0 {
+		t.Errorf("%.0f allocations per batch of %d deletes, want 0", allocs, sets)
+	}
+	one := testing.AllocsPerRun(20, func() {
+		if err := batch[0].Apply(s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs := testing.AllocsPerRun(20, apply(batch)); allocs > sets*one {
+		t.Errorf("%.0f allocations per batch of %d $sets, want at most %d × %.0f of one Apply", allocs, sets, sets, one)
+	}
 }
 
 // sameStores requires the named collections of two stores to hold the

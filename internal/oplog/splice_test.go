@@ -88,7 +88,7 @@ func TestStoreMatchesMapModel(t *testing.T) {
 			if dropped != 0 || err != nil {
 				t.Fatalf("step %d: CheckBatch dropped %d: %v", step, dropped, err)
 			}
-			if _, failed, err := ApplyBatch(batched, checked, nil); failed != 0 || err != nil {
+			if _, failed, err := ApplyBatch(batched, checked, nil, nil); failed != 0 || err != nil {
 				t.Fatalf("step %d: ApplyBatch failed %d: %v", step, failed, err)
 			}
 			pending = pending[:0]

@@ -1,18 +1,13 @@
 package sim
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Resource models a server with a fixed number of identical service
 // slots (e.g. CPU cores, disk channels). Callers occupy a slot for a
 // service time; when all slots are busy, callers queue FIFO, which is
 // what produces congestion latency under load.
 type Resource struct {
-	sem  Semaphore
-	busy atomic.Int64 // accumulated busy nanoseconds across slots
-	jobs atomic.Int64
+	sem Semaphore
 }
 
 // NewResource creates a resource with the given number of slots.
@@ -27,8 +22,6 @@ func (r *Resource) Use(p Proc, d time.Duration) time.Duration {
 	r.sem.Acquire(p)
 	p.Sleep(d)
 	r.sem.Release()
-	r.busy.Add(int64(d))
-	r.jobs.Add(1)
 	return p.Now() - start
 }
 
@@ -41,11 +34,6 @@ func (r *Resource) Release() { r.sem.Release() }
 // InUse reports busy slots; Waiting reports the queue length.
 func (r *Resource) InUse() int   { return r.sem.InUse() }
 func (r *Resource) Waiting() int { return r.sem.Waiting() }
-
-// BusyTime returns the accumulated service time over all completed
-// jobs, and Jobs the number of completed jobs.
-func (r *Resource) BusyTime() time.Duration { return time.Duration(r.busy.Load()) }
-func (r *Resource) Jobs() int64             { return r.jobs.Load() }
 
 // Every spawns a process that invokes fn every interval until the
 // environment shuts down. The first invocation happens after one

@@ -437,10 +437,4 @@ func TestResourceUseReturnsQueueingPlusService(t *testing.T) {
 			t.Fatalf("latencies %v, want %v", lat, want)
 		}
 	}
-	if res.Jobs() != 3 {
-		t.Fatalf("jobs=%d, want 3", res.Jobs())
-	}
-	if res.BusyTime() != 3*time.Second {
-		t.Fatalf("busy=%v, want 3s", res.BusyTime())
-	}
 }

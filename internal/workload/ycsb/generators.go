@@ -1,6 +1,7 @@
-// Package ycsb reimplements the YCSB core workloads (Cooper et al.,
-// SoCC'10): the request-distribution generators (uniform, zipfian,
-// scrambled zipfian, latest) and workloads A-F over the document
+// Package ycsb reimplements the two YCSB core workloads the paper runs
+// (Cooper et al., SoCC'10): the request-distribution generators
+// (uniform, zipfian, scrambled zipfian) and the A (50% reads, 50%
+// updates) and B (95% reads, 5% updates) mixes over the document
 // store, driven by closed-loop client processes.
 package ycsb
 
@@ -87,29 +88,4 @@ func (s *ScrambledZipfian) Next(rng *rand.Rand) int64 {
 	}
 	h.Write(buf[:])
 	return int64(h.Sum64() % uint64(s.items))
-}
-
-// Latest skews toward recently inserted items: it draws a zipfian
-// offset back from the current maximum (YCSB's SkewedLatestGenerator).
-type Latest struct {
-	z   *Zipfian
-	max func() int64
-}
-
-// NewLatest creates a latest-skewed generator; max reports the current
-// largest item index.
-func NewLatest(n int64, max func() int64) *Latest {
-	return &Latest{z: NewZipfian(n), max: max}
-}
-
-func (l *Latest) Next(rng *rand.Rand) int64 {
-	m := l.max()
-	if m <= 0 {
-		return 0
-	}
-	off := l.z.Next(rng)
-	if off >= m {
-		off = off % m
-	}
-	return m - 1 - off
 }
